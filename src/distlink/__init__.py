@@ -62,11 +62,9 @@ from .evaluation import (
 )
 from .graph import (
     Absolute,
-    ApproxRelation,
     LabeledWeightedGraph,
     ProductGraph,
     QuantileBand,
-    approx_eval,
     build_graph,
     build_product_graph,
     product_vertex_count_check,
@@ -75,12 +73,10 @@ from .masking import (
     GERMANY,
     BandSpec,
     CalibrationTable,
-    NoiseSpec,
     Region,
     band_from_table,
     calibrate,
     load_calibration,
-    perturb_coordinates,
     perturb_points,
     save_calibration,
     utility_score,

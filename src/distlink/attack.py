@@ -29,6 +29,7 @@ from .graph import (
     ProductGraph,
     build_graph,
     build_product_graph,
+    label_pairs,
 )
 
 
@@ -125,14 +126,9 @@ def classical_linkage(
     product graph's vertex list."""
     if tuple(target_table.qi_attributes) != tuple(ident_table.qi_attributes):
         raise InputFormatError("target and identification tables disagree on qi attributes")
-    by_label: dict = {}
-    for i in range(len(ident_table)):
-        by_label.setdefault(ident_table.qi_tuple(i), []).append(i)
-    out = []
-    for t in range(len(target_table)):
-        for i in by_label.get(target_table.qi_tuple(t), ()):
-            out.append((t, i))
-    return tuple(out)
+    return tuple(label_pairs(
+        [target_table.qi_tuple(t) for t in range(len(target_table))],
+        [ident_table.qi_tuple(i) for i in range(len(ident_table))]))
 
 
 @dataclass(frozen=True)

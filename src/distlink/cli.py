@@ -40,7 +40,7 @@ from .evaluation import (
     write_results_csv,
     write_ru_csv,
 )
-from .graph import Absolute
+from .graph import Absolute, QuantileBand
 from .masking import (
     GERMANY,
     Region,
@@ -106,7 +106,6 @@ def _relation_from_args(args) -> object:
         return Absolute(args.abs_eps)
     if args.band is not None:
         lo, hi = args.band
-        from .graph import QuantileBand
         return QuantileBand(lo, hi)
     if args.alpha is None:
         raise DistlinkError("--calibration requires --alpha")
@@ -205,16 +204,15 @@ def _config_from_file(path, seed_override, need_single_sigma: bool = False) -> S
     qi = payload.get("qi_distributions", "census")
     if qi == "census":
         qi = census_qi_distributions()
-    region = Region(**payload["region"]) if "region" in payload else GERMANY
     if "sigma" in payload and "sigma_grid" in payload:
         raise DistlinkError(f"{path}: give either sigma or sigma_grid, not both")
     sigma_grid = payload.get("sigma_grid", [payload["sigma"]] if "sigma" in payload else None)
     if sigma_grid is None:
         raise DistlinkError(f"{path}: sigma_grid (or sigma) is required")
-    if need_single_sigma and len(sigma_grid) != 1:
-        raise DistlinkError(f"{path}: this command needs exactly one sigma value")
     seed = seed_override if seed_override is not None else payload.get("seed", _default_seed())
     try:
+        if need_single_sigma and len(sigma_grid) != 1:
+            raise DistlinkError(f"{path}: this command needs exactly one sigma value")
         return SimulationConfig(
             n_target=payload["n_target"],
             n_ident=payload["n_ident"],
@@ -223,7 +221,7 @@ def _config_from_file(path, seed_override, need_single_sigma: bool = False) -> S
             alpha_grid=tuple(payload.get("alpha_grid", (0.5,))),
             repetitions=payload.get("repetitions", 1),
             qi_distributions=qi,
-            region=region,
+            region=Region(**payload["region"]) if "region" in payload else GERMANY,
             seed=seed,
             n_calibration_pairs=payload.get("n_calibration_pairs", 1000),
             calibration_per_repetition=payload.get("calibration_per_repetition", False),
@@ -231,6 +229,8 @@ def _config_from_file(path, seed_override, need_single_sigma: bool = False) -> S
         )
     except KeyError as exc:
         raise DistlinkError(f"{path}: missing config key {exc}") from None
+    except TypeError as exc:
+        raise DistlinkError(f"{path}: malformed config field: {exc}") from None
 
 
 def cmd_simulate(args) -> int:

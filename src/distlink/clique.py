@@ -3,7 +3,8 @@
 The solver is a sequential branch-and-bound with greedy-colouring upper
 bounds over bitset adjacency rows.  It is deterministic: with the fixed
 vertex ordering (descending degree, ties by ascending index) the same
-input always yields the same clique.  A configurable node budget turns
+input always yields the same clique.  The same search, told to keep
+ties, enumerates every maximum clique.  A configurable node budget turns
 runaway instances into an explicit error instead of a silent heuristic
 answer.  Brute-force oracles for small graphs live here as well; the
 test suite checks the solver against them.
@@ -91,10 +92,38 @@ def _check_clique(g: SimpleGraph, vertices: Sequence[int]) -> None:
                 raise AssertionError(f"reported clique not pairwise adjacent: {a}, {b}")
 
 
-class _Search:
-    """Branch-and-bound state over a degree-sorted copy of the graph."""
+def _colour_classes(rows: Sequence[int], cand: int) -> list:
+    """Greedy colouring of the candidate set by colour classes.
 
-    def __init__(self, g: SimpleGraph, node_budget: int) -> None:
+    Returns (vertex, colour) pairs grouped by ascending colour; a
+    vertex's colour bounds the largest clique containing it within the
+    candidates, which drives the search's pruning.
+    """
+    out = []
+    rest = cand
+    colour = 0
+    while rest:
+        colour += 1
+        avail = rest
+        while avail:
+            b = avail & -avail
+            v = b.bit_length() - 1
+            out.append((v, colour))
+            avail &= ~(rows[v] | b)
+            rest ^= b
+    return out
+
+
+class _Search:
+    """Branch-and-bound over a degree-sorted copy of the graph, run on
+    construction.
+
+    best_masks holds cliques of size best_size, starting from the empty
+    clique: the first one found, or with keep_ties every one that ties
+    the incumbent.
+    """
+
+    def __init__(self, g: SimpleGraph, node_budget: int, keep_ties: bool = False) -> None:
         order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
         pos = {v: k for k, v in enumerate(order)}
         rows = [0] * g.n
@@ -104,9 +133,12 @@ class _Search:
         self.rows = rows
         self.order = order
         self.budget = node_budget
+        self.keep_ties = keep_ties
         self.nodes = 0
         self.best_size = 0
-        self.best_mask = 0
+        self.best_masks = [0]
+        if g.n:
+            self.expand(0, 0, (1 << g.n) - 1)
 
     def _spend(self) -> None:
         self.nodes += 1
@@ -114,30 +146,11 @@ class _Search:
             raise ResourceBudgetError(
                 f"clique search exceeded its node budget of {self.budget}")
 
-    def _color_sort(self, cand: int) -> list:
-        """Greedy colouring of the candidate set by colour classes.
-
-        Returns (vertex, colour) pairs grouped by ascending colour; a
-        vertex's colour bounds the largest clique containing it within
-        the candidates, which drives the pruning below.
-        """
-        out = []
-        rest = cand
-        colour = 0
-        while rest:
-            colour += 1
-            avail = rest
-            while avail:
-                b = avail & -avail
-                v = b.bit_length() - 1
-                out.append((v, colour))
-                avail &= ~(self.rows[v] | b)
-                rest ^= b
-        return out
-
     def expand(self, size: int, mask: int, cand: int) -> None:
-        for v, colour in reversed(self._color_sort(cand)):
-            if size + colour <= self.best_size:
+        for v, colour in reversed(_colour_classes(self.rows, cand)):
+            # a branch that cannot beat the incumbent (or, keeping ties,
+            # cannot reach it) is cut, together with every lower colour
+            if size + colour + self.keep_ties <= self.best_size:
                 return
             self._spend()
             b = 1 << v
@@ -146,11 +159,13 @@ class _Search:
                 self.expand(size + 1, mask | b, nxt)
             elif size + 1 > self.best_size:
                 self.best_size = size + 1
-                self.best_mask = mask | b
+                self.best_masks = [mask | b]
+            elif self.keep_ties and size + 1 == self.best_size:
+                self.best_masks.append(mask | b)
             cand &= ~b
 
-    def result_vertices(self) -> tuple:
-        return tuple(sorted(self.order[v] for v in _bits(self.best_mask)))
+    def vertices(self, mask: int) -> tuple:
+        return tuple(sorted(self.order[v] for v in _bits(mask)))
 
 
 def max_clique(g: SimpleGraph, node_budget: int = DEFAULT_NODE_BUDGET) -> CliqueResult:
@@ -162,52 +177,22 @@ def max_clique(g: SimpleGraph, node_budget: int = DEFAULT_NODE_BUDGET) -> Clique
     """
     start = time.perf_counter()
     search = _Search(g, node_budget)
-    if g.n:
-        search.expand(0, 0, (1 << g.n) - 1)
-    vertices = search.result_vertices()
+    vertices = search.vertices(search.best_masks[0])
     _check_clique(g, vertices)
     return CliqueResult(vertices, len(vertices), search.nodes,
                         time.perf_counter() - start)
 
 
-def enumerate_maximum_cliques(
-    g: SimpleGraph,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    limit: Optional[int] = None,
-) -> list:
+def enumerate_maximum_cliques(g: SimpleGraph, node_budget: int = DEFAULT_NODE_BUDGET) -> list:
     """All maximum cliques, each as a sorted vertex tuple, in ascending
-    lexicographic order.  Optional limit caps how many are collected."""
-    omega = max_clique(g, node_budget).size
-    if omega == 0:
-        return [()]
-    out = []
-    budget = [node_budget]
+    lexicographic order; the empty graph gives [()].
 
-    def rec(stack: list, cand: int) -> None:
-        if len(stack) == omega:
-            out.append(tuple(stack))
-            return
-        if limit is not None and len(out) >= limit:
-            return
-        rest = cand
-        while rest:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise ResourceBudgetError(
-                    f"clique enumeration exceeded its node budget of {node_budget}")
-            b = rest & -rest
-            v = b.bit_length() - 1
-            rest ^= b
-            nxt = cand & g.rows[v] & ~((b << 1) - 1)
-            if len(stack) + 1 + nxt.bit_count() >= omega:
-                stack.append(v)
-                rec(stack, nxt)
-                stack.pop()
-            if limit is not None and len(out) >= limit:
-                return
-
-    rec([], (1 << g.n) - 1)
-    return out
+    One pass of the branch-and-bound behind max_clique that keeps every
+    clique tying the incumbent and drops them when it grows.  Raises
+    ResourceBudgetError when node_budget branch nodes are exceeded.
+    """
+    search = _Search(g, node_budget, keep_ties=True)
+    return sorted(search.vertices(mask) for mask in search.best_masks)
 
 
 def brute_force_max_clique(g: SimpleGraph, max_n: int = 25) -> CliqueResult:
@@ -251,17 +236,8 @@ def greedy_coloring_bound(g: SimpleGraph, candidate_set: Optional[Iterable[int]]
             if not 0 <= v < g.n:
                 raise InputFormatError(f"vertex {v} out of range")
             cand |= 1 << v
-    colours = 0
-    rest = cand
-    while rest:
-        colours += 1
-        avail = rest
-        while avail:
-            b = avail & -avail
-            v = b.bit_length() - 1
-            avail &= ~(g.rows[v] | b)
-            rest ^= b
-    return colours
+    classes = _colour_classes(g.rows, cand)
+    return classes[-1][1] if classes else 0
 
 
 def count_cliques_of_size(g: SimpleGraph, k: int) -> int:

@@ -172,6 +172,8 @@ class DistanceMatrix:
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise InputFormatError(f"matrix must be square, got shape {entries.shape}")
         if validate:
+            if not np.all(np.isfinite(entries)):
+                raise InputFormatError("matrix entries must be finite")
             if np.any(np.diagonal(entries) != 0.0):
                 raise InputFormatError("matrix diagonal must be zero")
             if np.any(entries < 0.0):

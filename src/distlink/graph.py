@@ -4,8 +4,9 @@ A dataset (T, D) maps to a complete graph whose vertices are the records
 of T, labelled with their quasi-identifier tuples, and whose edge weights
 are the entries of D.  Matching two datasets reduces to finding cliques in
 the product graph built here: its vertices are label-equal record pairs
-and its edges connect pairs whose distances agree up to a pluggable
-approximate-equality relation.
+and its edges connect pairs whose distances agree up to the one
+approximate-equality relation, an open band on the signed deviation
+(QuantileBand; Absolute(eps) is its symmetric case).
 """
 
 from __future__ import annotations
@@ -94,29 +95,12 @@ def build_graph(table: MicrodataTable, matrix: DistanceMatrix) -> LabeledWeighte
 
 
 @dataclass(frozen=True)
-class Absolute:
-    """Accepts weights whose absolute deviation is strictly below epsilon."""
-
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        if not self.epsilon > 0:
-            raise InputFormatError("epsilon must be positive")
-
-    def holds(self, w_target: float, w_ident: float) -> bool:
-        return abs(w_target - w_ident) < self.epsilon
-
-    def deviation_mask(self, w_target: np.ndarray, w_ident: np.ndarray) -> np.ndarray:
-        return np.abs(w_target - w_ident) < self.epsilon
-
-
-@dataclass(frozen=True)
 class QuantileBand:
     """Accepts pairs whose deviation (identification weight minus target
-    weight, in that order) lies strictly inside an empirical band.
+    weight, in that order) lies strictly inside the band (lo, hi).
 
-    The test is deliberately asymmetric in its arguments: the band is
-    calibrated on deviations of true distances minus masked distances,
+    The test is deliberately asymmetric in its arguments: a calibrated
+    band is cut from deviations of true distances minus masked distances,
     and identification distances play the true side.
     """
 
@@ -136,13 +120,22 @@ class QuantileBand:
         return (self.lo < dev) & (dev < self.hi)
 
 
-# either variant works as an ApproxRelation
-ApproxRelation = Absolute | QuantileBand
+def Absolute(epsilon: float) -> QuantileBand:
+    """The symmetric band (-epsilon, epsilon): absolute deviation strictly
+    below epsilon.  Exact, because IEEE subtraction is sign-symmetric, so
+    w_ident - w_target is the negation of w_target - w_ident."""
+    if not epsilon > 0:
+        raise InputFormatError("epsilon must be positive")
+    return QuantileBand(-epsilon, epsilon)
 
 
-def approx_eval(rel, w_target: float, w_ident: float) -> bool:
-    """Predicate form of the approximate-equality relation."""
-    return rel.holds(w_target, w_ident)
+def label_pairs(target_labels: Sequence[VertexLabel], ident_labels: Sequence[VertexLabel]) -> list:
+    """Every label-equal (target, ident) index pair, in lexicographic
+    order: the vertex set of the product graph."""
+    by_label: dict = {}
+    for w, lab in enumerate(ident_labels):
+        by_label.setdefault(lab, []).append(w)
+    return [(v, w) for v, lab in enumerate(target_labels) for w in by_label.get(lab, ())]
 
 
 class ProductGraph:
@@ -236,14 +229,7 @@ def build_product_graph(
     """Construct the product graph of two labelled weighted graphs."""
     if target.label_arity != ident.label_arity:
         raise InputFormatError("graphs were built with different qi schemas")
-    by_label: dict = {}
-    for w, lab in enumerate(ident.labels):
-        by_label.setdefault(lab, []).append(w)
-    pairs = []
-    for v, lab in enumerate(target.labels):
-        for w in by_label.get(lab, ()):
-            pairs.append((v, w))
-    # lexicographic by (target, ident) already, by construction order
+    pairs = label_pairs(target.labels, ident.labels)
     if target.edge_present is None and ident.edge_present is None:
         tv = np.array([p[0] for p in pairs], dtype=np.intp)
         iv = np.array([p[1] for p in pairs], dtype=np.intp)

@@ -6,8 +6,8 @@ distances are published.  A snooper who knows the mechanism and its sigma
 relation empirically: sample point pairs in the relevant region, perturb
 them the same way, collect the deviations between true and perturbed
 distances, and cut a central quantile band that catches a true deviation
-with probability alpha.  That band is what the attack's QuantileBand
-relation runs on.
+with probability alpha.  That band becomes a QuantileBand, the attack's
+one tolerance relation (a fixed --abs-eps is its symmetric case).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .core import GeoPoint, great_circle_distance
 from .errors import DegenerateSampleError, InputFormatError
 from .graph import QuantileBand
-from .seeding import STREAM_CALIBRATION, STREAM_PERTURB, derive_rng
+from .seeding import STREAM_CALIBRATION, derive_rng
 
 #: quantile probabilities reported by the calibration summary table
 SUMMARY_QUANTILES = (0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95)
@@ -55,19 +55,6 @@ class Region:
 GERMANY = Region(lat_min=47.27, lat_max=55.06, lon_min=5.87, lon_max=15.04)
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Gaussian coordinate noise: sigma in degrees, applied independently
-    to each coordinate of each point."""
-
-    sigma: float
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.sigma < 0:
-            raise InputFormatError("sigma must be nonnegative")
-
-
 def perturb_points(
     points: Sequence[GeoPoint],
     sigma: float,
@@ -93,11 +80,6 @@ def perturb_points(
     return out
 
 
-def perturb_coordinates(points: Sequence[GeoPoint], spec: NoiseSpec) -> list:
-    """Seeded wrapper around perturb_points; bit-identical reruns."""
-    return perturb_points(points, spec.sigma, derive_rng(spec.seed, STREAM_PERTURB))
-
-
 class CalibrationTable:
     """Sorted sample of distance deviations d - d' for one sigma.
 
@@ -116,6 +98,8 @@ class CalibrationTable:
         dev = np.asarray(deviations, dtype=float)
         if dev.ndim != 1 or dev.size < 2:
             raise InputFormatError("calibration needs at least 2 deviations")
+        if not np.all(np.isfinite(dev)):
+            raise InputFormatError("deviations must be finite")
         if np.any(np.diff(dev) < 0):
             raise InputFormatError("deviations must be sorted ascending")
         if sigma < 0:
@@ -246,8 +230,13 @@ def load_calibration(path) -> CalibrationTable:
         region = Region(**payload["region"])
         table = CalibrationTable(payload["sigma"], payload["deviations"],
                                  region, payload["seed"])
+        n_pairs = payload["n_pairs"]
     except (KeyError, TypeError) as exc:
         raise InputFormatError(f"{path}: missing calibration field: {exc}") from None
-    if table.n_pairs != payload["n_pairs"]:
+    except ValueError as exc:
+        raise InputFormatError(f"{path}: malformed calibration field: {exc}") from None
+    except InputFormatError as exc:
+        raise InputFormatError(f"{path}: {exc}") from None
+    if table.n_pairs != n_pairs:
         raise InputFormatError(f"{path}: n_pairs does not match deviation count")
     return table

@@ -179,6 +179,16 @@ class TestAttack:
                   + ["--node-budget", "1"])
         assert rc == EXIT_BUDGET
 
+    def test_non_finite_matrix_rejected(self, poets_files, tmp_path, capsys):
+        text = poets_files["im"].read_text().splitlines()
+        cells = text[1].split(",")
+        cells[0] = "nan"
+        text[1] = ",".join(cells)
+        poets_files["im"].write_text("\n".join(text) + "\n")
+        out = tmp_path / "matches.csv"
+        assert main(attack_argv(poets_files, out, "--abs-eps", "5")) == EXIT_INPUT
+        assert "matrix entries must be finite" in capsys.readouterr().err
+
     def test_unknown_qi_rejected(self, poets_files, tmp_path):
         out = tmp_path / "matches.csv"
         argv = attack_argv(poets_files, out, "--abs-eps", "5")
@@ -282,6 +292,16 @@ class TestSimulate:
                                    "sigma_grid": [0.01]}))
         assert main(["simulate", "--config", str(cfg),
                      "--out-dir", str(tmp_path / "x")]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("field", [{"region": [1, 2]},
+                                       {"sigma_grid": 0.01},
+                                       {"n_target": "5"}])
+    @pytest.mark.parametrize("command", ["simulate", "gendata"])
+    def test_malformed_field_type_rejected(self, tmp_path, capsys, field, command):
+        cfg = small_sim_config(tmp_path, **{"sigma_grid": [0.01], **field})
+        assert main([command, "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "x")]) == EXIT_INPUT
+        assert f"{cfg}: malformed config field" in capsys.readouterr().err
 
     def test_sigma_and_sigma_grid_conflict(self, tmp_path):
         cfg = small_sim_config(tmp_path)

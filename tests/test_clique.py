@@ -141,10 +141,6 @@ class TestEnumerateMaximumCliques:
         found = enumerate_maximum_cliques(g)
         assert found == [(0, 1, 2), (3, 4, 5)]
 
-    def test_limit_short_circuits(self):
-        g = SimpleGraph.from_edges(4, [])
-        assert len(enumerate_maximum_cliques(g, limit=2)) == 2
-
     def test_edgeless_gives_singletons(self):
         g = SimpleGraph.from_edges(3, [])
         assert enumerate_maximum_cliques(g) == [(0,), (1,), (2,)]
@@ -161,6 +157,21 @@ class TestEnumerateMaximumCliques:
                 assert len(c) == w
                 for a, b in itertools.combinations(c, 2):
                     assert g.has_edge(a, b)
+
+    def test_finds_every_maximum_clique(self):
+        rng = np.random.default_rng(20)
+        for _ in range(30):
+            g = random_simple_graph(rng, int(rng.integers(1, 16)),
+                                    float(rng.uniform(0.1, 0.9)))
+            found = enumerate_maximum_cliques(g)
+            assert len(found) == count_cliques_of_size(g, max_clique(g).size)
+            assert found == sorted(set(found))
+
+    def test_node_budget_enforced(self):
+        g = SimpleGraph.from_edges(6, [(0, 1), (0, 2), (1, 2),
+                                       (3, 4), (3, 5), (4, 5)])
+        with pytest.raises(ResourceBudgetError):
+            enumerate_maximum_cliques(g, node_budget=2)
 
 
 class TestCountCliques:

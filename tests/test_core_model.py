@@ -286,6 +286,13 @@ class TestMatrixIO:
         with pytest.raises(InputFormatError):
             load_matrix(path)
 
+    @pytest.mark.parametrize("bad", ["inf", "nan", "-inf"])
+    def test_rejects_non_finite_entries(self, tmp_path, bad):
+        path = tmp_path / "m.csv"
+        path.write_text(f"0,{bad}\n{bad},0\n")
+        with pytest.raises(InputFormatError, match="matrix entries must be finite"):
+            load_matrix(path)
+
 
 class TestBundledFixtures:
     def test_poets_full_schema(self):

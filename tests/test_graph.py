@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from distlink import (
     Absolute,
@@ -9,7 +11,6 @@ from distlink import (
     InputFormatError,
     LabeledWeightedGraph,
     QuantileBand,
-    approx_eval,
     build_graph,
     build_product_graph,
     max_clique,
@@ -22,7 +23,7 @@ from distlink.datasets import (
     poets_target_matrix,
     poets_target_table,
 )
-from distlink.graph import _product_edges_complete, _product_edges_general
+from distlink.graph import _product_edges_complete, _product_edges_general, label_pairs
 from helpers import POETS_PRODUCT_PAIRS_1BASED, random_labeled_graph, random_relation
 from distlink import distance_matrix
 
@@ -64,6 +65,17 @@ def _matrix1():
     return DistanceMatrix(np.zeros((1, 1)))
 
 
+@st.composite
+def _weights_and_eps(draw):
+    """Target weights, identification weights that often sit exactly
+    eps away or at a signed zero, and a positive eps."""
+    eps = draw(st.floats(min_value=0.0, exclude_min=True))
+    wt = draw(st.lists(st.floats(), min_size=1, max_size=16))
+    step = st.one_of(st.sampled_from([eps, -eps, 0.0, -0.0]), st.floats())
+    wi = [w + draw(step) for w in wt]
+    return np.array(wt), np.array(wi), eps
+
+
 class TestAbsoluteRelation:
     def test_strict_boundary(self):
         rel = Absolute(5.0)
@@ -81,6 +93,28 @@ class TestAbsoluteRelation:
             Absolute(0.0)
         with pytest.raises(InputFormatError):
             Absolute(-1.0)
+        with pytest.raises(InputFormatError):
+            Absolute(float("nan"))
+
+    def test_is_the_symmetric_band(self):
+        assert Absolute(25.0) == QuantileBand(-25.0, 25.0)
+        assert repr(Absolute(25.0)) == "QuantileBand(lo=-25.0, hi=25.0)"
+
+    def test_boundaries_and_signed_zeros(self):
+        wt = np.array([100.0, 100.0, 100.0, 0.0, -0.0, 1.0])
+        wi = np.array([105.0, 95.0, 104.5, -0.0, 0.0, -4.0])
+        assert Absolute(5.0).deviation_mask(wt, wi).tolist() == [
+            False, False, True, True, True, False]
+
+    @given(_weights_and_eps())
+    def test_mask_equals_absolute_deviation_oracle(self, case):
+        wt, wi, eps = case
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = np.abs(wt - wi) < eps
+            got = Absolute(eps).deviation_mask(wt, wi)
+            held = [Absolute(eps).holds(a, b) for a, b in zip(wt, wi)]
+        assert np.array_equal(got, expected)
+        assert held == expected.tolist()
 
 
 class TestQuantileBandRelation:
@@ -110,10 +144,6 @@ class TestQuantileBandRelation:
         with pytest.raises(InputFormatError):
             QuantileBand(2.0, -2.0)
 
-    def test_approx_eval_dispatches(self):
-        assert approx_eval(Absolute(5.0), 1.0, 2.0)
-        assert approx_eval(QuantileBand(-5.0, 5.0), 1.0, 2.0)
-
 
 class TestProductGraph:
     def test_poets_vertices(self):
@@ -123,6 +153,12 @@ class TestProductGraph:
         assert got == POETS_PRODUCT_PAIRS_1BASED
         assert p.n == 11
         assert product_vertex_count_check(gt, gi) == 11
+
+    def test_label_pairs_in_lexicographic_order(self):
+        target = [("a",), ("b",), ("a",)]
+        ident = [("a",), ("c",), ("a",)]
+        assert label_pairs(target, ident) == [(0, 0), (0, 2), (2, 0), (2, 2)]
+        assert label_pairs(target, [("z",)]) == []
 
     def test_vertices_sorted_lexicographically(self):
         gt, gi = poets_graphs()

@@ -12,14 +12,12 @@ from distlink import (
     DegenerateSampleError,
     GeoPoint,
     InputFormatError,
-    NoiseSpec,
     QuantileBand,
     Region,
     band_from_table,
     calibrate,
     great_circle_distance,
     load_calibration,
-    perturb_coordinates,
     perturb_points,
     save_calibration,
     utility_score,
@@ -53,12 +51,12 @@ class TestRegion:
 class TestPerturbation:
     def test_zero_sigma_is_identity(self):
         pts = [GeoPoint(10.0, 50.0), GeoPoint(-3.0, 40.0)]
-        out = perturb_coordinates(pts, NoiseSpec(sigma=0.0, seed=5))
+        out = perturb_points(pts, 0.0, derive_rng(5, STREAM_PERTURB))
         assert [(p.lon, p.lat) for p in out] == [(p.lon, p.lat) for p in pts]
 
     def test_seeded_golden_values(self):
         pts = [GeoPoint(10.0, 50.0), GeoPoint(-3.5, 40.2)]
-        out = perturb_coordinates(pts, NoiseSpec(sigma=0.01, seed=42))
+        out = perturb_points(pts, 0.01, derive_rng(42, STREAM_PERTURB))
         assert out[0].lon == pytest.approx(9.990721287788315, abs=1e-12)
         assert out[0].lat == pytest.approx(50.01919575741962, abs=1e-12)
         assert out[1].lon == pytest.approx(-3.4995303330924616, abs=1e-12)
@@ -66,10 +64,10 @@ class TestPerturbation:
 
     def test_deterministic_per_spec(self):
         pts = [GeoPoint(1.0, 2.0)] * 8
-        a = perturb_coordinates(pts, NoiseSpec(sigma=0.1, seed=9))
-        b = perturb_coordinates(pts, NoiseSpec(sigma=0.1, seed=9))
+        a = perturb_points(pts, 0.1, derive_rng(9, STREAM_PERTURB))
+        b = perturb_points(pts, 0.1, derive_rng(9, STREAM_PERTURB))
         assert [(p.lon, p.lat) for p in a] == [(p.lon, p.lat) for p in b]
-        c = perturb_coordinates(pts, NoiseSpec(sigma=0.1, seed=10))
+        c = perturb_points(pts, 0.1, derive_rng(10, STREAM_PERTURB))
         assert [(p.lon, p.lat) for p in a] != [(p.lon, p.lat) for p in c]
 
     def test_noise_statistics(self):
@@ -88,17 +86,17 @@ class TestPerturbation:
 
     def test_latitude_clamped_at_poles(self):
         pts = [GeoPoint(0.0, 89.9999)] * 200
-        out = perturb_coordinates(pts, NoiseSpec(sigma=1.0, seed=3))
+        out = perturb_points(pts, 1.0, derive_rng(3, STREAM_PERTURB))
         assert all(-90.0 <= p.lat <= 90.0 for p in out)
 
     def test_longitude_wrapped(self):
         pts = [GeoPoint(179.9999, 0.0)] * 200
-        out = perturb_coordinates(pts, NoiseSpec(sigma=1.0, seed=4))
+        out = perturb_points(pts, 1.0, derive_rng(4, STREAM_PERTURB))
         assert all(-180.0 <= p.lon <= 180.0 for p in out)
 
     def test_rejects_negative_sigma(self):
         with pytest.raises(InputFormatError):
-            NoiseSpec(sigma=-0.1, seed=0)
+            perturb_points([GeoPoint(1.0, 2.0)], -0.1, derive_rng(0, STREAM_PERTURB))
 
 
 class TestCalibrationTable:
@@ -259,6 +257,31 @@ class TestCalibrationIO:
         del data["deviations"]
         path.write_text(json.dumps(data))
         with pytest.raises(InputFormatError):
+            load_calibration(path)
+
+    def _doctored(self, tmp_path, **changes):
+        path = tmp_path / "cal.json"
+        save_calibration(calibrate(GERMANY, 0.01, 100, seed=4), path)
+        data = json.loads(path.read_text())
+        data.update(changes)
+        data = {k: v for k, v in data.items() if v is not None}
+        path.write_text(json.dumps(data))
+        return path
+
+    def test_rejects_missing_n_pairs(self, tmp_path):
+        path = self._doctored(tmp_path, n_pairs=None)
+        with pytest.raises(InputFormatError, match="n_pairs"):
+            load_calibration(path)
+
+    def test_rejects_non_numeric_deviations(self, tmp_path):
+        path = self._doctored(tmp_path, deviations=["a", "b", "c"], n_pairs=3)
+        with pytest.raises(InputFormatError, match="malformed calibration field"):
+            load_calibration(path)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_deviations(self, tmp_path, bad):
+        path = self._doctored(tmp_path, deviations=[-1.0, 0.0, bad], n_pairs=3)
+        with pytest.raises(InputFormatError, match="deviations must be finite"):
             load_calibration(path)
 
 
