@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .errors import InputFormatError, ResourceBudgetError, SizeLimitError
 
 DEFAULT_NODE_BUDGET = 10**8
@@ -46,15 +48,19 @@ class SimpleGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple]) -> "SimpleGraph":
-        rows = [0] * n
-        for i, j in edges:
+        if n < 0:
+            raise InputFormatError("vertex count must be nonnegative")
+        pairs = np.array(list(edges) or np.empty((0, 2)), dtype=np.int64)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise InputFormatError("edges must be vertex pairs")
+        x, y = pairs[:, 0], pairs[:, 1]
+        bad = np.flatnonzero((x == y) | (np.minimum(x, y) < 0) | (np.maximum(x, y) >= n))
+        if bad.size:
+            i, j = (int(v) for v in pairs[bad[0]])
             if i == j:
                 raise InputFormatError(f"self-loop at vertex {i}")
-            if not (0 <= i < n and 0 <= j < n):
-                raise InputFormatError(f"edge ({i}, {j}) out of range")
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-        return cls(n, rows)
+            raise InputFormatError(f"edge ({i}, {j}) out of range")
+        return cls(n, bitset_rows(n, x, y), validate=False)
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.rows[i] >> j & 1)
@@ -65,8 +71,44 @@ class SimpleGraph:
     def edge_count(self) -> int:
         return sum(self.degree(i) for i in range(self.n)) // 2
 
+    def edge_array(self) -> tuple:
+        """The edges as two int64 arrays (x, y), x < y, in ascending
+        (x, y) order.  Reads the rows in blocks of about 8 MB."""
+        nb = (self.n + 7) // 8
+        block = max(1, (8 << 20) // max(nb, 1))
+        xs, ys = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        for start in range(0, self.n, block):
+            buf = np.frombuffer(b"".join(row.to_bytes(nb, "little")
+                                         for row in self.rows[start:start + block]), np.uint8)
+            at = np.flatnonzero(buf != 0)
+            k, bit = np.nonzero(np.unpackbits(buf[at, None], axis=1, bitorder="little").view(bool))
+            at = at[k]
+            x, y = start + at // nb, at % nb * 8 + bit
+            upper = x < y
+            xs.append(x[upper])
+            ys.append(y[upper])
+        return np.concatenate(xs), np.concatenate(ys)
+
     def edges(self) -> list:
-        return [(i, j) for i in range(self.n) for j in _bits(self.rows[i]) if i < j]
+        x, y = self.edge_array()
+        return list(zip(x.tolist(), y.tolist()))
+
+
+def bitset_rows(n: int, x: np.ndarray, y: np.ndarray) -> list:
+    """Adjacency bitmask rows of the undirected graph on vertices 0..n-1
+    with edges (x[k], y[k]).  Repeated edges are harmless; self-loops and
+    out-of-range ids are the caller's to exclude.  Relabelling is passing
+    (pos[x], pos[y]): the cost is one pass over the edges plus a
+    transient n * ceil(n / 8) byte buffer.
+    """
+    nb = (n + 7) // 8
+    buf = np.zeros(n * nb, np.uint8)
+    for a, b in ((x, y), (y, x)):
+        b = np.asarray(b, dtype=np.int64)
+        np.bitwise_or.at(buf, np.asarray(a, dtype=np.int64) * nb + (b >> 3),
+                         np.left_shift(1, b & 7).astype(np.uint8))
+    view = memoryview(buf)
+    return [int.from_bytes(view[k * nb:(k + 1) * nb], "little") for k in range(n)]
 
 
 def _bits(mask: int):
@@ -124,14 +166,13 @@ class _Search:
     """
 
     def __init__(self, g: SimpleGraph, node_budget: int, keep_ties: bool = False) -> None:
-        order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-        pos = {v: k for k, v in enumerate(order)}
-        rows = [0] * g.n
-        for v in range(g.n):
-            for w in _bits(g.rows[v]):
-                rows[pos[v]] |= 1 << pos[w]
-        self.rows = rows
-        self.order = order
+        x, y = g.edge_array()
+        degree = np.bincount(x, minlength=g.n) + np.bincount(y, minlength=g.n)
+        order = np.argsort(-degree, kind="stable")
+        pos = np.empty(g.n, np.int32)
+        pos[order] = np.arange(g.n)
+        self.rows = bitset_rows(g.n, pos[x], pos[y])
+        self.order = order.tolist()
         self.budget = node_budget
         self.keep_ties = keep_ties
         self.nodes = 0
@@ -272,10 +313,9 @@ def write_dimacs(g: SimpleGraph, path, comment: Optional[str] = None) -> None:
     if comment:
         for part in comment.splitlines():
             lines.append(f"c {part}")
-    edges = g.edges()
-    lines.append(f"p edge {g.n} {len(edges)}")
-    for i, j in edges:
-        lines.append(f"e {i + 1} {j + 1}")
+    x, y = g.edge_array()
+    lines.append(f"p edge {g.n} {len(x)}")
+    lines.extend(f"e {i} {j}" for i, j in zip((x + 1).tolist(), (y + 1).tolist()))
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 

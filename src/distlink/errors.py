@@ -11,8 +11,9 @@ class InputFormatError(DistlinkError):
 
 
 class SizeLimitError(DistlinkError):
-    """An operation restricted to small instances was called on a larger one
-    (brute-force oracles, exhaustive witness enumeration)."""
+    """An instance is too large for an operation: a brute-force oracle or
+    exhaustive witness enumeration beyond its order limit, or a product
+    graph whose adjacency bitsets would not fit in physical memory."""
 
 
 class ResourceBudgetError(DistlinkError):

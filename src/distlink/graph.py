@@ -11,14 +11,15 @@ approximate-equality relation, an open band on the signed deviation
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .clique import SimpleGraph
+from .clique import SimpleGraph, bitset_rows
 from .core import DistanceMatrix, MicrodataTable
-from .errors import InputFormatError
+from .errors import InputFormatError, SizeLimitError
 
 # a vertex label is the tuple of quasi-identifier values of its record,
 # compared componentwise as exact (whitespace-trimmed) strings
@@ -158,35 +159,64 @@ class ProductGraph:
         return len(self.vertices)
 
 
-def _product_edges_complete(
+def _product_edges_join(
     target: LabeledWeightedGraph,
     ident: LabeledWeightedGraph,
-    rel,
-    tv: np.ndarray,
-    iv: np.ndarray,
-) -> list:
-    """Vectorised adjacency for the complete-graph case.
+    rel: QuantileBand,
+) -> tuple:
+    """Edges (x, y), x < y, of the product of two complete graphs, by one
+    sorted interval join over all label pairs at once.
 
-    Works block-wise over vertex rows so memory stays bounded for large
-    products.  Comparisons involve only IEEE subtraction and ordering, so
-    the result is identical to the scalar loop, entry for entry.
+    A target pair v1 < v2 with weight t meets the ordered identification
+    pairs w1 != w2 of the same label pair whose weight s lies in the
+    closed window [fl(t + lo), fl(t + hi)].  That window needs no slack:
+    rounding is monotone and leaves lo itself unchanged, so
+    lo < fl(s - t) implies s - t > lo, hence s >= fl(t + lo); likewise
+    s <= fl(t + hi).  rel.deviation_mask then decides every candidate, so
+    the edge set is the scalar loop's.  A product vertex (v, w) has id
+    base[v] + rank[w], its position in label_pairs order, so v1 < v2
+    gives x < y and every edge comes out once.
     """
-    nv = len(tv)
-    wt = np.triu(target.weights.entries) + np.triu(target.weights.entries, 1).T
-    wi = np.triu(ident.weights.entries) + np.triu(ident.weights.entries, 1).T
-    rows = [0] * nv
-    block = max(1, min(nv, 8 * 1024 * 1024 // max(nv, 1)))
-    for start in range(0, nv, block):
-        stop = min(start + block, nv)
-        wt_blk = wt[np.ix_(tv[start:stop], tv)]
-        wi_blk = wi[np.ix_(iv[start:stop], iv)]
-        mask = rel.deviation_mask(wt_blk, wi_blk)
-        mask &= tv[start:stop, None] != tv[None, :]
-        mask &= iv[start:stop, None] != iv[None, :]
-        packed = np.packbits(mask, axis=1, bitorder="little")
-        for k in range(stop - start):
-            rows[start + k] = int.from_bytes(packed[k].tobytes(), "little")
-    return rows
+    common = {lab: k for k, lab in enumerate(sorted(set(target.labels) & set(ident.labels)))}
+    t_lab = np.array([common.get(lab, -1) for lab in target.labels], dtype=np.int64)
+    i_lab = np.array([common.get(lab, -1) for lab in ident.labels], dtype=np.int64)
+    tv, iw = np.flatnonzero(t_lab >= 0), np.flatnonzero(i_lab >= 0)
+    by_label = np.argsort(i_lab, kind="stable")
+    # int32 ids: the memory check keeps |V| far below 2**31
+    rank = np.empty(len(i_lab), np.int32)
+    rank[by_label] = np.arange(len(i_lab)) - np.searchsorted(i_lab[by_label], i_lab[by_label])
+    count = np.zeros(len(t_lab), np.int32)
+    count[tv] = np.bincount(i_lab[iw], minlength=len(common))[t_lab[tv]]
+    base = np.cumsum(count, dtype=np.int32) - count
+
+    a, b = np.triu_indices(len(tv), 1)
+    v1, v2 = tv[a], tv[b]
+    t_key = t_lab[v1] * len(common) + t_lab[v2]
+    t = target.weights.entries[v1, v2]
+    a, b = np.triu_indices(len(iw), 1)
+    w1, w2 = iw[np.concatenate((a, b))], iw[np.concatenate((b, a))]
+    s = ident.weights.entries[iw[a], iw[b]]
+    s = np.concatenate((s, s))
+
+    # sort the identification pairs by (label pair, weight) as one integer
+    # key: label pair * span + the number of weights below the weight.  A
+    # weight window [low, high] is then the key range from the count
+    # below low up to the count at or below high.  Keys stay below 2**63
+    # for any pair of matrices that fits in memory.
+    s_sorted = np.sort(s)
+    span = len(s) + 1
+    key = (i_lab[w1] * len(common) + i_lab[w2]) * span + np.searchsorted(s_sorted, s)
+    order = np.argsort(key)
+    key, s, w1, w2 = key[order], s[order], w1[order], w2[order]
+
+    first = np.searchsorted(key, t_key * span + np.searchsorted(s_sorted, t + rel.lo, "left"))
+    stop = np.searchsorted(key, t_key * span + np.searchsorted(s_sorted, t + rel.hi, "right"))
+    hits = stop - first
+    q = np.repeat(np.arange(len(t)), hits)
+    c = np.arange(hits.sum()) + np.repeat(first - (np.cumsum(hits) - hits), hits)
+    keep = rel.deviation_mask(t[q], s[c])
+    q, c = q[keep], c[keep]
+    return base[v1[q]] + rank[w1[c]], base[v2[q]] + rank[w2[c]]
 
 
 def _product_edges_general(
@@ -221,6 +251,29 @@ def _product_edges_general(
     return rows
 
 
+def _physical_memory_bytes() -> Optional[int]:
+    """Installed RAM, or None where the platform does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_bitset_memory(n_vertices: int) -> None:
+    """Refuse a product whose adjacency bitsets cannot fit in RAM.
+
+    The attack holds three |V| * ceil(|V| / 8) byte bitset copies at once:
+    the product rows, the solver's relabelled rows and the transient byte
+    buffer either is built from.
+    """
+    need = 3 * n_vertices * ((n_vertices + 7) // 8)
+    have = _physical_memory_bytes()
+    if have is not None and need > have:
+        raise SizeLimitError(
+            f"product graph of {n_vertices} vertices needs about {need} bytes of "
+            f"adjacency bitsets, more than the {have} bytes of physical memory")
+
+
 def build_product_graph(
     target: LabeledWeightedGraph,
     ident: LabeledWeightedGraph,
@@ -229,11 +282,10 @@ def build_product_graph(
     """Construct the product graph of two labelled weighted graphs."""
     if target.label_arity != ident.label_arity:
         raise InputFormatError("graphs were built with different qi schemas")
+    _check_bitset_memory(product_vertex_count_check(target, ident))
     pairs = label_pairs(target.labels, ident.labels)
     if target.edge_present is None and ident.edge_present is None:
-        tv = np.array([p[0] for p in pairs], dtype=np.intp)
-        iv = np.array([p[1] for p in pairs], dtype=np.intp)
-        rows = _product_edges_complete(target, ident, rel, tv, iv)
+        rows = bitset_rows(len(pairs), *_product_edges_join(target, ident, rel))
     else:
         rows = _product_edges_general(target, ident, rel, pairs)
     # adjacency is symmetric and loop-free by construction, skip revalidation

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from distlink import load_calibration, load_matrix, save_matrix, save_table
+from distlink import graph, load_calibration, load_matrix, save_matrix, save_table
 from distlink.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, SEED_ENV_VAR, main
 from distlink.datasets import (
     example1_table,
@@ -178,6 +178,14 @@ class TestAttack:
         rc = main(attack_argv(poets_files, out, "--abs-eps", "5")
                   + ["--node-budget", "1"])
         assert rc == EXIT_BUDGET
+
+    def test_product_beyond_memory_exit_code(self, poets_files, tmp_path, monkeypatch, capsys):
+        # the poets product has 11 vertices: 3 * 11 * 2 bytes of bitsets
+        monkeypatch.setattr(graph, "_physical_memory_bytes", lambda: 65)
+        out = tmp_path / "matches.csv"
+        assert main(attack_argv(poets_files, out, "--abs-eps", "5")) == EXIT_INPUT
+        assert "11 vertices needs about 66 bytes" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_matrix_rejected(self, poets_files, tmp_path, capsys):
         text = poets_files["im"].read_text().splitlines()

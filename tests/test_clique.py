@@ -18,6 +18,7 @@ from distlink import (
     read_dimacs,
     write_dimacs,
 )
+from distlink.clique import _Search
 from helpers import random_simple_graph
 
 
@@ -32,20 +33,33 @@ def cycle_graph(n):
 
 class TestSimpleGraph:
     def test_from_edges_and_accessors(self):
-        g = SimpleGraph.from_edges(4, [(0, 1), (1, 2)])
+        g = SimpleGraph.from_edges(4, [(0, 1), (2, 1), (1, 0)])
         assert g.has_edge(0, 1) and g.has_edge(1, 0)
         assert not g.has_edge(0, 2)
         assert g.degree(1) == 2 and g.degree(3) == 0
         assert g.edge_count() == 2
-        assert sorted(g.edges()) == [(0, 1), (1, 2)]
+        assert g.edges() == [(0, 1), (1, 2)]
+        assert g.rows == [0b0010, 0b0101, 0b0010, 0]
+
+    def test_edges_in_row_order(self):
+        rng = np.random.default_rng(21)
+        for n in (0, 1, 7, 8, 9, 40):
+            g = random_simple_graph(rng, n, 0.3)
+            assert g.edges() == [(i, j) for i in range(n) for j in range(i + 1, n)
+                                 if g.has_edge(i, j)]
+            assert SimpleGraph.from_edges(n, g.edges()).rows == g.rows
 
     def test_rejects_self_loop(self):
-        with pytest.raises(InputFormatError):
-            SimpleGraph.from_edges(2, [(0, 0)])
+        with pytest.raises(InputFormatError, match="self-loop at vertex 0"):
+            SimpleGraph.from_edges(2, [(0, 1), (0, 0)])
 
     def test_rejects_out_of_range_edge(self):
-        with pytest.raises(InputFormatError):
+        with pytest.raises(InputFormatError, match=r"edge \(0, 5\) out of range"):
             SimpleGraph.from_edges(2, [(0, 5)])
+        with pytest.raises(InputFormatError, match=r"edge \(-1, 1\) out of range"):
+            SimpleGraph.from_edges(2, [(-1, 1)])
+        with pytest.raises(InputFormatError, match="nonnegative"):
+            SimpleGraph.from_edges(-1, [])
 
     def test_rejects_asymmetric_rows(self):
         with pytest.raises(InputFormatError):
@@ -106,6 +120,54 @@ class TestMaxClique:
         r = max_clique(g)
         assert r.nodes_explored >= 1
         assert r.elapsed_seconds >= 0.0
+
+
+def _relabel_by_shifts(g):
+    """The solver's set-up as a per-edge loop: order vertices by
+    descending degree, ties by index, and move every edge to the new
+    labels with one |V|-bit shift per endpoint."""
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    pos = {v: k for k, v in enumerate(order)}
+    rows = [0] * g.n
+    for v in range(g.n):
+        for w in range(g.n):
+            if g.rows[v] >> w & 1:
+                rows[pos[v]] |= 1 << pos[w]
+    return order, rows
+
+
+#: (seed, n, p) of helpers.random_simple_graph, then max_clique's vertices
+#: and nodes_explored, the number of maximum cliques and the first one
+#: enumerated, as the solver gave them with the per-edge shift set-up
+SEARCH_RESULTS = [
+    (1, 40, 0.5, (7, 11, 18, 26, 27, 28, 35), 14, 10, (0, 3, 5, 6, 15, 17, 18)),
+    (2, 60, 0.3, (4, 9, 24, 25, 29, 34), 33, 5, (3, 13, 17, 36, 39, 48)),
+    (3, 80, 0.6, (6, 8, 16, 20, 24, 35, 38, 55, 70, 71, 73), 254, 1,
+     (6, 8, 16, 20, 24, 35, 38, 55, 70, 71, 73)),
+    (4, 25, 0.9, (1, 3, 7, 8, 9, 11, 14, 15, 16, 19, 20, 22), 12, 7,
+     (1, 3, 7, 8, 9, 11, 14, 15, 16, 19, 20, 22)),
+    (5, 120, 0.15, (1, 12, 62, 83, 118), 41, 3, (1, 12, 62, 83, 118)),
+    (6, 70, 0.75, (5, 8, 16, 17, 18, 23, 29, 39, 42, 49, 50, 59, 64, 65, 66), 307, 4,
+     (5, 8, 16, 17, 18, 23, 29, 39, 42, 49, 50, 59, 64, 65, 66)),
+]
+
+
+class TestSearchSetup:
+    def test_relabel_equals_shift_loop(self):
+        rng = np.random.default_rng(22)
+        for _ in range(40):
+            g = random_simple_graph(rng, int(rng.integers(0, 70)),
+                                    float(rng.uniform(0.02, 0.9)))
+            search = _Search(g, node_budget=10**6)
+            assert (search.order, search.rows) == _relabel_by_shifts(g)
+
+    @pytest.mark.parametrize("seed, n, p, vertices, nodes, n_maximum, first", SEARCH_RESULTS)
+    def test_results_unchanged(self, seed, n, p, vertices, nodes, n_maximum, first):
+        g = random_simple_graph(np.random.default_rng(seed), n, p)
+        r = max_clique(g)
+        assert (r.vertices, r.nodes_explored) == (vertices, nodes)
+        found = enumerate_maximum_cliques(g)
+        assert (len(found), found[0]) == (n_maximum, first)
 
 
 class TestBruteForce:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distlink import (
@@ -11,6 +11,7 @@ from distlink import (
     InputFormatError,
     LabeledWeightedGraph,
     QuantileBand,
+    SizeLimitError,
     build_graph,
     build_product_graph,
     max_clique,
@@ -23,7 +24,8 @@ from distlink.datasets import (
     poets_target_matrix,
     poets_target_table,
 )
-from distlink.graph import _product_edges_complete, _product_edges_general, label_pairs
+from distlink import graph as graph_module
+from distlink.graph import _product_edges_general, label_pairs
 from helpers import POETS_PRODUCT_PAIRS_1BASED, random_labeled_graph, random_relation
 from distlink import distance_matrix
 
@@ -270,6 +272,113 @@ class TestProductGraph:
         g2 = LabeledWeightedGraph((("a",),), DistanceMatrix(np.zeros((1, 1))), (0,))
         with pytest.raises(InputFormatError):
             build_product_graph(g1, g2, Absolute(1.0))
+
+
+@st.composite
+def _join_instances(draw):
+    """Two complete labelled graphs and a band, drawn where the sorted
+    interval join can go wrong: integer weights and bands whose edges the
+    deviations hit exactly, bands one ulp around an actual deviation,
+    repeated weights, magnitudes from 1e-300 to 1e15, labels present on
+    one side only, and empty products."""
+    kind = draw(st.sampled_from(["integer", "pool", "float"]))
+    scale = 1.0 if kind == "integer" else 10.0 ** draw(st.integers(-300, 15))
+    if kind == "integer":
+        weight = st.integers(0, 6).map(float)
+    elif kind == "pool":
+        weight = st.sampled_from([scale * k for k in (0.5, 1.25, 3.0, 3.0000000000000004)])
+    else:
+        weight = st.floats(0.0, 10.0).map(lambda f: f * scale)
+
+    def graph(alphabet):
+        n = draw(st.integers(1, 6))
+        labels = tuple((draw(st.sampled_from(alphabet)),) for _ in range(n))
+        w = np.zeros((n, n))
+        w[np.triu_indices(n, 1)] = draw(st.lists(weight, min_size=n * (n - 1) // 2,
+                                                 max_size=n * (n - 1) // 2))
+        return LabeledWeightedGraph(labels, DistanceMatrix(w + w.T))
+
+    g1, g2 = graph("abc"), graph("abd")
+    if kind == "integer":
+        lo = float(draw(st.integers(-5, 4)))
+        hi = float(draw(st.integers(int(lo) + 1, 5)))
+    else:
+        weights = [g.weights.entries[np.triu_indices(g.n, 1)] for g in (g1, g2)]
+        if all(len(ws) for ws in weights) and draw(st.booleans()):
+            dev = draw(st.sampled_from(list(weights[1]))) - draw(st.sampled_from(list(weights[0])))
+            lo = draw(st.sampled_from([dev, np.nextafter(dev, -np.inf)]))
+            hi = draw(st.sampled_from([np.nextafter(dev, np.inf), dev + scale]))
+        else:
+            lo = -draw(st.floats(0.0, 10.0)) * scale
+            hi = draw(st.floats(0.0, 10.0)) * scale
+    return g1, g2, QuantileBand(float(lo), float(hi if lo < hi else np.nextafter(lo, np.inf)))
+
+
+class TestSparseJoin:
+    """The sorted interval join that builds products of complete graphs,
+    against the scalar loop kept as its oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_join_instances())
+    def test_rows_equal_scalar_oracle(self, case):
+        g1, g2, rel = case
+        p = build_product_graph(g1, g2, rel)
+        assert p.vertices == tuple(label_pairs(g1.labels, g2.labels))
+        assert p.graph.rows == _product_edges_general(g1, g2, rel, p.vertices)
+
+    def test_band_below_weight_resolution(self):
+        # 1 - 5e-324 and 1 + 5e-324 both round to 1.0, so the join's
+        # window is the single weight 1.0, and the zero deviation of two
+        # equal weights lies inside the band
+        labels = (("a",), ("b",))
+        w = DistanceMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        g = LabeledWeightedGraph(labels, w)
+        tiny = np.nextafter(0.0, 1.0)
+        p = build_product_graph(g, g, QuantileBand(-tiny, tiny))
+        assert p.vertices == ((0, 0), (1, 1))
+        assert p.graph.has_edge(0, 1)
+        assert p.graph.rows == _product_edges_general(g, g, QuantileBand(-tiny, tiny), p.vertices)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_join_instances(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_widening_the_band_adds_edges(self, case, down, up):
+        g1, g2, rel = case
+        width = rel.hi - rel.lo
+        wide = QuantileBand(rel.lo - down * width, rel.hi + up * width)
+        narrow = build_product_graph(g1, g2, rel).graph
+        wider = build_product_graph(g1, g2, wide).graph
+        assert all(a & ~b == 0 for a, b in zip(narrow.rows, wider.rows))
+        assert max_clique(wider).size >= max_clique(narrow).size
+
+
+class TestMemoryGuard:
+    """build_product_graph refuses a product whose three adjacency bitset
+    copies (|V| * ceil(|V| / 8) bytes each) exceed physical memory; the
+    poets product has 11 vertices, so 3 * 11 * 2 = 66 bytes."""
+
+    def test_refuses_before_building(self, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("the product was built")
+
+        gt, gi = poets_graphs()
+        monkeypatch.setattr(graph_module, "_physical_memory_bytes", lambda: 65)
+        monkeypatch.setattr(graph_module, "label_pairs", no_build)
+        monkeypatch.setattr(graph_module, "_product_edges_join", no_build)
+        with pytest.raises(SizeLimitError, match="11 vertices needs about 66 bytes"):
+            build_product_graph(gt, gi, Absolute(5.0))
+
+    def test_estimate_within_memory_passes(self, monkeypatch):
+        gt, gi = poets_graphs()
+        monkeypatch.setattr(graph_module, "_physical_memory_bytes", lambda: 66)
+        assert build_product_graph(gt, gi, Absolute(5.0)).n == 11
+
+    def test_unknown_memory_size_is_not_checked(self, monkeypatch):
+        gt, gi = poets_graphs()
+        monkeypatch.setattr(graph_module, "_physical_memory_bytes", lambda: None)
+        assert build_product_graph(gt, gi, Absolute(5.0)).n == 11
+
+    def test_probe_reports_physical_memory(self):
+        assert graph_module._physical_memory_bytes() > 0
 
 
 class TestLabeledWeightedGraph:
