@@ -8,6 +8,23 @@ ties, enumerates every maximum clique.  A configurable node budget turns
 runaway instances into an explicit error instead of a silent heuristic
 answer.  Brute-force oracles for small graphs live here as well; the
 test suite checks the solver against them.
+
+Graphs with more than SPLIT_MIN_VERTICES vertices are split at the root
+(the ego-network reduction of Chang, KDD 2019).  The root is coloured
+first-fit over a sparse adjacency, which gives the colours of the
+class-by-class colouring and so the same root order.  Each root branch
+v then searches only the candidates it would have had (v's neighbours
+not yet swept) on local bitsets |S| bits wide instead of |V|, with ids
+in ascending global order, so colourings, pruning, node counts and the
+cliques found are those of the unsplit search, which stays as the
+oracle and as the path for smaller graphs.  A branch whose candidates
+cannot hold a large enough clique by a degree bound is skipped before
+any rows are built, exactly where the unsplit search would have cut it.
+Measured crossover (max_clique, same machine, both paths): within 10 %
+of each other on census products of 670 to 3,900 vertices; the split
+is 12 % faster at 5,447 vertices, about twice as fast at 10,000 and
+3.3 times as fast at 21,762, but 2.5 to 2.8 times as slow on an
+810-vertex, 6 %-dense product where most root branches are searched.
 """
 
 from __future__ import annotations
@@ -22,6 +39,10 @@ import numpy as np
 from .errors import InputFormatError, ResourceBudgetError, SizeLimitError
 
 DEFAULT_NODE_BUDGET = 10**8
+
+#: graphs with more vertices than this are searched split at the root; the
+#: per-branch gathers cost more than narrow big-int masks below it
+SPLIT_MIN_VERTICES = 4096
 
 
 class SimpleGraph:
@@ -156,9 +177,69 @@ def _colour_classes(rows: Sequence[int], cand: int) -> list:
     return out
 
 
+def _first_fit_colours(n: int, x: np.ndarray, y: np.ndarray, block: int = 256) -> np.ndarray:
+    """Greedy colours in index order of the graph on 0..n-1 with edges
+    (x[k], y[k]): each vertex takes the least colour c >= 1 that no lower
+    neighbour has.
+
+    These are _colour_classes' colours on the whole vertex set: a class
+    takes vertices in ascending order, so a vertex is refused colour c
+    exactly when a lower neighbour already holds c.  Vertices go in
+    blocks: the colours held by lower neighbours in earlier blocks are
+    gathered at once into one forbidden-colour mask per vertex, and
+    neighbours inside the block are added edge by edge.
+    """
+    key = np.maximum(x, y).astype(np.int64)
+    key *= n
+    key += np.minimum(x, y)
+    key.sort()
+    hi, lo = np.divmod(key, n)  # edges by higher end, then lower
+    del key
+    cuts = np.searchsorted(hi, np.arange(0, n + block, block)).tolist()
+    colour = np.zeros(n, np.int64)
+    top = 0
+    for k, start in enumerate(range(0, n, block)):
+        h, low = hi[cuts[k]:cuts[k + 1]] - start, lo[cuts[k]:cuts[k + 1]]
+        inside = low >= start
+        taken = np.zeros((min(block, n - start), top + 1), bool)
+        taken[:, 0] = True
+        taken[h[~inside], colour[low[~inside]]] = True
+        width = (top + 8) // 8
+        packed = memoryview(np.packbits(taken, axis=1, bitorder="little").tobytes())
+        hs, ls = h[inside].tolist(), (low[inside] - start).tolist()
+        col = []
+        j = 0
+        for i in range(len(taken)):
+            m = int.from_bytes(packed[i * width:(i + 1) * width], "little")
+            while j < len(hs) and hs[j] == i:
+                m |= 1 << col[ls[j]]
+                j += 1
+            col.append((~m & (m + 1)).bit_length() - 1)
+        colour[start:start + len(col)] = col
+        top = max(top, max(col))
+    return colour
+
+
+def _root_split(n: int, x: np.ndarray, y: np.ndarray) -> tuple:
+    """The root level of the search as arrays: the sweep order (colour
+    descending, then index descending, as expand takes its candidates),
+    each swept vertex's colour, and a CSR (indptr, indices) in which each
+    vertex lists its neighbours later in the sweep in ascending index:
+    the candidates left when its branch starts."""
+    colour = _first_fit_colours(n, x, y)
+    sweep = np.lexsort((-np.arange(n), -colour))
+    rank = np.empty(n, np.int64)
+    rank[sweep] = np.arange(n)
+    first = rank[x] < rank[y]
+    key = np.sort(np.where(first, x, y).astype(np.int64) * n + np.where(first, y, x))
+    del first, rank
+    indptr = np.searchsorted(key, np.arange(n + 1) * n)
+    return sweep.tolist(), colour[sweep].tolist(), indptr, np.remainder(key, n, out=key)
+
+
 class _Search:
     """Branch-and-bound over a degree-sorted copy of the graph, run on
-    construction.
+    construction; split at the root above SPLIT_MIN_VERTICES vertices.
 
     best_masks holds cliques of size best_size, starting from the empty
     clique: the first one found, or with keep_ties every one that ties
@@ -171,15 +252,21 @@ class _Search:
         order = np.argsort(-degree, kind="stable")
         pos = np.empty(g.n, np.int32)
         pos[order] = np.arange(g.n)
-        self.rows = bitset_rows(g.n, pos[x], pos[y])
+        x, y = pos[x], pos[y]
         self.order = order.tolist()
         self.budget = node_budget
         self.keep_ties = keep_ties
         self.nodes = 0
         self.best_size = 0
         self.best_masks = [0]
-        if g.n:
-            self.expand(0, 0, (1 << g.n) - 1)
+        if g.n > SPLIT_MIN_VERTICES:
+            root = _root_split(g.n, x, y)
+            del x, y
+            self._sweep(*root)
+        else:
+            self.rows = bitset_rows(g.n, x, y)
+            if g.n:
+                self.expand(self.rows, 0, 0, (1 << g.n) - 1)
 
     def _spend(self) -> None:
         self.nodes += 1
@@ -187,23 +274,68 @@ class _Search:
             raise ResourceBudgetError(
                 f"clique search exceeded its node budget of {self.budget}")
 
-    def expand(self, size: int, mask: int, cand: int) -> None:
-        for v, colour in reversed(_colour_classes(self.rows, cand)):
+    def _found(self, size: int, mask: int) -> None:
+        if size > self.best_size:
+            self.best_size = size
+            self.best_masks = [mask]
+        elif self.keep_ties and size == self.best_size:
+            self.best_masks.append(mask)
+
+    def expand(self, rows: Sequence[int], size: int, mask: int, cand: int) -> None:
+        for v, colour in reversed(_colour_classes(rows, cand)):
             # a branch that cannot beat the incumbent (or, keeping ties,
             # cannot reach it) is cut, together with every lower colour
             if size + colour + self.keep_ties <= self.best_size:
                 return
             self._spend()
             b = 1 << v
-            nxt = cand & self.rows[v]
+            nxt = cand & rows[v]
             if nxt:
-                self.expand(size + 1, mask | b, nxt)
-            elif size + 1 > self.best_size:
-                self.best_size = size + 1
-                self.best_masks = [mask | b]
-            elif self.keep_ties and size + 1 == self.best_size:
-                self.best_masks.append(mask | b)
+                self.expand(rows, size + 1, mask | b, nxt)
+            else:
+                self._found(size + 1, mask | b)
             cand &= ~b
+
+    def _sweep(self, sweep: list, colours: list, indptr: np.ndarray, adj: np.ndarray) -> None:
+        """expand(rows, 0, 0, all) on _root_split's arrays: each root
+        branch v is searched on local rows of its candidates cand, the
+        vertices adj lists for v; local id i is cand[i]."""
+        mark = np.zeros(len(indptr) - 1, np.int64)
+        for v, colour in zip(sweep, colours):
+            if colour + self.keep_ties <= self.best_size:
+                return
+            self._spend()
+            cand = adj[indptr[v]:indptr[v + 1]]
+            s = len(cand)
+            if not s:
+                self._found(1, 1 << v)
+                continue
+            # the edges among cand, each once, as local ids (a, b): one
+            # gather of the candidates' own lists
+            starts = indptr[cand]
+            lens = indptr[cand + 1] - starts
+            ends = np.cumsum(lens)
+            at = np.arange(ends[-1]) + np.repeat(starts - ends + lens, lens)
+            mark[cand] = np.arange(1, s + 1)
+            local = mark[adj[at]]
+            mark[cand] = 0
+            hit = np.flatnonzero(local)
+            a = np.searchsorted(ends, hit, side="right")
+            b = local[hit] - 1
+            # a greedy colour is at most 1 + the vertex's lower neighbours;
+            # when that cannot reach the incumbent, expand(rows, 1, ...)
+            # would return at once without spending a node
+            bound = 1 + int(np.bincount(np.maximum(a, b), minlength=1).max())
+            if 1 + bound + self.keep_ties <= self.best_size:
+                continue
+            # collect the branch's cliques apart, as local masks, and map
+            # them back: they replace the outer ones if the branch grew
+            outer, size = self.best_masks, self.best_size
+            self.best_masks = []
+            self.expand(bitset_rows(s, a, b), 1, 0, (1 << s) - 1)
+            ids = cand.tolist()
+            found = [sum(1 << ids[i] for i in _bits(m)) | 1 << v for m in self.best_masks]
+            self.best_masks = found if self.best_size > size else outer + found
 
     def vertices(self, mask: int) -> tuple:
         return tuple(sorted(self.order[v] for v in _bits(mask)))
@@ -320,34 +452,50 @@ def write_dimacs(g: SimpleGraph, path, comment: Optional[str] = None) -> None:
 
 
 def read_dimacs(path) -> SimpleGraph:
+    """Read a DIMACS ascii clique file (1-based vertices).  Raises
+    InputFormatError naming path:line for any malformed line, non-ASCII
+    bytes or non-integer fields included."""
     path = Path(path)
     n = None
     edges = []
-    with path.open(encoding="ascii") as fh:
+    with path.open("rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
+            where = f"{path}:{lineno}"
+            try:
+                line = raw.decode("ascii").strip()
+            except UnicodeDecodeError:
+                raise InputFormatError(f"{where}: non-ASCII bytes") from None
             if not line or line.startswith("c"):
                 continue
             parts = line.split()
             if parts[0] == "p":
                 if n is not None:
-                    raise InputFormatError(f"{path}:{lineno}: repeated problem line")
+                    raise InputFormatError(f"{where}: repeated problem line")
                 if len(parts) != 4 or parts[1] != "edge":
-                    raise InputFormatError(f"{path}:{lineno}: malformed problem line")
-                n = int(parts[2])
+                    raise InputFormatError(f"{where}: malformed problem line")
+                n = _dimacs_int(parts[2], where, "problem")
+                if n < 0:
+                    raise InputFormatError(f"{where}: negative vertex count")
             elif parts[0] == "e":
                 if n is None:
-                    raise InputFormatError(f"{path}:{lineno}: edge before problem line")
+                    raise InputFormatError(f"{where}: edge before problem line")
                 if len(parts) != 3:
-                    raise InputFormatError(f"{path}:{lineno}: malformed edge line")
-                i, j = int(parts[1]) - 1, int(parts[2]) - 1
+                    raise InputFormatError(f"{where}: malformed edge line")
+                i, j = (_dimacs_int(part, where, "edge") - 1 for part in parts[1:])
                 if i == j:
-                    raise InputFormatError(f"{path}:{lineno}: self-loop")
+                    raise InputFormatError(f"{where}: self-loop")
                 if not (0 <= i < n and 0 <= j < n):
-                    raise InputFormatError(f"{path}:{lineno}: vertex out of range")
+                    raise InputFormatError(f"{where}: vertex out of range")
                 edges.append((i, j))
             else:
-                raise InputFormatError(f"{path}:{lineno}: unknown line type '{parts[0]}'")
+                raise InputFormatError(f"{where}: unknown line type '{parts[0]}'")
     if n is None:
         raise InputFormatError(f"{path}: missing problem line")
     return SimpleGraph.from_edges(n, edges)
+
+
+def _dimacs_int(field: str, where: str, kind: str) -> int:
+    try:
+        return int(field)
+    except ValueError:
+        raise InputFormatError(f"{where}: malformed {kind} line: '{field}' is not an integer") from None

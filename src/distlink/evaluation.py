@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -295,7 +296,8 @@ def run_simulation(config: SimulationConfig, threads: int = 1) -> SimulationResu
 
     Every repetition derives its own RNG streams from (seed, sigma index,
     alpha index, repetition index), so the result is independent of the
-    execution schedule; threads > 1 only changes wall-clock time.
+    execution schedule; threads > 1 only changes wall-clock time.  At
+    most min(threads, jobs, CPUs) worker processes start.
     Calibration is computed once per sigma and shared across the grid
     unless calibration_per_repetition is set.
     """
@@ -313,10 +315,11 @@ def run_simulation(config: SimulationConfig, threads: int = 1) -> SimulationResu
             for rep in range(config.repetitions):
                 cached = None if config.calibration_per_repetition else calibrations[si]
                 jobs.append((config, si, ai, rep, cached))
-    if threads == 1:
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if workers <= 1:
         rows = [_worker(job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_worker, jobs, chunksize=1))
     cells = []
     by_cell: dict = {}

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distlink import (
     InputFormatError,
@@ -18,7 +20,8 @@ from distlink import (
     read_dimacs,
     write_dimacs,
 )
-from distlink.clique import _Search
+from distlink import clique
+from distlink.clique import _Search, _colour_classes, _first_fit_colours
 from helpers import random_simple_graph
 
 
@@ -170,6 +173,119 @@ class TestSearchSetup:
         assert (len(found), found[0]) == (n_maximum, first)
 
 
+def _on_both_paths(search, g):
+    """search(g) with the root split forced on, then off; an exhausted
+    node budget counts as an outcome."""
+    out = []
+    for threshold in (-1, 10**9):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(clique, "SPLIT_MIN_VERTICES", threshold)
+            try:
+                out.append(search(g))
+            except ResourceBudgetError:
+                out.append(ResourceBudgetError)
+    return out
+
+
+def _solve(g):
+    r = max_clique(g)
+    return r.vertices, r.nodes_explored, enumerate_maximum_cliques(g)
+
+
+def _special_graphs():
+    yield SimpleGraph(0, [])
+    yield SimpleGraph.from_edges(5, [])
+    yield complete_graph(7)
+    yield SimpleGraph.from_edges(7, [(0, 1), (0, 2), (1, 2), (4, 5)])  # 3 and 6 isolated
+    yield cycle_graph(5)
+    for seed, n, p, *_ in SEARCH_RESULTS:
+        yield random_simple_graph(np.random.default_rng(seed), n, p)
+
+
+@st.composite
+def small_graphs(draw, max_n=14):
+    n = draw(st.integers(0, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return SimpleGraph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+class TestRootSplit:
+    """The root split against the unsplit search it must reproduce."""
+
+    def test_same_results_as_unsplit(self):
+        rng = np.random.default_rng(25)
+        graphs = list(_special_graphs())
+        for _ in range(300):
+            graphs.append(random_simple_graph(rng, int(rng.integers(0, 50)),
+                                              float(rng.uniform(0.02, 0.95))))
+        for g in graphs:
+            split, unsplit = _on_both_paths(_solve, g)
+            assert split == unsplit
+
+    def test_recorded_results_on_split_path(self, monkeypatch):
+        monkeypatch.setattr(clique, "SPLIT_MIN_VERTICES", -1)
+        for seed, n, p, vertices, nodes, n_maximum, first in SEARCH_RESULTS:
+            g = random_simple_graph(np.random.default_rng(seed), n, p)
+            r = max_clique(g)
+            assert (r.vertices, r.nodes_explored) == (vertices, nodes)
+            found = enumerate_maximum_cliques(g)
+            assert (len(found), found[0]) == (n_maximum, first)
+
+    def test_wide_sparse_graph_with_planted_clique(self):
+        rng = np.random.default_rng(26)
+        n, k = 6000, 12
+        x, y = rng.integers(0, n, (2, 60000))
+        planted = np.sort(rng.choice(n, k, replace=False))
+        a, b = np.triu_indices(k, 1)
+        edges = np.concatenate([np.stack([x, y], 1)[x != y],
+                                np.stack([planted[a], planted[b]], 1)])
+        g = SimpleGraph.from_edges(n, edges)
+        assert g.n > clique.SPLIT_MIN_VERTICES
+        split, unsplit = _on_both_paths(_solve, g)
+        assert split == unsplit
+        assert split[0] == tuple(planted.tolist()) and split[2] == [split[0]]
+
+    def test_node_budget(self):
+        for g in _special_graphs():
+            for keep_ties in (False, True):
+                search = enumerate_maximum_cliques if keep_ties else max_clique
+                nodes = _Search(g, 10**8, keep_ties).nodes
+                if nodes:  # the empty graph spends none
+                    exhausted = _on_both_paths(lambda g: search(g, node_budget=nodes - 1), g)
+                    assert exhausted == [ResourceBudgetError] * 2
+                split, unsplit = _on_both_paths(lambda g: search(g, node_budget=nodes), g)
+                if not keep_ties:
+                    assert split.nodes_explored == unsplit.nodes_explored == nodes
+                    split, unsplit = split.vertices, unsplit.vertices
+                assert split == unsplit
+
+    def test_first_fit_equals_colour_classes(self):
+        rng = np.random.default_rng(27)
+        for _ in range(60):
+            g = random_simple_graph(rng, int(rng.integers(0, 80)),
+                                    float(rng.uniform(0.02, 0.95)))
+            x, y = g.edge_array()
+            colours = dict(_colour_classes(g.rows, (1 << g.n) - 1))
+            for block in (1, 5, 256):
+                assert _first_fit_colours(g.n, x, y, block).tolist() == \
+                    [colours[v] for v in range(g.n)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs())
+    def test_agrees_with_brute_force_and_networkx(self, g):
+        nx = pytest.importorskip("networkx")
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(clique, "SPLIT_MIN_VERTICES", -1)
+            r = max_clique(g)
+            found = enumerate_maximum_cliques(g)
+        assert r.size == brute_force_max_clique(g).size == nx.max_weight_clique(h, weight=None)[1]
+        assert len(found) == count_cliques_of_size(g, r.size) and r.vertices in found
+
+
 class TestBruteForce:
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
@@ -299,6 +415,24 @@ class TestDimacs:
         path = tmp_path / "g.dimacs"
         path.write_text("p edge 2 1\ne 1 5\n")
         with pytest.raises(InputFormatError):
+            read_dimacs(path)
+
+    def test_rejects_non_ascii_bytes(self, tmp_path):
+        path = tmp_path / "g.dimacs"
+        path.write_bytes(b"p edge 2 1\nc caf\xc3\xa9\ne 1 2\n")
+        with pytest.raises(InputFormatError, match=r"g\.dimacs:2: non-ASCII"):
+            read_dimacs(path)
+
+    def test_rejects_non_integer_fields(self, tmp_path):
+        path = tmp_path / "g.dimacs"
+        path.write_text("p edge 2 1\ne 1 two\n")
+        with pytest.raises(InputFormatError, match=r"g\.dimacs:2: malformed edge line: 'two'"):
+            read_dimacs(path)
+        path.write_text("c x\np edge two 1\n")
+        with pytest.raises(InputFormatError, match=r"g\.dimacs:2: malformed problem line"):
+            read_dimacs(path)
+        path.write_text("p edge -2 0\n")
+        with pytest.raises(InputFormatError, match=r"g\.dimacs:1: negative vertex count"):
             read_dimacs(path)
 
     def test_ignores_comment_lines(self, tmp_path):

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import os
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from distlink import (
     ru_map_data,
     run_simulation,
 )
+from distlink import evaluation
 from distlink.datasets import census_qi_distributions
 from distlink.evaluation import (
     ID_ATTRIBUTE,
@@ -202,6 +204,35 @@ class TestRunSimulation:
         b = run_simulation(config, threads=2)
         assert [(r.tp, r.fp, r.fn) for r in a.rows] == \
                [(r.tp, r.fp, r.fn) for r in b.rows]
+
+    def test_workers_capped_by_jobs_and_cpus(self, monkeypatch):
+        pools = []
+
+        class RecordingPool:
+            """Records max_workers and maps in this process; starts nothing."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        config = tiny_config(sigma_grid=(0.005, 0.02), repetitions=2)  # 4 jobs
+        expected = [(r.tp, r.fp, r.fn) for r in run_simulation(config, threads=1).rows]
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
+        for cpus, threads, started in ((3, 10**6, [3]), (8, 10**6, [4]), (8, 2, [2]),
+                                       (1, 10**6, []), (None, 10**6, []), (8, 1, [])):
+            pools.clear()
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            res = run_simulation(config, threads=threads)
+            assert pools == started
+            assert [(r.tp, r.fp, r.fn) for r in res.rows] == expected
 
     def test_budget_exhaustion_is_recorded_not_fatal(self):
         config = tiny_config(node_budget=1)
