@@ -1,17 +1,19 @@
 """Exact maximum-clique search on simple undirected graphs.
 
-The solver is a sequential branch-and-bound with greedy-colouring upper
-bounds over bitset adjacency rows.  It is deterministic: with the fixed
-vertex ordering (descending degree, ties by ascending index) the same
-input always yields the same clique.  The same search, told to keep
-ties, enumerates every maximum clique.  A configurable node budget turns
-runaway instances into an explicit error instead of a silent heuristic
-answer.  Brute-force oracles for small graphs live here as well; the
-test suite checks the solver against them.
+A graph is held in one sparse format, a symmetric CSR with ascending
+rows; bitsets exist only inside the search.  The solver is a sequential
+branch-and-bound with greedy-colouring bounds over bitset candidate
+sets.  It is deterministic: with the fixed vertex ordering (descending
+degree, ties by ascending index) the same input always yields the same
+clique.  The same search, told to keep ties, enumerates every maximum
+clique.  A node budget turns runaway instances into an explicit error
+instead of a silent heuristic answer.  Brute-force oracles for small
+graphs, on a bitset view of the graph, live here as well; the test
+suite checks the solver against them.
 
 Graphs with more than SPLIT_MIN_VERTICES vertices are split at the root
 (the ego-network reduction of Chang, KDD 2019).  The root is coloured
-first-fit over a sparse adjacency, which gives the colours of the
+first-fit over the edge arrays, which gives the colours of the
 class-by-class colouring and so the same root order.  Each root branch
 v then searches only the candidates it would have had (v's neighbours
 not yet swept) on local bitsets |S| bits wide instead of |V|, with ids
@@ -20,15 +22,11 @@ cliques found are those of the unsplit search, which stays as the
 oracle and as the path for smaller graphs.  A branch whose candidates
 cannot hold a large enough clique by a degree bound is skipped before
 any rows are built, exactly where the unsplit search would have cut it.
-Measured crossover (max_clique, same machine, both paths): within 10 %
-of each other on census products of 670 to 3,900 vertices; the split
-is 12 % faster at 5,447 vertices, about twice as fast at 10,000 and
-3.3 times as fast at 21,762, but 2.5 to 2.8 times as slow on an
-810-vertex, 6 %-dense product where most root branches are searched.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,82 +44,100 @@ SPLIT_MIN_VERTICES = 4096
 
 
 class SimpleGraph:
-    """Undirected graph stored as one adjacency bitmask per vertex."""
+    """Undirected graph in symmetric CSR form: the neighbours of vertex v
+    are indices[indptr[v]:indptr[v + 1]], in ascending order.
 
-    def __init__(self, n: int, rows: Sequence[int], validate: bool = True) -> None:
-        if n < 0:
-            raise InputFormatError("vertex count must be nonnegative")
-        rows = list(rows)
-        if len(rows) != n:
-            raise InputFormatError(f"expected {n} adjacency rows, got {len(rows)}")
+    rows is a bitset view (one int of n bits per vertex) built on first
+    use, for the small-graph oracles; the solver never reads it.
+    """
+
+    def __init__(self, n: int, indptr, indices, validate: bool = True) -> None:
+        indptr = np.asarray(indptr, dtype=np.int64)
+        indices = np.asarray(indices, dtype=np.int64)
         if validate:
-            for i, row in enumerate(rows):
-                if row < 0 or row >> n:
-                    raise InputFormatError(f"row {i} references vertices outside 0..{n - 1}")
-                if row >> i & 1:
-                    raise InputFormatError(f"self-loop at vertex {i}")
-            for i in range(n):
-                for j in _bits(rows[i]):
-                    if not rows[j] >> i & 1:
-                        raise InputFormatError(f"asymmetric adjacency between {i} and {j}")
+            if n < 0:
+                raise InputFormatError("vertex count must be nonnegative")
+            if indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != len(indices) \
+                    or np.any(np.diff(indptr) < 0):
+                raise InputFormatError(f"indptr must be {n + 1} nondecreasing offsets, 0 to {len(indices)}")
+            src = np.repeat(np.arange(n), np.diff(indptr))
+            _check_edges(n, src, indices)
+            own = csr_graph(n, src, indices)  # the CSR of its own edges
+            if not (np.array_equal(own.indptr, indptr) and np.array_equal(own.indices, indices)):
+                raise InputFormatError("adjacency must be symmetric, each row strictly ascending")
         self.n = n
-        self.rows = rows
+        self.indptr = indptr
+        self.indices = indices.astype(np.int32)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple]) -> "SimpleGraph":
-        if n < 0:
-            raise InputFormatError("vertex count must be nonnegative")
+        """The graph with the given edges; repeats and reversals merge."""
         pairs = np.array(list(edges) or np.empty((0, 2)), dtype=np.int64)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise InputFormatError("edges must be vertex pairs")
-        x, y = pairs[:, 0], pairs[:, 1]
-        bad = np.flatnonzero((x == y) | (np.minimum(x, y) < 0) | (np.maximum(x, y) >= n))
-        if bad.size:
-            i, j = (int(v) for v in pairs[bad[0]])
-            if i == j:
-                raise InputFormatError(f"self-loop at vertex {i}")
-            raise InputFormatError(f"edge ({i}, {j}) out of range")
-        return cls(n, bitset_rows(n, x, y), validate=False)
+        _check_edges(n, pairs[:, 0], pairs[:, 1])
+        return csr_graph(n, pairs[:, 0], pairs[:, 1])
 
     def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.rows[i] >> j & 1)
+        return j in self.indices[self.indptr[i]:self.indptr[i + 1]]
 
     def degree(self, i: int) -> int:
-        return self.rows[i].bit_count()
+        return int(self.indptr[i + 1] - self.indptr[i])
 
     def edge_count(self) -> int:
-        return sum(self.degree(i) for i in range(self.n)) // 2
+        return len(self.indices) // 2
 
     def edge_array(self) -> tuple:
-        """The edges as two int64 arrays (x, y), x < y, in ascending
-        (x, y) order.  Reads the rows in blocks of about 8 MB."""
-        nb = (self.n + 7) // 8
-        block = max(1, (8 << 20) // max(nb, 1))
-        xs, ys = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-        for start in range(0, self.n, block):
-            buf = np.frombuffer(b"".join(row.to_bytes(nb, "little")
-                                         for row in self.rows[start:start + block]), np.uint8)
-            at = np.flatnonzero(buf != 0)
-            k, bit = np.nonzero(np.unpackbits(buf[at, None], axis=1, bitorder="little").view(bool))
-            at = at[k]
-            x, y = start + at // nb, at % nb * 8 + bit
-            upper = x < y
-            xs.append(x[upper])
-            ys.append(y[upper])
-        return np.concatenate(xs), np.concatenate(ys)
+        """The edges as two int32 arrays (x, y), x < y, in ascending
+        (x, y) order: the upper triangle of the CSR."""
+        src = np.repeat(np.arange(self.n, dtype=np.int32), np.diff(self.indptr))
+        upper = src < self.indices
+        return src[upper], self.indices[upper]
 
     def edges(self) -> list:
         x, y = self.edge_array()
         return list(zip(x.tolist(), y.tolist()))
 
+    @functools.cached_property
+    def rows(self) -> list:
+        return bitset_rows(self.n, *self.edge_array())
+
+
+def _check_edges(n: int, x: np.ndarray, y: np.ndarray) -> None:
+    """Refuse n outside 0..2**31 - 1 (int32 ids), self-loops and ids outside 0..n-1."""
+    if not 0 <= n < 2**31:
+        raise InputFormatError("vertex count must be nonnegative and below 2**31")
+    bad = np.flatnonzero((x == y) | (np.minimum(x, y) < 0) | (np.maximum(x, y) >= n))
+    if bad.size:
+        i, j = int(x[bad[0]]), int(y[bad[0]])
+        raise InputFormatError(f"self-loop at vertex {i}" if i == j else f"edge ({i}, {j}) out of range")
+
+
+def _csr(n: int, src: np.ndarray, dst: np.ndarray) -> tuple:
+    """(indptr, indices) of the directed edges src[k] -> dst[k] on
+    0..n-1, each row ascending and repeated edges merged, by one sort of
+    the keys src * n + dst."""
+    key = np.array(src, dtype=np.int64)
+    key *= n
+    key += dst
+    key.sort()
+    fresh = key[1:] != key[:-1]
+    if not fresh.all():
+        key = key[np.concatenate(([True], fresh))]
+    return np.searchsorted(key, np.arange(n + 1) * n), np.remainder(key, n, out=key)
+
+
+def csr_graph(n: int, x: np.ndarray, y: np.ndarray) -> SimpleGraph:
+    """The graph on 0..n-1 with edges (x[k], y[k]), repeats merged;
+    self-loops and out-of-range ids are the caller's to exclude."""
+    return SimpleGraph(n, *_csr(n, np.concatenate((x, y)), np.concatenate((y, x))), validate=False)
+
 
 def bitset_rows(n: int, x: np.ndarray, y: np.ndarray) -> list:
     """Adjacency bitmask rows of the undirected graph on vertices 0..n-1
-    with edges (x[k], y[k]).  Repeated edges are harmless; self-loops and
-    out-of-range ids are the caller's to exclude.  Relabelling is passing
-    (pos[x], pos[y]): the cost is one pass over the edges plus a
-    transient n * ceil(n / 8) byte buffer.
-    """
+    with edges (x[k], y[k]), through a transient n * ceil(n / 8) byte
+    buffer.  Repeated edges are harmless; self-loops and out-of-range ids
+    are the caller's to exclude."""
     nb = (n + 7) // 8
     buf = np.zeros(n * nb, np.uint8)
     for a, b in ((x, y), (y, x)):
@@ -189,17 +205,13 @@ def _first_fit_colours(n: int, x: np.ndarray, y: np.ndarray, block: int = 256) -
     gathered at once into one forbidden-colour mask per vertex, and
     neighbours inside the block are added edge by edge.
     """
-    key = np.maximum(x, y).astype(np.int64)
-    key *= n
-    key += np.minimum(x, y)
-    key.sort()
-    hi, lo = np.divmod(key, n)  # edges by higher end, then lower
-    del key
-    cuts = np.searchsorted(hi, np.arange(0, n + block, block)).tolist()
+    indptr, lower = _csr(n, np.maximum(x, y), np.minimum(x, y))
     colour = np.zeros(n, np.int64)
     top = 0
-    for k, start in enumerate(range(0, n, block)):
-        h, low = hi[cuts[k]:cuts[k + 1]] - start, lo[cuts[k]:cuts[k + 1]]
+    for start in range(0, n, block):
+        ends = indptr[start:start + block + 1]
+        low = lower[ends[0]:ends[-1]]
+        h = np.repeat(np.arange(len(ends) - 1), np.diff(ends))
         inside = low >= start
         taken = np.zeros((min(block, n - start), top + 1), bool)
         taken[:, 0] = True
@@ -231,10 +243,8 @@ def _root_split(n: int, x: np.ndarray, y: np.ndarray) -> tuple:
     rank = np.empty(n, np.int64)
     rank[sweep] = np.arange(n)
     first = rank[x] < rank[y]
-    key = np.sort(np.where(first, x, y).astype(np.int64) * n + np.where(first, y, x))
-    del first, rank
-    indptr = np.searchsorted(key, np.arange(n + 1) * n)
-    return sweep.tolist(), colour[sweep].tolist(), indptr, np.remainder(key, n, out=key)
+    indptr, adj = _csr(n, np.where(first, x, y), np.where(first, y, x))
+    return sweep.tolist(), colour[sweep].tolist(), indptr, adj
 
 
 class _Search:
@@ -248,8 +258,7 @@ class _Search:
 
     def __init__(self, g: SimpleGraph, node_budget: int, keep_ties: bool = False) -> None:
         x, y = g.edge_array()
-        degree = np.bincount(x, minlength=g.n) + np.bincount(y, minlength=g.n)
-        order = np.argsort(-degree, kind="stable")
+        order = np.argsort(-np.diff(g.indptr), kind="stable")
         pos = np.empty(g.n, np.int32)
         pos[order] = np.arange(g.n)
         x, y = pos[x], pos[y]
@@ -440,15 +449,11 @@ def count_cliques_of_size(g: SimpleGraph, k: int) -> int:
 
 def write_dimacs(g: SimpleGraph, path, comment: Optional[str] = None) -> None:
     """Write the graph in DIMACS ascii clique format (1-based vertices)."""
-    path = Path(path)
-    lines = []
-    if comment:
-        for part in comment.splitlines():
-            lines.append(f"c {part}")
     x, y = g.edge_array()
+    lines = [f"c {part}" for part in (comment or "").splitlines()]
     lines.append(f"p edge {g.n} {len(x)}")
     lines.extend(f"e {i} {j}" for i, j in zip((x + 1).tolist(), (y + 1).tolist()))
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def read_dimacs(path) -> SimpleGraph:

@@ -189,6 +189,18 @@ class DistanceMatrix:
         return float(self.entries[i, j])
 
 
+def _csv_rows(path: Path):
+    """Yield the rows of a UTF-8 CSV file; undecodable bytes and CSV
+    syntax errors become InputFormatError naming the path."""
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            yield from csv.reader(fh)
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise InputFormatError(f"{path}: malformed CSV: {exc}") from None
+
+
 def load_table(
     path,
     qi_attributes: Sequence[str] = (),
@@ -197,13 +209,10 @@ def load_table(
     """Read a microdata CSV: header row, one column per attribute, optional
     lon/lat coordinate columns in decimal degrees."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputFormatError(f"{path}: empty file") from None
-        rows = list(reader)
+    rows = list(_csv_rows(path))
+    if not rows:
+        raise InputFormatError(f"{path}: empty file")
+    header, rows = rows[0], rows[1:]
     if not rows:
         raise InputFormatError(f"{path}: no data rows")
     has_coords = LON_COLUMN in header and LAT_COLUMN in header
@@ -247,14 +256,13 @@ def load_matrix(path) -> DistanceMatrix:
     """Read a headerless CSV of n rows times n decimal values."""
     path = Path(path)
     rows = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        for lineno, line in enumerate(csv.reader(fh), start=1):
-            if not line:
-                continue
-            try:
-                rows.append([float(x) for x in line])
-            except ValueError:
-                raise InputFormatError(f"{path}:{lineno}: malformed number") from None
+    for lineno, line in enumerate(_csv_rows(path), start=1):
+        if not line:
+            continue
+        try:
+            rows.append([float(x) for x in line])
+        except ValueError:
+            raise InputFormatError(f"{path}:{lineno}: malformed number") from None
     if not rows:
         raise InputFormatError(f"{path}: empty matrix file")
     width = len(rows[0])

@@ -13,7 +13,7 @@ class InputFormatError(DistlinkError):
 class SizeLimitError(DistlinkError):
     """An instance is too large for an operation: a brute-force oracle or
     exhaustive witness enumeration beyond its order limit, or a product
-    graph whose adjacency bitsets would not fit in physical memory."""
+    graph whose candidate edges would not fit in physical memory."""
 
 
 class ResourceBudgetError(DistlinkError):

@@ -6,18 +6,21 @@ are the entries of D.  Matching two datasets reduces to finding cliques in
 the product graph built here: its vertices are label-equal record pairs
 and its edges connect pairs whose distances agree up to the one
 approximate-equality relation, an open band on the signed deviation
-(QuantileBand; Absolute(eps) is its symmetric case).
+(QuantileBand; Absolute(eps) is its symmetric case).  The product comes
+out of one sorted interval join as a CSR SimpleGraph, after a guard has
+checked that the join's candidate edges fit in physical memory.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .clique import SimpleGraph, bitset_rows
+from .clique import SimpleGraph, csr_graph
 from .core import DistanceMatrix, MicrodataTable
 from .errors import InputFormatError, SizeLimitError
 
@@ -182,7 +185,7 @@ def _product_edges_join(
     i_lab = np.array([common.get(lab, -1) for lab in ident.labels], dtype=np.int64)
     tv, iw = np.flatnonzero(t_lab >= 0), np.flatnonzero(i_lab >= 0)
     by_label = np.argsort(i_lab, kind="stable")
-    # int32 ids: the memory check keeps |V| far below 2**31
+    # int32 ids: |V| <= n_target * n_ident, far below 2**31 at any size that fits
     rank = np.empty(len(i_lab), np.int32)
     rank[by_label] = np.arange(len(i_lab)) - np.searchsorted(i_lab[by_label], i_lab[by_label])
     count = np.zeros(len(t_lab), np.int32)
@@ -212,6 +215,7 @@ def _product_edges_join(
     first = np.searchsorted(key, t_key * span + np.searchsorted(s_sorted, t + rel.lo, "left"))
     stop = np.searchsorted(key, t_key * span + np.searchsorted(s_sorted, t + rel.hi, "right"))
     hits = stop - first
+    _check_edge_memory(int(count.sum()), int(hits.sum()))
     q = np.repeat(np.arange(len(t)), hits)
     c = np.arange(hits.sum()) + np.repeat(first - (np.cumsum(hits) - hits), hits)
     keep = rel.deviation_mask(t[q], s[c])
@@ -225,30 +229,24 @@ def _product_edges_general(
     rel,
     pairs: Sequence[tuple],
 ) -> list:
-    """Scalar adjacency loop honouring missing edges.
+    """Scalar adjacency loop honouring missing edges: the edges (x, y),
+    x < y, in ascending order.
 
     Two product vertices are adjacent when their record pairs are disjoint
     and either (a) both graphs have the edge and the weights agree up to
     rel, or (b) neither graph has the edge.
     """
-    nv = len(pairs)
-    rows = [0] * nv
-    for x in range(nv):
-        v1, w1 = pairs[x]
-        for y in range(x + 1, nv):
+    edges = []
+    for x, (v1, w1) in enumerate(pairs):
+        for y in range(x + 1, len(pairs)):
             v2, w2 = pairs[y]
             if v1 == v2 or w1 == w2:
                 continue
-            et = target.has_edge(v1, v2)
-            ei = ident.has_edge(w1, w2)
-            if et and ei:
-                ok = rel.holds(target.weight(v1, v2), ident.weight(w1, w2))
-            else:
-                ok = not et and not ei
-            if ok:
-                rows[x] |= 1 << y
-                rows[y] |= 1 << x
-    return rows
+            et, ei = target.has_edge(v1, v2), ident.has_edge(w1, w2)
+            agree = et and ei and rel.holds(target.weight(v1, v2), ident.weight(w1, w2))
+            if agree or not (et or ei):
+                edges.append((x, y))
+    return edges
 
 
 def _physical_memory_bytes() -> Optional[int]:
@@ -259,19 +257,20 @@ def _physical_memory_bytes() -> Optional[int]:
         return None
 
 
-def _check_bitset_memory(n_vertices: int) -> None:
-    """Refuse a product whose adjacency bitsets cannot fit in RAM.
+#: bytes per candidate edge at the attack's peak (the join's candidate
+#: arrays, the CSR, the solver's edge arrays): peak RSS grew by 66 and 51
+#: per candidate over the 600x600 and 1000x1000 census attacks
+BYTES_PER_CANDIDATE = 72
 
-    The attack holds three |V| * ceil(|V| / 8) byte bitset copies at once:
-    the product rows, the solver's relabelled rows and the transient byte
-    buffer either is built from.
-    """
-    need = 3 * n_vertices * ((n_vertices + 7) // 8)
+
+def _check_edge_memory(n_vertices: int, n_candidates: int) -> None:
+    """Refuse a product whose candidate edges cannot fit in RAM."""
+    need = BYTES_PER_CANDIDATE * n_candidates
     have = _physical_memory_bytes()
     if have is not None and need > have:
         raise SizeLimitError(
-            f"product graph of {n_vertices} vertices needs about {need} bytes of "
-            f"adjacency bitsets, more than the {have} bytes of physical memory")
+            f"product graph of {n_vertices} vertices and up to {n_candidates} edges needs "
+            f"about {need} bytes, more than the {have} bytes of physical memory")
 
 
 def build_product_graph(
@@ -282,14 +281,12 @@ def build_product_graph(
     """Construct the product graph of two labelled weighted graphs."""
     if target.label_arity != ident.label_arity:
         raise InputFormatError("graphs were built with different qi schemas")
-    _check_bitset_memory(product_vertex_count_check(target, ident))
     pairs = label_pairs(target.labels, ident.labels)
     if target.edge_present is None and ident.edge_present is None:
-        rows = bitset_rows(len(pairs), *_product_edges_join(target, ident, rel))
+        graph = csr_graph(len(pairs), *_product_edges_join(target, ident, rel))
     else:
-        rows = _product_edges_general(target, ident, rel, pairs)
-    # adjacency is symmetric and loop-free by construction, skip revalidation
-    return ProductGraph(pairs, SimpleGraph(len(pairs), rows, validate=False))
+        graph = SimpleGraph.from_edges(len(pairs), _product_edges_general(target, ident, rel, pairs))
+    return ProductGraph(pairs, graph)
 
 
 def product_vertex_count_check(
@@ -298,8 +295,6 @@ def product_vertex_count_check(
 ) -> int:
     """Independent tally of the expected product vertex count: the sum over
     labels of (target multiplicity) times (identification multiplicity)."""
-    from collections import Counter
-
     ct = Counter(target.labels)
     ci = Counter(ident.labels)
     return sum(ct[lab] * ci[lab] for lab in ct.keys() & ci.keys())

@@ -224,7 +224,10 @@ def load_calibration(path) -> CalibrationTable:
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: not UTF-8 text: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        # ValueError: JSONDecodeError, or an integer beyond int's digit limit
         raise InputFormatError(f"{path}: malformed JSON: {exc}") from None
     try:
         region = Region(**payload["region"])
@@ -233,7 +236,7 @@ def load_calibration(path) -> CalibrationTable:
         n_pairs = payload["n_pairs"]
     except (KeyError, TypeError) as exc:
         raise InputFormatError(f"{path}: missing calibration field: {exc}") from None
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise InputFormatError(f"{path}: malformed calibration field: {exc}") from None
     except InputFormatError as exc:
         raise InputFormatError(f"{path}: {exc}") from None

@@ -180,11 +180,18 @@ class TestAttack:
         assert rc == EXIT_BUDGET
 
     def test_product_beyond_memory_exit_code(self, poets_files, tmp_path, monkeypatch, capsys):
-        # the poets product has 11 vertices: 3 * 11 * 2 bytes of bitsets
-        monkeypatch.setattr(graph, "_physical_memory_bytes", lambda: 65)
+        # the poets product has 11 vertices and 9 candidate edges: 9 * 72 bytes
+        monkeypatch.setattr(graph, "_physical_memory_bytes", lambda: 647)
         out = tmp_path / "matches.csv"
         assert main(attack_argv(poets_files, out, "--abs-eps", "5")) == EXIT_INPUT
-        assert "11 vertices needs about 66 bytes" in capsys.readouterr().err
+        assert "11 vertices and up to 9 edges needs about 648 bytes" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_utf8_table_exit_code(self, poets_files, tmp_path, capsys):
+        poets_files["tt"].write_bytes(poets_files["tt"].read_text().encode("utf-16"))
+        out = tmp_path / "matches.csv"
+        assert main(attack_argv(poets_files, out, "--abs-eps", "5")) == EXIT_INPUT
+        assert f"{poets_files['tt']}: not UTF-8 text" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_finite_matrix_rejected(self, poets_files, tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Exact maximum clique search, counting, bounds, DIMACS files."""
 
+import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +36,11 @@ def cycle_graph(n):
     return SimpleGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+#: SHA-256 of write_dimacs(random_simple_graph(default_rng(23), 30, 0.3))
+#: as the bitset-row graph wrote it
+RANDOM_DIMACS_SHA256 = "c66d81296dd101e905881856b5dcf210c398c25e854239413e6ea902d5478c2e"
+
+
 class TestSimpleGraph:
     def test_from_edges_and_accessors(self):
         g = SimpleGraph.from_edges(4, [(0, 1), (2, 1), (1, 0)])
@@ -64,17 +71,109 @@ class TestSimpleGraph:
         with pytest.raises(InputFormatError, match="nonnegative"):
             SimpleGraph.from_edges(-1, [])
 
-    def test_rejects_asymmetric_rows(self):
-        with pytest.raises(InputFormatError):
-            SimpleGraph(2, [0b10, 0b00])
+    def test_rejects_asymmetric_csr(self):
+        with pytest.raises(InputFormatError, match="must be symmetric"):
+            SimpleGraph(2, [0, 1, 1], [1])
+        with pytest.raises(InputFormatError, match="must be symmetric"):
+            SimpleGraph(3, [0, 1, 2, 2], [1, 2])
 
-    def test_rejects_row_count_mismatch(self):
-        with pytest.raises(InputFormatError):
-            SimpleGraph(3, [0, 0])
+    def test_rejects_indptr_of_wrong_length(self):
+        with pytest.raises(InputFormatError, match="indptr must be 4"):
+            SimpleGraph(3, [0, 0, 0], [])
+        with pytest.raises(InputFormatError, match="indptr must be 3"):
+            SimpleGraph(2, [0, 1, 1], [1, 0])  # does not end at len(indices)
+        with pytest.raises(InputFormatError, match="indptr must be 3"):
+            SimpleGraph(2, [0, 2, 1], [1])  # decreasing
+        with pytest.raises(InputFormatError, match="nonnegative"):
+            SimpleGraph(-1, [0], [])
 
-    def test_rejects_bits_beyond_n(self):
-        with pytest.raises(InputFormatError):
-            SimpleGraph(2, [0b100, 0b000])
+    def test_rejects_out_of_range_ids(self):
+        with pytest.raises(InputFormatError, match=r"edge \(0, 2\) out of range"):
+            SimpleGraph(2, [0, 1, 2], [2, 0])
+        with pytest.raises(InputFormatError, match=r"edge \(0, -1\) out of range"):
+            SimpleGraph(2, [0, 1, 1], [-1])
+        # ids are int32; checked before anything of size n is allocated
+        with pytest.raises(InputFormatError, match=r"below 2\*\*31"):
+            clique._check_edges(2**31, np.empty(0), np.empty(0))
+
+    def test_rejects_csr_self_loop(self):
+        with pytest.raises(InputFormatError, match="self-loop at vertex 1"):
+            SimpleGraph(2, [0, 1, 3], [1, 0, 1])
+
+    def test_rejects_unsorted_or_repeated_neighbours(self):
+        with pytest.raises(InputFormatError, match="each row strictly ascending"):
+            SimpleGraph(3, [0, 2, 3, 4], [2, 1, 0, 0])
+        with pytest.raises(InputFormatError, match="each row strictly ascending"):
+            SimpleGraph(2, [0, 2, 3], [1, 1, 0])
+        with pytest.raises(InputFormatError, match="each row strictly ascending"):
+            SimpleGraph(2, [0, 2, 4], [1, 1, 0, 0])  # a repeated symmetric edge
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                                       st.integers(0, max(n - 1, 0))), max_size=40))))
+    def test_agrees_with_dense_adjacency(self, case):
+        # random edge lists with repeated and reversed pairs (and, for
+        # n <= 1, none at all) against a dense numpy adjacency matrix
+        n, pairs = case
+        pairs = [(i, j) for i, j in pairs if i != j]
+        dense = np.zeros((n, n), bool)
+        for i, j in pairs:
+            dense[i, j] = dense[j, i] = True
+        g = SimpleGraph.from_edges(n, pairs)
+        assert g.n == n
+        assert [[g.has_edge(i, j) for j in range(n)] for i in range(n)] == dense.tolist()
+        assert [g.degree(i) for i in range(n)] == dense.sum(axis=1).tolist()
+        assert g.edge_count() == int(np.triu(dense).sum())
+        assert g.edges() == [tuple(e) for e in np.argwhere(np.triu(dense)).tolist()]
+        assert SimpleGraph(n, g.indptr, g.indices).edges() == g.edges()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 5).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.lists(st.integers(-1, n), max_size=4), min_size=n, max_size=n))))
+    def test_constructor_accepts_exactly_valid_csr(self, case):
+        # rows of arbitrary ids: accepted iff every id is in range, no row
+        # holds its own vertex, rows strictly ascend and the rows are symmetric
+        n, rows = case
+        valid = all(0 <= j < n and j != i for i, row in enumerate(rows) for j in row) \
+            and all(row == sorted(set(row)) for row in rows) \
+            and all(i in rows[j] for i, row in enumerate(rows) for j in row)
+        indptr = np.cumsum([0] + [len(row) for row in rows])
+        indices = [j for row in rows for j in row]
+        if valid:
+            g = SimpleGraph(n, indptr, indices)
+            assert [[j for j in range(n) if g.has_edge(i, j)] for i in range(n)] == rows
+        else:
+            with pytest.raises(InputFormatError):
+                SimpleGraph(n, indptr, indices)
+
+    def test_write_dimacs_output_unchanged(self, tmp_path):
+        # the file the bitset-row graph wrote for this graph, byte for byte
+        g = SimpleGraph.from_edges(6, [(4, 1), (0, 5), (1, 4), (2, 3), (0, 1), (5, 3)])
+        write_dimacs(g, tmp_path / "g.dimacs", comment="two\nlines")
+        assert (tmp_path / "g.dimacs").read_bytes() == (
+            b"c two\nc lines\np edge 6 5\ne 1 2\ne 1 6\ne 2 5\ne 3 4\ne 4 6\n")
+        rng = np.random.default_rng(23)
+        g = random_simple_graph(rng, 30, 0.3)
+        write_dimacs(g, tmp_path / "r.dimacs")
+        digest = hashlib.sha256((tmp_path / "r.dimacs").read_bytes()).hexdigest()
+        assert digest == RANDOM_DIMACS_SHA256
+
+    def test_huge_sparse_graph_needs_no_square_buffer(self, tmp_path):
+        # n * ceil(n / 8) bytes would be about 312 MB here
+        n = 50_000
+        tracemalloc.start()
+        try:
+            g = SimpleGraph.from_edges(n, [(0, n - 1), (7, 3), (n - 1, 7)])
+            assert (g.edge_count(), g.degree(n - 1), g.degree(1)) == (3, 2, 0)
+            assert g.edges() == [(0, n - 1), (3, 7), (7, n - 1)]
+            write_dimacs(g, tmp_path / "g.dimacs")
+            h = read_dimacs(tmp_path / "g.dimacs")
+            assert h.n == n and h.edges() == g.edges()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
 
 class TestMaxClique:
@@ -87,7 +186,7 @@ class TestMaxClique:
         assert r.size == 1
 
     def test_empty_graph(self):
-        r = max_clique(SimpleGraph(0, []))
+        r = max_clique(SimpleGraph.from_edges(0, []))
         assert r.size == 0 and r.vertices == ()
 
     def test_cycle_of_five(self):
@@ -193,7 +292,7 @@ def _solve(g):
 
 
 def _special_graphs():
-    yield SimpleGraph(0, [])
+    yield SimpleGraph.from_edges(0, [])
     yield SimpleGraph.from_edges(5, [])
     yield complete_graph(7)
     yield SimpleGraph.from_edges(7, [(0, 1), (0, 2), (1, 2), (4, 5)])  # 3 and 6 isolated
@@ -324,7 +423,7 @@ class TestEnumerateMaximumCliques:
         assert enumerate_maximum_cliques(g) == [(0,), (1,), (2,)]
 
     def test_empty_graph(self):
-        assert enumerate_maximum_cliques(SimpleGraph(0, [])) == [(),]
+        assert enumerate_maximum_cliques(SimpleGraph.from_edges(0, [])) == [(),]
 
     def test_every_enumerated_clique_is_maximum(self):
         rng = np.random.default_rng(18)

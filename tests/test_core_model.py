@@ -1,9 +1,12 @@
 """Distance computation, table and matrix containers, file round trips."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from distlink import (
     EARTH_RADIUS_KM,
@@ -14,6 +17,7 @@ from distlink import (
     MicrodataTable,
     distance_matrix,
     great_circle_distance,
+    load_calibration,
     load_matrix,
     load_table,
     save_matrix,
@@ -292,6 +296,63 @@ class TestMatrixIO:
         path.write_text(f"0,{bad}\n{bad},0\n")
         with pytest.raises(InputFormatError, match="matrix entries must be finite"):
             load_matrix(path)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner,
+                                                                  max_size=4),
+    max_leaves=12)
+
+#: file contents: raw bytes, CSV-like and JSON-like text, and calibration
+#: objects with arbitrary field values
+_file_bytes = st.one_of(
+    st.binary(max_size=300),
+    st.text(alphabet="0123456789.,-+eEinfa\"\n\r {}[]:", max_size=300).map(str.encode),
+    _json_values.map(lambda v: json.dumps(v).encode()),
+    st.fixed_dictionaries({k: _json_values for k in
+                           ("sigma", "seed", "n_pairs", "deviations", "region")})
+    .map(lambda v: json.dumps(v).encode()),
+)
+
+
+class TestLoadersOnArbitraryBytes:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=_file_bytes)
+    @example(data=b"\xff\xfeg\x00,\x00a\x00\n\x00")
+    @example(data=b'{"a":' * 5000)
+    @example(data=b"1" * 5000)
+    @example(data=b'{"sigma": 0, "seed": 1, "n_pairs": 2, "deviations": [1e999999, 2], '
+                  b'"region": {"lat_min": 0, "lat_max": 1, "lon_min": 0, "lon_max": 1}}')
+    def test_loaders_return_or_raise_input_format_error(self, tmp_path, data):
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        for load in (load_table, load_matrix, load_calibration):
+            try:
+                load(path)
+            except InputFormatError:
+                pass
+
+    @pytest.mark.parametrize("load", [load_table, load_matrix, load_calibration])
+    def test_non_utf8_bytes_name_the_path(self, tmp_path, load):
+        path = tmp_path / "utf16.csv"
+        path.write_bytes("a,b\n1,2\n".encode("utf-16"))
+        with pytest.raises(InputFormatError, match=r"utf16\.csv: not UTF-8 text"):
+            load(path)
+
+    def test_deeply_nested_calibration_json(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"a":' * 5000)
+        with pytest.raises(InputFormatError, match=r"deep\.json: malformed JSON"):
+            load_calibration(path)
+
+    def test_csv_field_beyond_size_limit(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("\"" + "1" * 200_000 + "\"\n")
+        for load in (load_table, load_matrix):
+            with pytest.raises(InputFormatError, match=r"wide\.csv: malformed CSV"):
+                load(path)
 
 
 class TestBundledFixtures:

@@ -1,5 +1,7 @@
 """Record graphs, the approximate-equality relations, product graph."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -238,8 +240,7 @@ class TestProductGraph:
             g2 = random_labeled_graph(rng, int(rng.integers(2, 9)), 2)
             rel = random_relation(rng)
             p = build_product_graph(g1, g2, rel)
-            rows = _product_edges_general(g1, g2, rel, p.vertices)
-            assert rows == list(p.graph.rows)
+            assert p.graph.edges() == _product_edges_general(g1, g2, rel, p.vertices)
 
     def test_absent_absent_edges_count_as_compatible(self):
         # two-vertex graphs with no edge at all: the pair of cross
@@ -324,7 +325,7 @@ class TestSparseJoin:
         g1, g2, rel = case
         p = build_product_graph(g1, g2, rel)
         assert p.vertices == tuple(label_pairs(g1.labels, g2.labels))
-        assert p.graph.rows == _product_edges_general(g1, g2, rel, p.vertices)
+        assert p.graph.edges() == _product_edges_general(g1, g2, rel, p.vertices)
 
     def test_band_below_weight_resolution(self):
         # 1 - 5e-324 and 1 + 5e-324 both round to 1.0, so the join's
@@ -337,7 +338,7 @@ class TestSparseJoin:
         p = build_product_graph(g, g, QuantileBand(-tiny, tiny))
         assert p.vertices == ((0, 0), (1, 1))
         assert p.graph.has_edge(0, 1)
-        assert p.graph.rows == _product_edges_general(g, g, QuantileBand(-tiny, tiny), p.vertices)
+        assert p.graph.edges() == _product_edges_general(g, g, QuantileBand(-tiny, tiny), p.vertices)
 
     @settings(max_examples=100, deadline=None)
     @given(_join_instances(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
@@ -352,24 +353,42 @@ class TestSparseJoin:
 
 
 class TestMemoryGuard:
-    """build_product_graph refuses a product whose three adjacency bitset
-    copies (|V| * ceil(|V| / 8) bytes each) exceed physical memory; the
-    poets product has 11 vertices, so 3 * 11 * 2 = 66 bytes."""
+    """build_product_graph refuses a product whose candidate edges, at
+    BYTES_PER_CANDIDATE (72) bytes each, exceed physical memory; the
+    poets product has 11 vertices and 9 candidates, so 648 bytes."""
 
     def test_refuses_before_building(self, monkeypatch):
         def no_build(*args):
             raise AssertionError("the product was built")
 
         gt, gi = poets_graphs()
-        monkeypatch.setattr(graph_module, "_physical_memory_bytes", lambda: 65)
-        monkeypatch.setattr(graph_module, "label_pairs", no_build)
-        monkeypatch.setattr(graph_module, "_product_edges_join", no_build)
-        with pytest.raises(SizeLimitError, match="11 vertices needs about 66 bytes"):
+        monkeypatch.setattr(graph_module, "_physical_memory_bytes", lambda: 647)
+        monkeypatch.setattr(graph_module, "csr_graph", no_build)
+        with pytest.raises(SizeLimitError,
+                           match="11 vertices and up to 9 edges needs about 648 bytes"):
             build_product_graph(gt, gi, Absolute(5.0))
+
+    def test_refuses_before_expanding_candidates(self, monkeypatch):
+        # one label and a band wider than every weight: each of the 780
+        # target pairs meets all 1560 ordered identification pairs
+        rng = np.random.default_rng(6)
+        g1, g2 = random_labeled_graph(rng, 40, 1), random_labeled_graph(rng, 40, 1)
+        candidates = 780 * 1560
+        need = graph_module.BYTES_PER_CANDIDATE * candidates
+        monkeypatch.setattr(graph_module, "_physical_memory_bytes", lambda: need - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError,
+                               match=f"1600 vertices and up to {candidates} edges needs about {need} bytes"):
+                build_product_graph(g1, g2, Absolute(1e9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < candidates  # under one byte per candidate
 
     def test_estimate_within_memory_passes(self, monkeypatch):
         gt, gi = poets_graphs()
-        monkeypatch.setattr(graph_module, "_physical_memory_bytes", lambda: 66)
+        monkeypatch.setattr(graph_module, "_physical_memory_bytes", lambda: 648)
         assert build_product_graph(gt, gi, Absolute(5.0)).n == 11
 
     def test_unknown_memory_size_is_not_checked(self, monkeypatch):
