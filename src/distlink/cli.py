@@ -197,7 +197,9 @@ def cmd_calibrate(args) -> int:
 def _config_from_file(path, seed_override, need_single_sigma: bool = False) -> SimulationConfig:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise DistlinkError(f"{path}: not UTF-8 text: {exc}") from None
+    except (ValueError, RecursionError) as exc:
         raise DistlinkError(f"{path}: malformed JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise DistlinkError(f"{path}: config must be a JSON object")
@@ -229,7 +231,7 @@ def _config_from_file(path, seed_override, need_single_sigma: bool = False) -> S
         )
     except KeyError as exc:
         raise DistlinkError(f"{path}: missing config key {exc}") from None
-    except TypeError as exc:
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise DistlinkError(f"{path}: malformed config field: {exc}") from None
 
 

@@ -5,6 +5,10 @@ pairwise distances between its records.  D only has to be a pseudometric,
 so off-diagonal zeros are allowed (two records may sit at the same
 location) and the triangle inequality is never checked (published
 matrices may have been perturbed).
+
+All great-circle geometry goes through one array kernel, _great_circle_km.
+Its arccos stays math.acos: numpy's sin and cos match the math module bit
+for bit, np.arccos does not.
 """
 
 from __future__ import annotations
@@ -44,43 +48,37 @@ class GeoPoint:
             raise InputFormatError(f"latitude out of range: {self.lat}")
 
 
-def great_circle_distance(p1: GeoPoint, p2: GeoPoint) -> float:
-    """Spherical law of cosines distance in kilometres, R = 6371 km.
+def _great_circle_km(lon1, lat1, lon2, lat2) -> np.ndarray:
+    """Spherical law of cosines, elementwise: degrees in, km out.  The cosine
+    is clamped to [-1, 1], so identical or antipodal points never fail."""
+    lat1 = np.radians(lat1)
+    lat2 = np.radians(lat2)
+    c = (np.sin(lat1) * np.sin(lat2)
+         + np.cos(lat1) * np.cos(lat2) * np.cos(np.radians(lon1) - np.radians(lon2)))
+    c = np.clip(c, -1.0, 1.0)
+    acos = np.fromiter(map(math.acos, c.ravel()), float, c.size)
+    return EARTH_RADIUS_KM * acos.reshape(c.shape)
 
-    The cosine is clamped to [-1, 1] before the arccos so that floating
-    point overshoot near identical or antipodal points can never produce
-    a domain error.
-    """
-    lat1 = math.radians(p1.lat)
-    lat2 = math.radians(p2.lat)
-    c = (math.sin(lat1) * math.sin(lat2)
-         + math.cos(lat1) * math.cos(lat2)
-         * math.cos(math.radians(p1.lon) - math.radians(p2.lon)))
-    c = min(1.0, max(-1.0, c))
-    return EARTH_RADIUS_KM * math.acos(c)
+
+def great_circle_distance(p1: GeoPoint, p2: GeoPoint) -> float:
+    """Spherical law of cosines distance in kilometres, R = 6371 km."""
+    return float(_great_circle_km(p1.lon, p1.lat, p2.lon, p2.lat))
 
 
 def distance_matrix(points: Sequence[GeoPoint]) -> "DistanceMatrix":
     """Pairwise great-circle distances of a point sequence.
 
-    Every entry is computed by the exact operation sequence of
-    great_circle_distance, so entries[i][j] == great_circle_distance(
-    points[i], points[j]) holds bit for bit.
+    One kernel call per upper-triangle row (O(n) temporaries), mirrored:
+    entries[i][j] == great_circle_distance(points[i], points[j]) bit for bit.
     """
     if len(points) == 0:
         raise InputFormatError("distance_matrix requires at least one point")
     n = len(points)
-    rlon = [math.radians(p.lon) for p in points]
-    slat = [math.sin(math.radians(p.lat)) for p in points]
-    clat = [math.cos(math.radians(p.lat)) for p in points]
+    lon, lat = np.array([(p.lon, p.lat) for p in points]).T
     entries = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = slat[i] * slat[j] + clat[i] * clat[j] * math.cos(rlon[i] - rlon[j])
-            c = min(1.0, max(-1.0, c))
-            d = EARTH_RADIUS_KM * math.acos(c)
-            entries[i, j] = d
-            entries[j, i] = d
+    for i in range(n - 1):
+        row = _great_circle_km(lon[i], lat[i], lon[i + 1:], lat[i + 1:])
+        entries[i, i + 1:] = entries[i + 1:, i] = row
     return DistanceMatrix(entries, validate=False)
 
 

@@ -31,6 +31,7 @@ from .masking import (
     Region,
     band_from_table,
     calibrate,
+    check_sigma,
     perturb_points,
     utility_score,
 )
@@ -134,8 +135,8 @@ class SimulationConfig:
             raise InputFormatError("repetitions must be at least 1")
         if not self.sigma_grid or not self.alpha_grid:
             raise InputFormatError("sigma_grid and alpha_grid must be nonempty")
-        if any(s < 0 for s in self.sigma_grid):
-            raise InputFormatError("sigma values must be nonnegative")
+        for sigma in self.sigma_grid:
+            check_sigma(sigma)
         if any(not 0 < a < 1 for a in self.alpha_grid):
             raise InputFormatError("alpha values must lie strictly between 0 and 1")
         _validate_qi_distributions(self.qi_distributions)
@@ -303,12 +304,9 @@ def run_simulation(config: SimulationConfig, threads: int = 1) -> SimulationResu
     """
     if threads < 1:
         raise InputFormatError("threads must be at least 1")
-    calibrations = []
-    for si, sigma in enumerate(config.sigma_grid):
-        rng = derive_rng(config.seed, STREAM_CALIBRATION, si)
-        calibrations.append(calibrate(config.region, sigma,
-                                      config.n_calibration_pairs,
-                                      config.seed, rng=rng))
+    calibrations = [calibrate(config.region, sigma, config.n_calibration_pairs, config.seed,
+                              rng=derive_rng(config.seed, STREAM_CALIBRATION, si))
+                    for si, sigma in enumerate(config.sigma_grid)]
     jobs = []
     for si in range(len(config.sigma_grid)):
         for ai in range(len(config.alpha_grid)):

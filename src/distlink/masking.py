@@ -13,13 +13,14 @@ one tolerance relation (a fixed --abs-eps is its symmetric case).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import GeoPoint, great_circle_distance
+from .core import GeoPoint, _great_circle_km
 from .errors import DegenerateSampleError, InputFormatError
 from .graph import QuantileBand
 from .seeding import STREAM_CALIBRATION, derive_rng
@@ -43,8 +44,9 @@ class Region:
     lon_max: float
 
     def __post_init__(self) -> None:
-        if not (self.lat_min < self.lat_max and self.lon_min < self.lon_max):
-            raise InputFormatError("region bounds must satisfy min < max")
+        if not (-90.0 <= self.lat_min < self.lat_max <= 90.0
+                and -180.0 <= self.lon_min < self.lon_max <= 180.0):
+            raise InputFormatError("region bounds need min < max within [-90, 90] x [-180, 180]")
 
     def as_dict(self) -> dict:
         return {"lat_min": self.lat_min, "lat_max": self.lat_max,
@@ -55,29 +57,35 @@ class Region:
 GERMANY = Region(lat_min=47.27, lat_max=55.06, lon_min=5.87, lon_max=15.04)
 
 
+def check_sigma(sigma: float) -> None:
+    """Reject a noise level that is negative, NaN or infinite."""
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise InputFormatError("sigma must be finite and nonnegative")
+
+
+def _perturb(lon: np.ndarray, lat: np.ndarray, sigma: float,
+             rng: np.random.Generator) -> tuple:
+    """perturb_points on arrays; in-range longitudes are left untouched."""
+    check_sigma(sigma)
+    noise = rng.normal(0.0, sigma, size=(len(lon), 2))
+    lon = lon + noise[:, 0]
+    lat = np.clip(lat + noise[:, 1], -90.0, 90.0)
+    out = (lon < -180.0) | (lon > 180.0)
+    lon[out] = (lon[out] + 180.0) % 360.0 - 180.0
+    return lon, lat
+
+
 def perturb_points(
     points: Sequence[GeoPoint],
     sigma: float,
     rng: np.random.Generator,
 ) -> list:
-    """Add N(0, sigma^2) degrees to every coordinate of every point.
-
-    One (n, 2) normal draw: column 0 perturbs longitudes, column 1
-    latitudes.  Latitudes are clamped to [-90, 90] and longitudes wrapped
-    into [-180, 180] so results stay valid coordinates.
-    """
-    if sigma < 0:
-        raise InputFormatError("sigma must be nonnegative")
-    n = len(points)
-    noise = rng.normal(0.0, sigma, size=(n, 2))
-    out = []
-    for k, p in enumerate(points):
-        lon = p.lon + noise[k, 0]
-        lat = min(90.0, max(-90.0, p.lat + noise[k, 1]))
-        if not -180.0 <= lon <= 180.0:
-            lon = (lon + 180.0) % 360.0 - 180.0
-        out.append(GeoPoint(lon, lat))
-    return out
+    """Add N(0, sigma^2) degrees to every coordinate of every point: one (n, 2)
+    normal draw, column 0 for longitudes, column 1 for latitudes.  Latitudes
+    are clamped to [-90, 90] and longitudes wrapped into [-180, 180]."""
+    lon, lat = _perturb(np.array([p.lon for p in points]),
+                        np.array([p.lat for p in points]), sigma, rng)
+    return [GeoPoint(lo, la) for lo, la in zip(lon.tolist(), lat.tolist())]
 
 
 class CalibrationTable:
@@ -102,8 +110,7 @@ class CalibrationTable:
             raise InputFormatError("deviations must be finite")
         if np.any(np.diff(dev) < 0):
             raise InputFormatError("deviations must be sorted ascending")
-        if sigma < 0:
-            raise InputFormatError("sigma must be nonnegative")
+        check_sigma(sigma)
         dev.setflags(write=False)
         self.sigma = sigma
         self.deviations = dev
@@ -140,15 +147,9 @@ def calibrate(
     lat1 = rng.uniform(region.lat_min, region.lat_max, n_pairs)
     lon2 = rng.uniform(region.lon_min, region.lon_max, n_pairs)
     lat2 = rng.uniform(region.lat_min, region.lat_max, n_pairs)
-    a = [GeoPoint(lon1[k], lat1[k]) for k in range(n_pairs)]
-    b = [GeoPoint(lon2[k], lat2[k]) for k in range(n_pairs)]
-    a_masked = perturb_points(a, sigma, rng)
-    b_masked = perturb_points(b, sigma, rng)
-    dev = np.empty(n_pairs)
-    for k in range(n_pairs):
-        d = great_circle_distance(a[k], b[k])
-        d_prime = great_circle_distance(a_masked[k], b_masked[k])
-        dev[k] = d - d_prime
+    dev = (_great_circle_km(lon1, lat1, lon2, lat2)
+           - _great_circle_km(*_perturb(lon1, lat1, sigma, rng),
+                              *_perturb(lon2, lat2, sigma, rng)))
     dev.sort()
     return CalibrationTable(sigma, dev, region, seed)
 

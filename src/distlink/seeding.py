@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import numpy as np
 
-# stream tags; keep values stable, they are part of the reproducibility contract
+# stream tags; keep values stable, they are part of the reproducibility contract.
+# The library draws from 1 and 3 only; 2 is for direct perturb_points calls.
 STREAM_CALIBRATION = 1
 STREAM_PERTURB = 2
 STREAM_GENDATA = 3
-STREAM_SIM = 4
 
 
 def derive_rng(master_seed: int, *path: int) -> np.random.Generator:

@@ -1,11 +1,15 @@
 """Shared builders and reference literals for the test suite."""
 
+import math
+
 import numpy as np
 
 from distlink import (
+    EARTH_RADIUS_KM,
     Absolute,
     DistanceMatrix,
     GeoPoint,
+    InputFormatError,
     LabeledWeightedGraph,
     QuantileBand,
     SimpleGraph,
@@ -67,3 +71,56 @@ def random_points(rng, n):
     lon = rng.uniform(-179.0, 179.0, n)
     lat = rng.uniform(-89.0, 89.0, n)
     return [GeoPoint(float(lo), float(la)) for lo, la in zip(lon, lat)]
+
+
+# ---- scalar geometry oracles ------------------------------------------
+# Per-element math-module references for the array code behind
+# great_circle_distance, distance_matrix, perturb_points and calibrate.
+# The library must reproduce them bit for bit.
+
+
+def scalar_great_circle_km(p1, p2):
+    """Spherical law of cosines on the math module, one pair at a time."""
+    lat1 = math.radians(p1.lat)
+    lat2 = math.radians(p2.lat)
+    c = (math.sin(lat1) * math.sin(lat2)
+         + math.cos(lat1) * math.cos(lat2)
+         * math.cos(math.radians(p1.lon) - math.radians(p2.lon)))
+    c = min(1.0, max(-1.0, c))
+    return EARTH_RADIUS_KM * math.acos(c)
+
+
+def loop_perturb_points(points, sigma, rng):
+    """Gaussian masking, one point at a time: clamp the latitude, wrap an
+    out-of-range longitude."""
+    if sigma < 0:
+        raise InputFormatError("sigma must be nonnegative")
+    noise = rng.normal(0.0, sigma, size=(len(points), 2))
+    out = []
+    for k, p in enumerate(points):
+        lon = p.lon + noise[k, 0]
+        lat = min(90.0, max(-90.0, p.lat + noise[k, 1]))
+        if not -180.0 <= lon <= 180.0:
+            lon = (lon + 180.0) % 360.0 - 180.0
+        out.append(GeoPoint(lon, lat))
+    return out
+
+
+def loop_calibration_deviations(region, sigma, n_pairs, rng):
+    """Sorted deviations d - d' of calibrate, one pair at a time, with the
+    same draw order (lon1, lat1, lon2, lat2, then one noise block per
+    endpoint)."""
+    lon1 = rng.uniform(region.lon_min, region.lon_max, n_pairs)
+    lat1 = rng.uniform(region.lat_min, region.lat_max, n_pairs)
+    lon2 = rng.uniform(region.lon_min, region.lon_max, n_pairs)
+    lat2 = rng.uniform(region.lat_min, region.lat_max, n_pairs)
+    a = [GeoPoint(lon1[k], lat1[k]) for k in range(n_pairs)]
+    b = [GeoPoint(lon2[k], lat2[k]) for k in range(n_pairs)]
+    a_masked = loop_perturb_points(a, sigma, rng)
+    b_masked = loop_perturb_points(b, sigma, rng)
+    dev = np.empty(n_pairs)
+    for k in range(n_pairs):
+        dev[k] = (scalar_great_circle_km(a[k], b[k])
+                  - scalar_great_circle_km(a_masked[k], b_masked[k]))
+    dev.sort()
+    return dev

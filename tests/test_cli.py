@@ -244,6 +244,20 @@ class TestCalibrate:
         table = load_calibration(out_dir / "calibration_sigma0.01.json")
         assert table.region.lat_min == 40.0 and table.region.lon_max == 3.0
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_rejected(self, tmp_path, capsys, sigma):
+        rc = main(["calibrate", "--sigma", sigma, "--n-pairs", "100",
+                   "--out-dir", str(tmp_path / "cal"), "--seed", "0"])
+        assert rc == EXIT_INPUT
+        assert "sigma must be finite and nonnegative" in capsys.readouterr().err
+
+    def test_region_off_the_globe_rejected(self, tmp_path, capsys):
+        rc = main(["calibrate", "--sigma", "0.01", "--n-pairs", "100",
+                   "--region", "40", "42", "170", "200",
+                   "--out-dir", str(tmp_path / "cal"), "--seed", "0"])
+        assert rc == EXIT_INPUT
+        assert "in [-90, 90] x [-180, 180]" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_outputs_written(self, tmp_path):
@@ -310,13 +324,36 @@ class TestSimulate:
 
     @pytest.mark.parametrize("field", [{"region": [1, 2]},
                                        {"sigma_grid": 0.01},
-                                       {"n_target": "5"}])
+                                       {"n_target": "5"},
+                                       {"qi_distributions": [1]},
+                                       {"qi_distributions": {"a": {"x": "half"}}}])
     @pytest.mark.parametrize("command", ["simulate", "gendata"])
     def test_malformed_field_type_rejected(self, tmp_path, capsys, field, command):
         cfg = small_sim_config(tmp_path, **{"sigma_grid": [0.01], **field})
         assert main([command, "--config", str(cfg),
                      "--out-dir", str(tmp_path / "x")]) == EXIT_INPUT
         assert f"{cfg}: malformed config field" in capsys.readouterr().err
+
+    def test_non_finite_sigma_grid_rejected(self, tmp_path, capsys):
+        cfg = small_sim_config(tmp_path, sigma_grid=[float("nan")])
+        assert "NaN" in cfg.read_text()
+        assert main(["simulate", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "x")]) == EXIT_INPUT
+        assert "sigma must be finite and nonnegative" in capsys.readouterr().err
+
+    def test_non_utf8_config_rejected(self, tmp_path, capsys):
+        cfg = small_sim_config(tmp_path)
+        cfg.write_bytes(cfg.read_text().encode("utf-16"))
+        assert main(["simulate", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "x")]) == EXIT_INPUT
+        assert f"{cfg}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_deeply_nested_config_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text('{"a":' * 5000)
+        assert main(["gendata", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "x")]) == EXIT_INPUT
+        assert f"{cfg}: malformed JSON" in capsys.readouterr().err
 
     def test_sigma_and_sigma_grid_conflict(self, tmp_path):
         cfg = small_sim_config(tmp_path)

@@ -31,7 +31,10 @@ from distlink.datasets import (
     poets_target_matrix,
     poets_target_table,
 )
-from helpers import EXAMPLE_CITY_MATRIX, random_points
+from distlink.cli import _config_from_file
+from distlink.errors import DistlinkError
+from distlink.evaluation import SimulationConfig
+from helpers import EXAMPLE_CITY_MATRIX, random_points, scalar_great_circle_km
 
 
 class TestGreatCircle:
@@ -123,6 +126,82 @@ class TestDistanceMatrixComputation:
     def test_empty_rejected(self):
         with pytest.raises(InputFormatError):
             distance_matrix([])
+
+
+def _antipode(p):
+    return GeoPoint(p.lon - 180.0 if p.lon > 0 else p.lon + 180.0, -p.lat)
+
+
+def _cosine(p, q):
+    """The unclamped law-of-cosines term, in the kernel's operation order."""
+    lat1, lat2 = math.radians(p.lat), math.radians(q.lat)
+    return (math.sin(lat1) * math.sin(lat2) + math.cos(lat1) * math.cos(lat2)
+            * math.cos(math.radians(p.lon) - math.radians(q.lon)))
+
+
+def _edge_points():
+    """Poles, the +-180 meridian and the equator, in every combination."""
+    return [GeoPoint(lon, lat)
+            for lon in (-180.0, -179.9999999, 0.0, 179.9999999, 180.0)
+            for lat in (-90.0, -89.9999999, 0.0, 45.0, 89.9999999, 90.0)]
+
+
+def _assert_matrix_matches_oracle(pts):
+    m = distance_matrix(pts).entries
+    n = len(pts)
+    for i in range(n):
+        assert m[i, i] == 0.0
+        for j in range(n):
+            if i != j:
+                assert m[i, j] == scalar_great_circle_km(pts[i], pts[j]), (i, j)
+
+
+class TestGreatCircleKernelAgainstScalarOracle:
+    """Every great-circle distance equals the per-pair math-module loop
+    bit for bit (== on floats, never approx)."""
+
+    def test_random_worldwide_pairs(self):
+        rng = np.random.default_rng(2024)
+        a = random_points(rng, 3000)
+        b = random_points(rng, 3000)
+        for p, q in zip(a, b):
+            d = great_circle_distance(p, q)
+            assert type(d) is float
+            assert d == scalar_great_circle_km(p, q)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_worldwide_matrices(self, seed):
+        rng = np.random.default_rng(seed)
+        _assert_matrix_matches_oracle(random_points(rng, int(rng.integers(2, 60))))
+
+    def test_identical_points_clamp_to_one(self):
+        rng = np.random.default_rng(5)
+        pts = random_points(rng, 400)
+        # the cosine of a point with itself rounds above 1 for some of
+        # these latitudes (so the clamp is exercised) and below 1 for
+        # others (a distance of about 1e-4 km, in the oracle too)
+        overshoot = [p for p in pts if _cosine(p, p) > 1.0]
+        assert overshoot and any(_cosine(p, p) < 1.0 for p in pts)
+        for p in pts:
+            assert great_circle_distance(p, p) == scalar_great_circle_km(p, p)
+        _assert_matrix_matches_oracle(overshoot[:20] + overshoot[:20])
+
+    def test_antipodal_points_clamp_to_minus_one(self):
+        rng = np.random.default_rng(6)
+        pts = random_points(rng, 400)
+        assert any(_cosine(p, _antipode(p)) < -1.0 for p in pts[:30])
+        for p in pts:
+            q = _antipode(p)
+            assert great_circle_distance(p, q) == scalar_great_circle_km(p, q)
+        pairs = [x for p in pts[:30] for x in (p, _antipode(p))]
+        _assert_matrix_matches_oracle(pairs)
+
+    def test_poles_and_date_line(self):
+        pts = _edge_points()
+        for p in pts:
+            for q in pts:
+                assert great_circle_distance(p, q) == scalar_great_circle_km(p, q)
+        _assert_matrix_matches_oracle(pts)
 
 
 class TestDistanceMatrixContainer:
@@ -325,6 +404,7 @@ class TestLoadersOnArbitraryBytes:
     @example(data=b"1" * 5000)
     @example(data=b'{"sigma": 0, "seed": 1, "n_pairs": 2, "deviations": [1e999999, 2], '
                   b'"region": {"lat_min": 0, "lat_max": 1, "lon_min": 0, "lon_max": 1}}')
+    @example(data='{"n_target": 5, "sigma": 0.1}'.encode("utf-16"))
     def test_loaders_return_or_raise_input_format_error(self, tmp_path, data):
         path = tmp_path / "input"
         path.write_bytes(data)
@@ -333,6 +413,10 @@ class TestLoadersOnArbitraryBytes:
                 load(path)
             except InputFormatError:
                 pass
+        try:
+            assert isinstance(_config_from_file(path, None), SimulationConfig)
+        except DistlinkError:
+            pass
 
     @pytest.mark.parametrize("load", [load_table, load_matrix, load_calibration])
     def test_non_utf8_bytes_name_the_path(self, tmp_path, load):

@@ -107,6 +107,8 @@ class TestSimulationConfig:
         dict(alpha_grid=(1.5,)),
         dict(alpha_grid=(0.0,)),
         dict(sigma_grid=(-0.1,)),
+        dict(sigma_grid=(0.01, math.nan)),
+        dict(sigma_grid=(math.inf,)),
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(InputFormatError):

@@ -23,7 +23,10 @@ from distlink import (
     utility_score,
 )
 from distlink.masking import QUANTILE_METHOD, SUMMARY_QUANTILES, summary_row
-from distlink.seeding import STREAM_PERTURB, derive_rng
+from distlink.seeding import STREAM_CALIBRATION, STREAM_PERTURB, derive_rng
+from helpers import loop_calibration_deviations, loop_perturb_points, random_points
+
+WORLD = Region(lat_min=-90.0, lat_max=90.0, lon_min=-180.0, lon_max=180.0)
 
 # expected quantile grid values for the three noise levels used across
 # the test suite, measured at n=1000, region GERMANY, seed 1
@@ -46,6 +49,12 @@ class TestRegion:
     def test_as_dict_round_trip(self):
         d = GERMANY.as_dict()
         assert Region(**d) == GERMANY
+
+    @pytest.mark.parametrize("bounds", [(40.0, 42.0, 170.0, 200.0), (-95.0, 0.0, 1.0, 2.0),
+                                        (0.0, math.inf, 1.0, 2.0)])
+    def test_rejects_bounds_off_the_globe(self, bounds):
+        with pytest.raises(InputFormatError, match="in \\[-90, 90\\] x \\[-180, 180\\]"):
+            Region(*bounds)
 
 
 class TestPerturbation:
@@ -98,6 +107,50 @@ class TestPerturbation:
         with pytest.raises(InputFormatError):
             perturb_points([GeoPoint(1.0, 2.0)], -0.1, derive_rng(0, STREAM_PERTURB))
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_rejects_non_finite_sigma(self, sigma):
+        with pytest.raises(InputFormatError, match="sigma must be finite and nonnegative"):
+            perturb_points([GeoPoint(1.0, 2.0)], sigma, derive_rng(0, STREAM_PERTURB))
+
+
+class TestVectorisedMaskingAgainstLoopOracle:
+    """perturb_points and calibrate equal the per-point and per-pair loops
+    in tests/helpers.py bit for bit (==, never approx)."""
+
+    @staticmethod
+    def _coords(points):
+        return [(p.lon, p.lat) for p in points]
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.01, 1.0, 50.0, 400.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_perturb_points_worldwide(self, sigma, seed):
+        pts = random_points(np.random.default_rng(seed), 300)
+        fast = perturb_points(pts, sigma, derive_rng(seed, STREAM_PERTURB))
+        slow = loop_perturb_points(pts, sigma, derive_rng(seed, STREAM_PERTURB))
+        assert self._coords(fast) == self._coords(slow)
+
+    def test_perturb_points_wraps_at_the_date_line_and_clamps_at_poles(self):
+        pts = [GeoPoint(179.9999, 89.9999), GeoPoint(-180.0, -90.0),
+               GeoPoint(180.0, 0.0)] * 200
+        fast = perturb_points(pts, 1.0, derive_rng(8, STREAM_PERTURB))
+        slow = loop_perturb_points(pts, 1.0, derive_rng(8, STREAM_PERTURB))
+        assert self._coords(fast) == self._coords(slow)
+        # the wrap and the clamp both fired
+        assert any(p.lon < 0 for p in fast[0::3]) and any(p.lon > 0 for p in fast[1::3])
+        assert any(p.lat == 90.0 for p in fast[0::3]) and any(p.lat == -90.0 for p in fast[1::3])
+
+    def test_perturb_points_empty(self):
+        assert perturb_points([], 0.5, derive_rng(0, STREAM_PERTURB)) == []
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.005, 0.05, 1.0, 20.0, 50.0])
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("region", [GERMANY, WORLD], ids=["germany", "world"])
+    def test_calibrate_deviations(self, sigma, seed, region):
+        table = calibrate(region, sigma, 400, seed)
+        oracle = loop_calibration_deviations(region, sigma, 400,
+                                             derive_rng(seed, STREAM_CALIBRATION))
+        assert np.array_equal(table.deviations, oracle)
+
 
 class TestCalibrationTable:
     def test_quantile_positions(self):
@@ -132,6 +185,11 @@ class TestCalibrationTable:
             CalibrationTable(sigma=0.1, deviations=[1.0],
                              region=GERMANY, seed=0)
 
+    @pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite_sigma(self, sigma):
+        with pytest.raises(InputFormatError, match="sigma must be finite and nonnegative"):
+            CalibrationTable(sigma=sigma, deviations=[0.0, 1.0], region=GERMANY, seed=0)
+
 
 class TestCalibrate:
     def test_reference_quantiles_at_seed_one(self):
@@ -141,6 +199,11 @@ class TestCalibrate:
             assert t.quantile(0.05) == pytest.approx(q5, abs=tol)
             assert t.quantile(0.95) == pytest.approx(q95, abs=tol)
             assert t.sample_variance() == pytest.approx(var, rel=0.30)
+
+    @pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite_sigma(self, sigma):
+        with pytest.raises(InputFormatError, match="sigma must be finite and nonnegative"):
+            calibrate(GERMANY, sigma, 10, seed=0)
 
     def test_zero_sigma_gives_zero_deviations(self):
         t = calibrate(GERMANY, 0.0, 100, seed=0)
