@@ -251,8 +251,28 @@ def save_table(table: MicrodataTable, path) -> None:
 
 
 def load_matrix(path) -> DistanceMatrix:
-    """Read a headerless CSV of n rows times n decimal values."""
+    """Read a headerless CSV of n rows times n decimal values: plain decimal
+    files with numpy's C reader, any other file or any failure (and so
+    every error message) with _load_matrix_csv."""
     path = Path(path)
+    data = path.read_bytes()
+    # on these bytes np.loadtxt splits and converts fields exactly as
+    # csv.reader and float() do, up to the csv field limit
+    plain = (data.strip(b"\r\n") and not data.translate(None, b"0123456789.,+-eE \t\r\n")
+             and max(map(len, data.splitlines())) <= csv.field_size_limit())
+    del data  # the C reader streams the file itself
+    if plain:
+        try:
+            entries = np.loadtxt(path, delimiter=",", comments=None, encoding="utf-8", ndmin=2)
+        except ValueError:
+            plain = False
+    if plain and entries.shape[0] == entries.shape[1]:
+        return DistanceMatrix(entries)
+    return _load_matrix_csv(path)
+
+
+def _load_matrix_csv(path: Path) -> DistanceMatrix:
+    """load_matrix through csv.reader and float()."""
     rows = []
     for lineno, line in enumerate(_csv_rows(path), start=1):
         if not line:
@@ -261,13 +281,12 @@ def load_matrix(path) -> DistanceMatrix:
             rows.append([float(x) for x in line])
         except ValueError:
             raise InputFormatError(f"{path}:{lineno}: malformed number") from None
+        if len(line) != len(rows[0]):
+            raise InputFormatError(f"{path}:{lineno}: expected {len(rows[0])} fields, got {len(line)}")
     if not rows:
         raise InputFormatError(f"{path}: empty matrix file")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise InputFormatError(f"{path}: ragged rows")
-    if len(rows) != width:
-        raise InputFormatError(f"{path}: matrix must be square, got {len(rows)}x{width}")
+    if len(rows) != len(rows[0]):
+        raise InputFormatError(f"{path}: matrix must be square, got {len(rows)}x{len(rows[0])}")
     return DistanceMatrix(np.array(rows, dtype=float))
 
 

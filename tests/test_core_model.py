@@ -1,5 +1,6 @@
 """Distance computation, table and matrix containers, file round trips."""
 
+import io
 import json
 import math
 
@@ -31,6 +32,7 @@ from distlink.datasets import (
     poets_target_matrix,
     poets_target_table,
 )
+from distlink import core
 from distlink.cli import _config_from_file
 from distlink.errors import DistlinkError
 from distlink.evaluation import SimulationConfig
@@ -363,6 +365,13 @@ class TestMatrixIO:
         with pytest.raises(InputFormatError):
             load_matrix(path)
 
+    def test_ragged_row_names_its_line(self, tmp_path):
+        # blank lines are skipped but still counted
+        path = tmp_path / "m.csv"
+        path.write_text("0,1,2\n\n1,0,3\n2,3\n")
+        with pytest.raises(InputFormatError, match=r"m\.csv:4: expected 3 fields, got 2$"):
+            load_matrix(path)
+
     def test_rejects_non_numeric(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("0,x\nx,0\n")
@@ -437,6 +446,88 @@ class TestLoadersOnArbitraryBytes:
         for load in (load_table, load_matrix):
             with pytest.raises(InputFormatError, match=r"wide\.csv: malformed CSV"):
                 load(path)
+
+
+@st.composite
+def _matrix_files(draw):
+    """Matrix files in the syntax numpy's reader takes: symmetric matrices
+    written by save_matrix, or by repr or %.25e with padding, any newline
+    style and trailing blank lines.  Now and then one entry is replaced,
+    unmirrored, or (in the last two styles) the last row is dropped."""
+    n = draw(st.integers(1, 4))
+    m = np.zeros((n, n))
+    m[np.triu_indices(n, 1)] = draw(st.lists(st.floats(0.0, 1e300), min_size=n * (n - 1) // 2,
+                                             max_size=n * (n - 1) // 2))
+    m = m + m.T
+    if draw(st.booleans()):
+        m[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = draw(st.floats())
+    style = draw(st.sampled_from(["save_matrix", "repr", "%.25e"]))
+    if style == "save_matrix":
+        buf = io.BytesIO()
+        save_matrix(DistanceMatrix(m, validate=False), buf)
+        return buf.getvalue()
+    if n > 1 and draw(st.booleans()):
+        m = m[:-1]
+    cell = repr if style == "repr" else "%.25e".__mod__
+    pad = draw(st.sampled_from(["", " ", "\t", " \t "]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(",".join(pad + cell(float(x)) + pad for x in row) for row in m)
+    return (text + newline * draw(st.integers(0, 3))).encode()
+
+
+def _outcome(load, path):
+    """The loaded entries' bit patterns, or the InputFormatError message."""
+    try:
+        return load(path).entries.view(np.int64)
+    except InputFormatError as exc:
+        return str(exc)
+
+
+class TestMatrixLoaderAgainstCsvPath:
+    """load_matrix against _load_matrix_csv, the csv.reader + float() body
+    it falls back to: the same entries bit for bit, or the same message.
+    The examples are syntaxes on which np.loadtxt and that body differ."""
+
+    @pytest.mark.filterwarnings("error::UserWarning")
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.one_of(_matrix_files(), _file_bytes))
+    @example(data=b'"0","1"\n"1","0"\n')
+    @example(data=b"0,1_5\n1_5,0\n")
+    @example(data="0,\u0661\n\u0661,0\n".encode())
+    @example(data=b"\xef\xbb\xbf0,1\n1,0\n")
+    @example(data=b"0,1,\n1,0,\n")
+    @example(data=b"")
+    @example(data=b"\n\r\n\r")
+    @example(data=b"0,1\r1,0\r")
+    @example(data=b"0,1#2\n1#2,0\n")
+    @example(data=b"0\x1c,1\n1,0\n")  # numpy strips \x1c around a number, float() does not
+    @example(data=b"0" * 131_073)  # one field past the csv field limit
+    def test_same_entries_or_message(self, tmp_path, data):
+        path = tmp_path / "m.csv"
+        path.write_bytes(data)
+        new, old = _outcome(load_matrix, path), _outcome(core._load_matrix_csv, path)
+        assert type(new) is type(old)
+        assert new == old if isinstance(old, str) else np.array_equal(new, old)
+
+    @pytest.mark.filterwarnings("error::UserWarning")
+    @pytest.mark.parametrize("data", [b"", b"\n", b"\n\r\n\r\r"])
+    def test_empty_and_blank_files_keep_their_message(self, tmp_path, data):
+        path = tmp_path / "m.csv"
+        path.write_bytes(data)
+        with pytest.raises(InputFormatError, match=r"m\.csv: empty matrix file"):
+            load_matrix(path)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_plain_files_skip_the_csv_path(self, tmp_path, monkeypatch, newline):
+        def refuse(path):
+            raise AssertionError("the csv path ran")
+
+        path = tmp_path / "m.csv"
+        save_matrix(poets_target_matrix(), path)
+        path.write_text(path.read_text().replace("\n", newline), newline="")
+        monkeypatch.setattr(core, "_load_matrix_csv", refuse)
+        assert np.array_equal(load_matrix(path).entries, poets_target_matrix().entries)
 
 
 class TestBundledFixtures:

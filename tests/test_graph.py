@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from distlink import (
@@ -19,7 +19,9 @@ from distlink import (
     max_clique,
     product_vertex_count_check,
 )
+from distlink.clique import csr_graph
 from distlink.datasets import (
+    census_qi_distributions,
     example1_table,
     poets_ident_matrix,
     poets_ident_table,
@@ -27,7 +29,10 @@ from distlink.datasets import (
     poets_target_table,
 )
 from distlink import graph as graph_module
-from distlink.graph import _product_edges_general, label_pairs
+from distlink.evaluation import SimulationConfig, generate_synthetic_pair
+from distlink.graph import _product_edges_general, _product_edges_join, label_pairs
+from distlink.masking import GERMANY, band_from_table, calibrate
+from distlink.seeding import STREAM_GENDATA, derive_rng
 from helpers import POETS_PRODUCT_PAIRS_1BASED, random_labeled_graph, random_relation
 from distlink import distance_matrix
 
@@ -315,12 +320,28 @@ def _join_instances(draw):
     return g1, g2, QuantileBand(float(lo), float(hi if lo < hi else np.nextafter(lo, np.inf)))
 
 
+def _complete(labels: str, upper: list) -> LabeledWeightedGraph:
+    """Complete graph, one label per character, upper-triangle weights row by row."""
+    w = np.zeros((len(labels), len(labels)))
+    w[np.triu_indices(len(labels), 1)] = upper
+    return LabeledWeightedGraph(tuple((lab,) for lab in labels), DistanceMatrix(w + w.T))
+
+
+# target weight 2.0 in label pairs aa, ab and bb, against weights 1-3
+_REPEATED = (_complete("aabb", [2.0] * 6), _complete("abab", [1.0, 2.0, 3.0, 2.0, 1.0, 2.0]))
+
+
 class TestSparseJoin:
     """The sorted interval join that builds products of complete graphs,
     against the scalar loop kept as its oracle."""
 
     @settings(max_examples=300, deadline=None)
     @given(_join_instances())
+    @example((*_REPEATED, QuantileBand(-1.5, 0.5)))
+    @example((*_REPEATED, QuantileBand(-100.0, -50.0)))  # every window below every weight
+    @example((*_REPEATED, QuantileBand(50.0, 100.0)))  # every window above every weight
+    @example((_complete("aaa", [1.0, 2.5, 4.0]), _complete("aaaa", [1.5, 2.0, 3.0, 2.5, 4.5, 0.5]),
+              QuantileBand(-1.0, 1.0)))  # a single label pair
     def test_rows_equal_scalar_oracle(self, case):
         g1, g2, rel = case
         p = build_product_graph(g1, g2, rel)
@@ -339,6 +360,23 @@ class TestSparseJoin:
         assert p.vertices == ((0, 0), (1, 1))
         assert p.graph.has_edge(0, 1)
         assert p.graph.edges() == _product_edges_general(g, g, QuantileBand(-tiny, tiny), p.vertices)
+
+    def test_census_graph_does_not_depend_on_join_order(self):
+        # the join may emit its edges in any order; the CSR may not change
+        config = SimulationConfig(120, 120, 24, (0.025,), (0.5,), 1, census_qi_distributions(),
+                                  seed=1)
+        (tt, tm), (it, im), _ = generate_synthetic_pair(config, 0.025,
+                                                        derive_rng(1, STREAM_GENDATA))
+        qi = tuple(census_qi_distributions())
+        gt, gi = build_graph(tt.with_qi(qi), tm), build_graph(it.with_qi(qi), im)
+        rel = band_from_table(calibrate(GERMANY, 0.025, 1000, 1), 0.5).as_relation()
+        p = build_product_graph(gt, gi, rel)
+        x, y = _product_edges_join(gt, gi, rel)
+        assert np.all(x < y) and len(np.unique(x.astype(np.int64) * p.n + y)) == len(x) > 0
+        order = np.lexsort((y, x))
+        g = csr_graph(p.n, x[order], y[order])
+        assert np.array_equal(p.graph.indptr, g.indptr)
+        assert np.array_equal(p.graph.indices, g.indices)
 
     @settings(max_examples=100, deadline=None)
     @given(_join_instances(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
