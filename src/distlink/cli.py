@@ -29,8 +29,7 @@ from . import __version__
 from .attack import run_attack
 from .clique import DEFAULT_NODE_BUDGET
 from .core import distance_matrix, file_digest, load_matrix, load_table, save_matrix, save_table
-from .datasets import census_qi_distributions
-from .errors import DistlinkError, ResourceBudgetError
+from .errors import DistlinkError, InputFormatError, ResourceBudgetError
 from .evaluation import (
     SimulationConfig,
     generate_synthetic_pair,
@@ -60,13 +59,10 @@ EXIT_BUDGET = 3
 
 
 def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise DistlinkError(f"{SEED_ENV_VAR} must be an integer, got '{raw}'") from None
+    raw = os.environ.get(SEED_ENV_VAR, "0")
+    if not raw.strip().isdecimal():
+        raise DistlinkError(f"{SEED_ENV_VAR} must be an integer >= 0, got '{raw}'")
+    return int(raw)
 
 
 def _utcnow() -> str:
@@ -130,6 +126,8 @@ def cmd_distmat(args) -> int:
 
 def cmd_attack(args) -> int:
     started = _utcnow()
+    if args.node_budget < 1:
+        raise DistlinkError(f"--node-budget must be an integer >= 1, got {args.node_budget}")
     qi = tuple(q.strip() for q in args.qi.split(",") if q.strip())
     if not qi:
         raise DistlinkError("--qi must name at least one attribute")
@@ -195,6 +193,7 @@ def cmd_calibrate(args) -> int:
 
 
 def _config_from_file(path, seed_override, need_single_sigma: bool = False) -> SimulationConfig:
+    """The config in a JSON file, seeded by seed_override, else the file, else the environment."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
@@ -203,36 +202,17 @@ def _config_from_file(path, seed_override, need_single_sigma: bool = False) -> S
         raise DistlinkError(f"{path}: malformed JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise DistlinkError(f"{path}: config must be a JSON object")
-    qi = payload.get("qi_distributions", "census")
-    if qi == "census":
-        qi = census_qi_distributions()
-    if "sigma" in payload and "sigma_grid" in payload:
-        raise DistlinkError(f"{path}: give either sigma or sigma_grid, not both")
-    sigma_grid = payload.get("sigma_grid", [payload["sigma"]] if "sigma" in payload else None)
-    if sigma_grid is None:
-        raise DistlinkError(f"{path}: sigma_grid (or sigma) is required")
-    seed = seed_override if seed_override is not None else payload.get("seed", _default_seed())
+    if seed_override is not None:
+        payload["seed"] = seed_override
+    elif "seed" not in payload:
+        payload["seed"] = _default_seed()
     try:
-        if need_single_sigma and len(sigma_grid) != 1:
-            raise DistlinkError(f"{path}: this command needs exactly one sigma value")
-        return SimulationConfig(
-            n_target=payload["n_target"],
-            n_ident=payload["n_ident"],
-            n_common=payload["n_common"],
-            sigma_grid=tuple(sigma_grid),
-            alpha_grid=tuple(payload.get("alpha_grid", (0.5,))),
-            repetitions=payload.get("repetitions", 1),
-            qi_distributions=qi,
-            region=Region(**payload["region"]) if "region" in payload else GERMANY,
-            seed=seed,
-            n_calibration_pairs=payload.get("n_calibration_pairs", 1000),
-            calibration_per_repetition=payload.get("calibration_per_repetition", False),
-            node_budget=payload.get("node_budget", DEFAULT_NODE_BUDGET),
-        )
-    except KeyError as exc:
-        raise DistlinkError(f"{path}: missing config key {exc}") from None
-    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
-        raise DistlinkError(f"{path}: malformed config field: {exc}") from None
+        config = SimulationConfig.from_dict(payload)
+    except InputFormatError as exc:
+        raise DistlinkError(f"{path}: {exc}") from None
+    if need_single_sigma and len(config.sigma_grid) != 1:
+        raise DistlinkError(f"{path}: this command needs exactly one sigma value")
+    return config
 
 
 def cmd_simulate(args) -> int:
@@ -350,6 +330,8 @@ def main(argv=None) -> int:
     try:
         if args.seed is None and args.command not in ("simulate", "gendata"):
             args.seed = _default_seed()
+        if args.seed is not None and args.seed < 0:
+            raise DistlinkError(f"--seed must be an integer >= 0, got {args.seed}")
         return args.func(args)
     except ResourceBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -114,12 +114,14 @@ class MicrodataTable:
         if len(records) < 1:
             raise InputFormatError("table must contain at least one record")
         if len(set(schema)) != len(schema):
-            raise InputFormatError("duplicate attribute names in schema")
+            raise InputFormatError("duplicate attribute names in schema: "
+                                   f"{sorted({a for a in schema if schema.count(a) > 1})}")
         for bad in (LON_COLUMN, LAT_COLUMN):
             if bad in schema:
                 raise InputFormatError(f"'{bad}' is reserved for coordinates")
         if not set(qi_attributes) <= set(schema):
-            raise InputFormatError("qi_attributes must be a subset of the schema")
+            raise InputFormatError("qi_attributes must be a subset of the schema; not in it: "
+                                   f"{[a for a in qi_attributes if a not in schema]}")
         if id_attribute is not None:
             if id_attribute not in schema:
                 raise InputFormatError(f"unknown id_attribute '{id_attribute}'")
@@ -231,7 +233,10 @@ def load_table(
                 points.append(GeoPoint(float(by_name[LON_COLUMN]), float(by_name[LAT_COLUMN])))
             except ValueError:
                 raise InputFormatError(f"{path}:{lineno}: malformed coordinate") from None
-    return MicrodataTable(records, schema, qi_attributes, id_attribute, points)
+    try:
+        return MicrodataTable(records, schema, qi_attributes, id_attribute, points)
+    except InputFormatError as exc:
+        raise InputFormatError(f"{path}: {exc}") from None
 
 
 def save_table(table: MicrodataTable, path) -> None:

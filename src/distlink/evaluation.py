@@ -12,10 +12,12 @@ map points.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -24,6 +26,7 @@ import numpy as np
 from .attack import MatchList, run_attack
 from .clique import DEFAULT_NODE_BUDGET
 from .core import GeoPoint, MicrodataRecord, MicrodataTable, distance_matrix
+from .datasets import census_qi_distributions
 from .errors import InputFormatError, ResourceBudgetError
 from .masking import (
     GERMANY,
@@ -94,70 +97,98 @@ def evaluate(matches, truth: GroundTruth) -> EvaluationReport:
     return EvaluationReport(tp, fp, fn, precision, recall, defined)
 
 
-def _validate_qi_distributions(qi_distributions: dict) -> None:
-    if not qi_distributions:
-        raise InputFormatError("qi_distributions must not be empty")
+def _validate_qi_distributions(qi_distributions) -> None:
+    if not isinstance(qi_distributions, dict) or not qi_distributions:
+        raise InputFormatError("qi_distributions must be a nonempty object of probability maps")
     for attr, dist in qi_distributions.items():
-        if not dist:
-            raise InputFormatError(f"attribute '{attr}' has no values")
-        probs = np.array(list(dist.values()), dtype=float)
-        if np.any(probs < 0):
-            raise InputFormatError(f"attribute '{attr}' has negative probabilities")
-        if abs(probs.sum() - 1.0) > 1e-9:
+        where = f"qi_distributions: attribute '{attr}'"
+        try:
+            probs = np.array(list(dist.values()), dtype=float)
+        except (AttributeError, TypeError, ValueError):
+            raise InputFormatError(f"{where} is not a map of values to probabilities") from None
+        if probs.size == 0 or np.any(probs < 0) or not abs(probs.sum() - 1.0) <= 1e-9:
             raise InputFormatError(
-                f"attribute '{attr}' probabilities sum to {probs.sum()}, expected 1")
+                f"{where} needs nonnegative probabilities summing to 1, got {probs.tolist()}")
 
 
 @dataclass(frozen=True)
 class SimulationConfig:
     """Full description of one simulation study; everything an output
-    needs to be regenerated bit for bit."""
+    needs to be regenerated bit for bit.  The one statement of the config
+    file's keys, defaults and checks (see from_dict)."""
 
     n_target: int
     n_ident: int
     n_common: int
     sigma_grid: tuple
-    alpha_grid: tuple
-    repetitions: int
-    qi_distributions: dict
+    alpha_grid: tuple = (0.5,)
+    repetitions: int = 1
+    qi_distributions: dict = field(default_factory=census_qi_distributions)
     region: Region = GERMANY
     seed: int = 0
     n_calibration_pairs: int = 1000
-    calibration_per_repetition: bool = False
     node_budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self) -> None:
-        if self.n_target < 1 or self.n_ident < 1:
-            raise InputFormatError("file sizes must be positive")
-        if not 0 <= self.n_common <= min(self.n_target, self.n_ident):
+        for name, low in (("n_target", 1), ("n_ident", 1), ("n_common", 0), ("repetitions", 1),
+                          ("seed", 0), ("n_calibration_pairs", 2), ("node_budget", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < low:
+                raise InputFormatError(f"{name} must be an integer >= {low}, got {value!r}")
+        if self.n_common > min(self.n_target, self.n_ident):
             raise InputFormatError("n_common must be between 0 and min(file sizes)")
-        if self.repetitions < 1:
-            raise InputFormatError("repetitions must be at least 1")
-        if not self.sigma_grid or not self.alpha_grid:
-            raise InputFormatError("sigma_grid and alpha_grid must be nonempty")
+        for name in ("sigma_grid", "alpha_grid"):
+            grid = getattr(self, name)
+            if (not isinstance(grid, (list, tuple, np.ndarray)) or len(grid) == 0
+                    or not all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+                               for x in grid)):
+                raise InputFormatError(f"{name} must be a nonempty list of numbers, got {grid!r}")
+            if len(set(grid)) != len(grid):
+                raise InputFormatError(f"{name} repeats a value: {list(grid)}")
+            object.__setattr__(self, name, tuple(grid))
         for sigma in self.sigma_grid:
             check_sigma(sigma)
         if any(not 0 < a < 1 for a in self.alpha_grid):
             raise InputFormatError("alpha values must lie strictly between 0 and 1")
         _validate_qi_distributions(self.qi_distributions)
-        object.__setattr__(self, "sigma_grid", tuple(self.sigma_grid))
-        object.__setattr__(self, "alpha_grid", tuple(self.alpha_grid))
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "SimulationConfig":
+        """The config a JSON object (such as as_dict's) describes: keys are
+        field names, and defaulted ones may be left out.  "sigma" stands for
+        a one-value sigma_grid, qi_distributions "census" for the default."""
+        payload = dict(payload)
+        if "sigma" in payload:
+            if "sigma_grid" in payload:
+                raise InputFormatError("give either sigma or sigma_grid, not both")
+            payload["sigma_grid"] = [payload.pop("sigma")]
+        names = [f.name for f in fields(cls)]
+        unknown = sorted(set(payload) - set(names))
+        if unknown:
+            raise InputFormatError(f"malformed config field: unknown keys {unknown}; "
+                                   f"the keys are {names}")
+        missing = [f.name for f in fields(cls) if f.name not in payload
+                   and f.default is MISSING and f.default_factory is MISSING]
+        if missing:
+            raise InputFormatError(f"missing config keys {missing}")
+        if payload.get("qi_distributions") == "census":
+            payload["qi_distributions"] = census_qi_distributions()
+        try:
+            if "region" in payload:
+                try:
+                    payload["region"] = Region(**payload["region"])
+                except TypeError:
+                    raise InputFormatError("region must be an object of the numbers "
+                                           f"{[f.name for f in fields(Region)]}") from None
+            return cls(**payload)
+        except (InputFormatError, OverflowError) as exc:
+            raise InputFormatError(f"malformed config field: {exc}") from None
 
     def as_dict(self) -> dict:
-        return {
-            "n_target": self.n_target,
-            "n_ident": self.n_ident,
-            "n_common": self.n_common,
-            "sigma_grid": list(self.sigma_grid),
-            "alpha_grid": list(self.alpha_grid),
-            "repetitions": self.repetitions,
-            "qi_distributions": self.qi_distributions,
-            "region": self.region.as_dict(),
-            "seed": self.seed,
-            "n_calibration_pairs": self.n_calibration_pairs,
-            "calibration_per_repetition": self.calibration_per_repetition,
-            "node_budget": self.node_budget,
-        }
+        """The JSON form; from_dict turns it back into an equal config."""
+        out = asdict(self)
+        out["sigma_grid"], out["alpha_grid"] = list(self.sigma_grid), list(self.alpha_grid)
+        return out
 
 
 def generate_synthetic_pair(
@@ -249,7 +280,7 @@ class SimulationResult:
     config: SimulationConfig
     rows: tuple
     cells: tuple  # CellSummary per (sigma, alpha), sigma-major order
-    calibrations: tuple  # CalibrationTable per sigma (cached mode)
+    calibrations: tuple  # CalibrationTable per sigma
 
     def cell(self, sigma: float, alpha: float) -> CellSummary:
         for c in self.cells:
@@ -277,19 +308,8 @@ def _run_repetition(config: SimulationConfig, si: int, ai: int, rep: int,
                          scored.precision_defined, False)
 
 
-def _cell_calibration(config: SimulationConfig, si: int, ai: int, rep: int,
-                      cached: Optional[CalibrationTable]) -> CalibrationTable:
-    if not config.calibration_per_repetition:
-        return cached
-    rng = derive_rng(config.seed, STREAM_CALIBRATION, si, ai, rep)
-    return calibrate(config.region, config.sigma_grid[si],
-                     config.n_calibration_pairs, config.seed, rng=rng)
-
-
 def _worker(job) -> RepetitionRow:
-    config, si, ai, rep, cached = job
-    calibration = _cell_calibration(config, si, ai, rep, cached)
-    return _run_repetition(config, si, ai, rep, calibration)
+    return _run_repetition(*job)
 
 
 def run_simulation(config: SimulationConfig, threads: int = 1) -> SimulationResult:
@@ -299,20 +319,15 @@ def run_simulation(config: SimulationConfig, threads: int = 1) -> SimulationResu
     alpha index, repetition index), so the result is independent of the
     execution schedule; threads > 1 only changes wall-clock time.  At
     most min(threads, jobs, CPUs) worker processes start.
-    Calibration is computed once per sigma and shared across the grid
-    unless calibration_per_repetition is set.
+    Calibration is computed once per sigma and shared across the grid.
     """
     if threads < 1:
         raise InputFormatError("threads must be at least 1")
     calibrations = [calibrate(config.region, sigma, config.n_calibration_pairs, config.seed,
                               rng=derive_rng(config.seed, STREAM_CALIBRATION, si))
                     for si, sigma in enumerate(config.sigma_grid)]
-    jobs = []
-    for si in range(len(config.sigma_grid)):
-        for ai in range(len(config.alpha_grid)):
-            for rep in range(config.repetitions):
-                cached = None if config.calibration_per_repetition else calibrations[si]
-                jobs.append((config, si, ai, rep, cached))
+    jobs = [(config, si, ai, rep, calibrations[si]) for si, ai, rep in itertools.product(
+        range(len(config.sigma_grid)), range(len(config.alpha_grid)), range(config.repetitions))]
     workers = min(threads, len(jobs), os.cpu_count() or 1)
     if workers <= 1:
         rows = [_worker(job) for job in jobs]
@@ -320,21 +335,12 @@ def run_simulation(config: SimulationConfig, threads: int = 1) -> SimulationResu
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_worker, jobs, chunksize=1))
     cells = []
-    by_cell: dict = {}
-    for row in rows:
-        by_cell.setdefault((row.sigma, row.alpha), []).append(row)
-    for sigma in config.sigma_grid:
-        for alpha in config.alpha_grid:
-            cell_rows = by_cell[(sigma, alpha)]
-            done = [r for r in cell_rows if not r.budget_exhausted]
-            if done:
-                mean_p = sum(r.precision for r in done) / len(done)
-                mean_r = sum(r.recall for r in done) / len(done)
-            else:
-                mean_p = math.nan
-                mean_r = math.nan
-            cells.append(CellSummary(sigma, alpha, mean_p, mean_r,
-                                     len(done), len(cell_rows) - len(done)))
+    reps = config.repetitions
+    for k, (sigma, alpha) in enumerate(itertools.product(config.sigma_grid, config.alpha_grid)):
+        done = [r for r in rows[k * reps:(k + 1) * reps] if not r.budget_exhausted]
+        mean_p = sum(r.precision for r in done) / len(done) if done else math.nan
+        mean_r = sum(r.recall for r in done) / len(done) if done else math.nan
+        cells.append(CellSummary(sigma, alpha, mean_p, mean_r, len(done), reps - len(done)))
     return SimulationResult(config, tuple(rows), tuple(cells), tuple(calibrations))
 
 

@@ -10,6 +10,7 @@ import pytest
 from distlink import graph, load_calibration, load_matrix, save_matrix, save_table
 from distlink.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, SEED_ENV_VAR, main
 from distlink.datasets import (
+    census_qi_distributions,
     example1_table,
     poets_birthplaces_table,
     poets_ident_matrix,
@@ -210,6 +211,12 @@ class TestAttack:
         argv[argv.index("cob,language")] = "cob,shoe_size"
         assert main(argv) == EXIT_INPUT
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_node_budget_below_one_rejected(self, poets_files, tmp_path, capsys, budget):
+        argv = attack_argv(poets_files, tmp_path / "m.csv", "--abs-eps", "5")
+        assert main(argv + ["--node-budget", budget]) == EXIT_INPUT
+        assert f"--node-budget must be an integer >= 1, got {budget}" in capsys.readouterr().err
+
 
 class TestCalibrate:
     def test_outputs_and_summary(self, tmp_path):
@@ -315,18 +322,60 @@ class TestSimulate:
         assert main(["simulate", "--config", str(bad),
                      "--out-dir", str(tmp_path / "x")]) == EXIT_INPUT
 
-    def test_missing_config_key_rejected(self, tmp_path):
+    def test_missing_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_ident": 5, "n_common": 2,
                                    "sigma_grid": [0.01]}))
         assert main(["simulate", "--config", str(cfg),
                      "--out-dir", str(tmp_path / "x")]) == EXIT_INPUT
+        assert f"{cfg}: missing config keys ['n_target']" in capsys.readouterr().err
+
+    def test_manifest_config_is_a_config(self, tmp_path):
+        cfg = small_sim_config(tmp_path)
+        d1, d2 = tmp_path / "r1", tmp_path / "r2"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(d1)]) == EXIT_OK
+        replay = tmp_path / "replay.json"
+        replay.write_text(json.dumps(json.loads((d1 / "manifest.json").read_text())["config"]))
+        assert main(["simulate", "--config", str(replay), "--out-dir", str(d2)]) == EXIT_OK
+        for name in ("results.csv", "aggregate.csv", "ru_alpha0.5.csv",
+                     "calibration_sigma0.005.json", "calibration_sigma0.02.json"):
+            assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
+
+    def test_spelled_out_defaults_match_minimal_config(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        minimal = {"n_target": 100, "n_ident": 100, "n_common": 20, "sigma": 0.025}
+        full = {"n_target": 100, "n_ident": 100, "n_common": 20, "sigma_grid": [0.025],
+                "alpha_grid": [0.5], "repetitions": 1,
+                "qi_distributions": census_qi_distributions(),
+                "region": {"lat_min": 47.27, "lat_max": 55.06,
+                           "lon_min": 5.87, "lon_max": 15.04},
+                "seed": 0, "n_calibration_pairs": 1000, "node_budget": 10**8}
+        runs = []
+        for name, config in (("minimal", minimal), ("full", full)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(config))
+            assert main(["simulate", "--config", str(path),
+                         "--out-dir", str(tmp_path / name)]) == EXIT_OK
+            runs.append(tmp_path / name)
+        for name in ("results.csv", "aggregate.csv", "ru_alpha0.5.csv",
+                     "calibration_sigma0.025.json"):
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+        configs = [json.loads((d / "manifest.json").read_text())["config"] for d in runs]
+        assert configs[0] == configs[1]
 
     @pytest.mark.parametrize("field", [{"region": [1, 2]},
                                        {"sigma_grid": 0.01},
                                        {"n_target": "5"},
                                        {"qi_distributions": [1]},
-                                       {"qi_distributions": {"a": {"x": "half"}}}])
+                                       {"qi_distributions": {"a": {"x": "half"}}},
+                                       {"repetitons": 3},
+                                       {"repetitions": 1.5},
+                                       {"n_target": 20.5},
+                                       {"n_calibration_pairs": 2.5},
+                                       {"repetitions": True},
+                                       {"seed": -1},
+                                       {"sigma_grid": [0.01, 0.01]},
+                                       {"node_budget": 0}])
     @pytest.mark.parametrize("command", ["simulate", "gendata"])
     def test_malformed_field_type_rejected(self, tmp_path, capsys, field, command):
         cfg = small_sim_config(tmp_path, **{"sigma_grid": [0.01], **field})
@@ -442,6 +491,30 @@ class TestSeedEnvironment:
         out_dir = tmp_path / "cal"
         assert main(["calibrate", "--sigma", "0.01", "--n-pairs", "100",
                      "--out-dir", str(out_dir)]) == EXIT_INPUT
+
+    def test_negative_seed_flag_rejected(self, tmp_path, poets_files, capsys):
+        calibrate = ["calibrate", "--sigma", "0.01", "--n-pairs", "100",
+                     "--out-dir", str(tmp_path / "cal")]
+        for argv in (calibrate, attack_argv(poets_files, tmp_path / "m.csv", "--abs-eps", "5"),
+                     ["simulate", "--config", str(small_sim_config(tmp_path)),
+                      "--out-dir", str(tmp_path / "sim")]):
+            assert main(argv + ["--seed", "-1"]) == EXIT_INPUT
+            assert "--seed must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "cal").exists() and not (tmp_path / "m.csv").exists()
+
+    def test_negative_env_seed_rejected(self, tmp_path, poets_files, monkeypatch, capsys):
+        monkeypatch.setenv(SEED_ENV_VAR, "-3")
+        unseeded = json.loads(small_sim_config(tmp_path).read_text())
+        del unseeded["seed"]
+        (tmp_path / "config.json").write_text(json.dumps(unseeded))
+        for argv in (["calibrate", "--sigma", "0.01", "--n-pairs", "100",
+                      "--out-dir", str(tmp_path / "cal")],
+                     attack_argv(poets_files, tmp_path / "m.csv", "--abs-eps", "5"),
+                     ["simulate", "--config", str(tmp_path / "config.json"),
+                      "--out-dir", str(tmp_path / "sim")]):
+            assert main(argv) == EXIT_INPUT
+            assert f"{SEED_ENV_VAR} must be an integer >= 0, got '-3'" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
 
 
 class TestParser:

@@ -343,6 +343,20 @@ class TestTableIO:
         with pytest.raises(InputFormatError):
             load_table(path, qi_attributes=("a",))
 
+    def test_unknown_qi_names_the_file_and_attribute(self, tmp_path):
+        path = tmp_path / "people.csv"
+        path.write_text("sex,yob\nf,1970\n")
+        with pytest.raises(InputFormatError,
+                           match=r"people\.csv: qi_attributes .* not in it: \['age'\]"):
+            load_table(path, qi_attributes=("sex", "age"))
+
+    def test_repeated_column_names_the_file_and_attribute(self, tmp_path):
+        path = tmp_path / "people.csv"
+        path.write_text("sex,yob,sex\nf,1970,m\n")
+        with pytest.raises(InputFormatError,
+                           match=r"people\.csv: duplicate attribute names in schema: \['sex'\]"):
+            load_table(path, qi_attributes=("yob",))
+
 
 class TestMatrixIO:
     def test_round_trip_exact(self, tmp_path):

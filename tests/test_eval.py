@@ -98,6 +98,14 @@ class TestSimulationConfig:
         c = tiny_config()
         d = c.as_dict()
         assert d["n_target"] == 20 and d["sigma_grid"] == [0.01]
+        assert SimulationConfig.from_dict(d) == c
+
+    def test_defaults(self):
+        c = SimulationConfig(20, 20, 6, (0.01,))
+        assert (c.alpha_grid, c.repetitions, c.region, c.seed) == ((0.5,), 1, GERMANY, 0)
+        assert c.qi_distributions == census_qi_distributions()
+        assert SimulationConfig.from_dict({"n_target": 20, "n_ident": 20, "n_common": 6,
+                                           "sigma": 0.01}) == c
 
     @pytest.mark.parametrize("kw", [
         dict(n_target=0),
@@ -244,11 +252,6 @@ class TestRunSimulation:
         cell = res.cell(0.01, 0.5)
         assert cell.completed == 0
         assert math.isnan(cell.mean_precision)
-
-    def test_per_repetition_calibration_mode(self):
-        cached = run_simulation(tiny_config())
-        fresh = run_simulation(tiny_config(calibration_per_repetition=True))
-        assert len(fresh.rows) == len(cached.rows)
 
     def test_calibrations_stored_per_sigma(self):
         config = tiny_config(sigma_grid=(0.005, 0.02))
