@@ -84,8 +84,17 @@ def _write_manifest(path: Path, command: str, config: dict, seed: int,
                     encoding="utf-8")
 
 
-def _fmt_sigma(sigma: float) -> str:
-    return f"{sigma:g}"
+def _file_tags(name: str, values) -> list:
+    """The %g form of each value, which names its output file; two values
+    that print alike would share one file, so they are refused."""
+    seen = {}
+    for value in values:
+        tag = f"{value:g}"
+        if tag in seen:
+            raise DistlinkError(f"{name} values {seen[tag]!r} and {value!r} would both "
+                                f"write the files tagged '{tag}'")
+        seen[tag] = value
+    return list(seen)
 
 
 def _relation_from_args(args) -> object:
@@ -169,13 +178,14 @@ def cmd_attack(args) -> int:
 def cmd_calibrate(args) -> int:
     started = _utcnow()
     region = Region(*args.region) if args.region else GERMANY
+    tags = _file_tags("--sigma", args.sigma)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for si, sigma in enumerate(args.sigma):
+    for si, (sigma, tag) in enumerate(zip(args.sigma, tags)):
         rng = derive_rng(args.seed, STREAM_CALIBRATION, si)
         table = calibrate(region, sigma, args.n_pairs, args.seed, rng=rng)
-        save_calibration(table, out_dir / f"calibration_sigma{_fmt_sigma(sigma)}.json")
+        save_calibration(table, out_dir / f"calibration_sigma{tag}.json")
         rows.append(summary_row(table))
     summary_path = out_dir / "calibration_summary.csv"
     with summary_path.open("w", encoding="utf-8") as fh:
@@ -218,16 +228,18 @@ def _config_from_file(path, seed_override, need_single_sigma: bool = False) -> S
 def cmd_simulate(args) -> int:
     started = _utcnow()
     config = _config_from_file(args.config, args.seed)
+    sigma_tags = _file_tags(f"{args.config}: sigma_grid", config.sigma_grid)
+    alpha_tags = _file_tags(f"{args.config}: alpha_grid", config.alpha_grid)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     result = run_simulation(config, threads=args.threads)
     write_results_csv(result, out_dir / "results.csv")
     write_aggregate_csv(result, out_dir / "aggregate.csv")
-    for table in result.calibrations:
-        save_calibration(table, out_dir / f"calibration_sigma{_fmt_sigma(table.sigma)}.json")
-    for alpha in config.alpha_grid:
+    for table, tag in zip(result.calibrations, sigma_tags):
+        save_calibration(table, out_dir / f"calibration_sigma{tag}.json")
+    for alpha, tag in zip(config.alpha_grid, alpha_tags):
         points = ru_map_data(result, alpha)
-        write_ru_csv(points, out_dir / f"ru_alpha{alpha:g}.csv")
+        write_ru_csv(points, out_dir / f"ru_alpha{tag}.csv")
     _write_manifest(out_dir / "manifest.json", "simulate", config.as_dict(),
                     config.seed, [args.config], started)
     exhausted = sum(c.budget_exhausted for c in result.cells)
@@ -236,7 +248,7 @@ def cmd_simulate(args) -> int:
     if exhausted:
         print(f"warning: {exhausted} repetition(s) hit the node budget")
     for cell in result.cells:
-        print(f"  sigma={_fmt_sigma(cell.sigma)} alpha={cell.alpha:g} "
+        print(f"  sigma={cell.sigma:g} alpha={cell.alpha:g} "
               f"precision={cell.mean_precision:.4f} recall={cell.mean_recall:.4f}")
     return EXIT_OK
 

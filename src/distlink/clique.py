@@ -165,6 +165,20 @@ class CliqueResult:
 
 
 def _check_clique(g: SimpleGraph, vertices: Sequence[int]) -> None:
+    """Raise AssertionError unless the vertices are pairwise adjacent: one
+    gather of their CSR rows, where each member must find the other |C| - 1
+    members; only a failure walks the pairs, to name one that is missing."""
+    # not np.unique: its first call imports numpy.ma, 1.7 MB of peak RSS
+    members = np.array(sorted(set(vertices)), dtype=np.int64)
+    starts = g.indptr[members]
+    lengths = g.indptr[members + 1] - starts
+    offsets = np.cumsum(lengths) - lengths
+    nbrs = g.indices[np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())]
+    owner = np.repeat(np.arange(len(members)), lengths)
+    pos = np.minimum(np.searchsorted(members, nbrs), len(members) - 1)
+    hits = np.bincount(owner[members[pos] == nbrs], minlength=len(members))
+    if np.all(hits == len(members) - 1):
+        return
     for a in vertices:
         for b in vertices:
             if a != b and not g.has_edge(a, b):

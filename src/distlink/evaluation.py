@@ -218,32 +218,34 @@ def generate_synthetic_pair(
         values = list(dist.keys())
         probs = np.array(list(dist.values()), dtype=float)
         probs = probs / probs.sum()
-        qi_values[attr] = rng.choice(values, size=n_entities, p=probs)
+        # record values are strings, whatever the type of the configured values
+        qi_values[attr] = rng.choice(values, size=n_entities, p=probs).astype(str)
     target_entities = np.arange(0, n_t)[rng.permutation(n_t)]
     ident_entities = np.arange(n_t - n_c, n_entities)[rng.permutation(n_i)]
+    schema = list(config.qi_distributions) + [ID_ATTRIBUTE]
 
     def build_table(entities, points):
-        records = []
-        for e in entities:
-            values = {attr: str(qi_values[attr][e]) for attr in config.qi_distributions}
-            values[ID_ATTRIBUTE] = f"e{e + 1:06d}"
-            records.append(MicrodataRecord(values))
-        schema = list(config.qi_distributions) + [ID_ATTRIBUTE]
+        columns = [qi_values[attr][entities].tolist() for attr in config.qi_distributions]
+        columns.append([f"e{e + 1:06d}" for e in entities.tolist()])
+        records = [MicrodataRecord(dict(zip(schema, row))) for row in zip(*columns)]
         return MicrodataTable(records, schema, tuple(config.qi_distributions),
                               ID_ATTRIBUTE, points)
 
-    true_target_points = [GeoPoint(lon[e], lat[e]) for e in target_entities]
-    ident_points = [GeoPoint(lon[e], lat[e]) for e in ident_entities]
+    def points_of(entities):
+        return [GeoPoint(lo, la) for lo, la in zip(lon[entities].tolist(), lat[entities].tolist())]
+
+    true_target_points = points_of(target_entities)
+    ident_points = points_of(ident_entities)
     masked_target_points = perturb_points(true_target_points, sigma, rng)
     # published target file: masked matrix, no coordinates
     target_table = build_table(target_entities, None)
     target_matrix = distance_matrix(masked_target_points)
     ident_table = build_table(ident_entities, ident_points)
     ident_matrix = distance_matrix(ident_points)
-    entity_to_ident_row = {e: r for r, e in enumerate(ident_entities)}
+    entity_to_ident_row = {e: r for r, e in enumerate(ident_entities.tolist())}
     overlap = frozenset(
         (t_row, entity_to_ident_row[e])
-        for t_row, e in enumerate(target_entities)
+        for t_row, e in enumerate(target_entities.tolist())
         if e in entity_to_ident_row)
     return (target_table, target_matrix), (ident_table, ident_matrix), GroundTruth(overlap)
 

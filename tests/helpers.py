@@ -11,9 +11,13 @@ from distlink import (
     GeoPoint,
     InputFormatError,
     LabeledWeightedGraph,
+    MicrodataRecord,
+    MicrodataTable,
     QuantileBand,
     SimpleGraph,
 )
+from distlink.core import _great_circle_km
+from distlink.evaluation import ID_ATTRIBUTE
 
 # Reference 4-city distance matrix in km (London, Paris, Madrid, Berlin).
 EXAMPLE_CITY_MATRIX = [
@@ -90,6 +94,18 @@ def scalar_great_circle_km(p1, p2):
     return EARTH_RADIUS_KM * math.acos(c)
 
 
+def row_loop_distance_matrix(points):
+    """distance_matrix entries with one kernel call per upper-triangle
+    row, each row written to both triangles."""
+    n = len(points)
+    lon, lat = np.array([(p.lon, p.lat) for p in points]).T
+    entries = np.zeros((n, n))
+    for i in range(n - 1):
+        row = _great_circle_km(lon[i], lat[i], lon[i + 1:], lat[i + 1:])
+        entries[i, i + 1:] = entries[i + 1:, i] = row
+    return entries
+
+
 def loop_perturb_points(points, sigma, rng):
     """Gaussian masking, one point at a time: clamp the latitude, wrap an
     out-of-range longitude."""
@@ -124,3 +140,35 @@ def loop_calibration_deviations(region, sigma, n_pairs, rng):
                   - scalar_great_circle_km(a_masked[k], b_masked[k]))
     dev.sort()
     return dev
+
+
+# ---- record-by-record synthetic tables ---------------------------------
+
+
+def record_loop_synthetic_tables(config, rng):
+    """The (target, ident) tables of generate_synthetic_pair, built one
+    record at a time from numpy scalars, with the generator's draw order."""
+    n_t, n_i, n_c = config.n_target, config.n_ident, config.n_common
+    n_entities = n_t + n_i - n_c
+    region = config.region
+    lon = rng.uniform(region.lon_min, region.lon_max, n_entities)
+    lat = rng.uniform(region.lat_min, region.lat_max, n_entities)
+    qi_values = {}
+    for attr, dist in config.qi_distributions.items():
+        probs = np.array(list(dist.values()), dtype=float)
+        qi_values[attr] = rng.choice(list(dist.keys()), size=n_entities, p=probs / probs.sum())
+    target_entities = np.arange(0, n_t)[rng.permutation(n_t)]
+    ident_entities = np.arange(n_t - n_c, n_entities)[rng.permutation(n_i)]
+    schema = list(config.qi_distributions) + [ID_ATTRIBUTE]
+
+    def build_table(entities, with_points):
+        records, points = [], []
+        for e in entities:
+            values = {attr: str(qi_values[attr][e]) for attr in config.qi_distributions}
+            values[ID_ATTRIBUTE] = f"e{e + 1:06d}"
+            records.append(MicrodataRecord(values))
+            points.append(GeoPoint(lon[e], lat[e]))
+        return MicrodataTable(records, schema, tuple(config.qi_distributions), ID_ATTRIBUTE,
+                              points if with_points else None)
+
+    return build_table(target_entities, False), build_table(ident_entities, True)

@@ -258,6 +258,16 @@ class TestCalibrate:
         assert rc == EXIT_INPUT
         assert "sigma must be finite and nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sigmas", [("0.005", "0.0050000001"), ("0.01", "0.01")])
+    def test_sigmas_that_print_alike_rejected(self, tmp_path, capsys, sigmas):
+        out_dir = tmp_path / "cal"
+        rc = main(["calibrate", "--sigma", sigmas[0], "--sigma", "0.02", "--sigma", sigmas[1],
+                   "--n-pairs", "100", "--out-dir", str(out_dir), "--seed", "0"])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"--sigma values {float(sigmas[0])!r} and {float(sigmas[1])!r}" in err
+        assert not out_dir.exists()
+
     def test_region_off_the_globe_rejected(self, tmp_path, capsys):
         rc = main(["calibrate", "--sigma", "0.01", "--n-pairs", "100",
                    "--region", "40", "42", "170", "200",
@@ -276,6 +286,18 @@ class TestSimulate:
                      "calibration_sigma0.005.json", "calibration_sigma0.02.json",
                      "manifest.json"):
             assert (out_dir / name).exists(), name
+
+    @pytest.mark.parametrize("grid, values", [
+        ({"sigma_grid": [0.005, 0.0050000001]}, "sigma_grid values 0.005 and 0.0050000001"),
+        ({"alpha_grid": [0.5, 0.3, 0.50000001]}, "alpha_grid values 0.5 and 0.50000001"),
+    ])
+    def test_grid_values_that_print_alike_rejected(self, tmp_path, capsys, grid, values):
+        cfg = small_sim_config(tmp_path, **grid)
+        out_dir = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg),
+                     "--out-dir", str(out_dir), "--threads", "1"]) == EXIT_INPUT
+        assert f"{cfg}: {values} would both write the files tagged" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_sequential_reruns_byte_identical(self, tmp_path):
         cfg = small_sim_config(tmp_path)

@@ -224,6 +224,35 @@ class TestMaxClique:
         assert r.elapsed_seconds >= 0.0
 
 
+class TestCheckClique:
+    """The one-gather clique check raises exactly when a pair of members
+    is not adjacent, and the message names such a pair."""
+
+    @pytest.mark.parametrize("vertices", [(), (3,), (1, 2)])
+    def test_cliques_of_size_zero_to_two_pass(self, vertices):
+        clique._check_clique(SimpleGraph.from_edges(5, [(1, 2)]), vertices)
+
+    def test_non_clique_names_a_missing_pair(self):
+        g = SimpleGraph.from_edges(5, [e for e in itertools.combinations(range(5), 2)
+                                       if e != (1, 3)])
+        with pytest.raises(AssertionError, match=r"not pairwise adjacent: 1, 3$"):
+            clique._check_clique(g, (0, 1, 3, 4))
+        with pytest.raises(AssertionError, match=r"not pairwise adjacent: 0, 1$"):
+            clique._check_clique(SimpleGraph.from_edges(3, [(1, 2)]), (0, 1))
+
+    def test_agrees_with_the_pairwise_loop(self):
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            g = random_simple_graph(rng, 12, float(rng.uniform(0.5, 0.95)))
+            members = tuple(sorted(rng.choice(12, int(rng.integers(0, 7)), replace=False).tolist()))
+            adjacent = all(g.has_edge(a, b) for a, b in itertools.combinations(members, 2))
+            if adjacent:
+                clique._check_clique(g, members)
+            else:
+                with pytest.raises(AssertionError):
+                    clique._check_clique(g, members)
+
+
 def _relabel_by_shifts(g):
     """The solver's set-up as a per-edge loop: order vertices by
     descending degree, ties by index, and move every edge to the new

@@ -36,7 +36,12 @@ from distlink import core
 from distlink.cli import _config_from_file
 from distlink.errors import DistlinkError
 from distlink.evaluation import SimulationConfig
-from helpers import EXAMPLE_CITY_MATRIX, random_points, scalar_great_circle_km
+from helpers import (
+    EXAMPLE_CITY_MATRIX,
+    random_points,
+    row_loop_distance_matrix,
+    scalar_great_circle_km,
+)
 
 
 class TestGreatCircle:
@@ -206,6 +211,52 @@ class TestGreatCircleKernelAgainstScalarOracle:
         _assert_matrix_matches_oracle(pts)
 
 
+def _assert_matrix_matches_row_loop(pts):
+    m = distance_matrix(pts).entries
+    assert m.tobytes() == row_loop_distance_matrix(pts).tobytes()
+
+
+class TestDistanceMatrixAgainstRowLoop:
+    """The blocked distance_matrix equals one kernel call per row bit for
+    bit, whatever the block boundaries."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 100, 200])
+    def test_sizes(self, n):
+        # 200 points have 19,900 pairs: more than one default block
+        _assert_matrix_matches_row_loop(random_points(np.random.default_rng(n), n))
+
+    @pytest.mark.parametrize("block", [1, 5, 16])
+    def test_rows_around_the_block_size(self, monkeypatch, block):
+        # n = block + 2 starts with a row longer than a block, n = block
+        # with one shorter; the larger n split blocks between rows
+        monkeypatch.setattr(core, "DISTANCE_BLOCK_PAIRS", block)
+        rng = np.random.default_rng(block)
+        for n in (block, block + 1, block + 2, 3 * block + 7):
+            _assert_matrix_matches_row_loop(random_points(rng, n))
+
+    def test_one_kernel_call_per_block(self, monkeypatch):
+        monkeypatch.setattr(core, "DISTANCE_BLOCK_PAIRS", 16)
+        sizes = []
+        kernel = core._great_circle_km
+
+        def counting(lon1, lat1, lon2, lat2):
+            sizes.append(np.size(lon2))
+            return kernel(lon1, lat1, lon2, lat2)
+
+        monkeypatch.setattr(core, "_great_circle_km", counting)
+        distance_matrix(random_points(np.random.default_rng(3), 20))
+        # rows of 19 down to 9 pairs alone (the first three longer than a
+        # block), then whole rows 8 + 7, 6 + 5 + 4 and 3 + 2 + 1
+        assert sizes == list(range(19, 8, -1)) + [15, 15, 6]
+
+    def test_duplicates_poles_and_antipodes(self):
+        p = GeoPoint(13.4, 52.5)
+        pts = [p, p, GeoPoint(0.0, 90.0), GeoPoint(120.0, 90.0), GeoPoint(0.0, -90.0),
+               _antipode(p), p, GeoPoint(-180.0, 0.0), GeoPoint(180.0, 0.0)]
+        _assert_matrix_matches_row_loop(pts)
+        _assert_matrix_matches_oracle(pts)
+
+
 class TestDistanceMatrixContainer:
     def test_validates_square(self):
         with pytest.raises(InputFormatError):
@@ -356,6 +407,16 @@ class TestTableIO:
         with pytest.raises(InputFormatError,
                            match=r"people\.csv: duplicate attribute names in schema: \['sex'\]"):
             load_table(path, qi_attributes=("yob",))
+
+    @pytest.mark.parametrize("header, column", [("a,lon,lat,lon", "lon"),
+                                                ("a,lat,lon,lat", "lat"),
+                                                ("lon,a,lon,lat", "lon")])
+    def test_repeated_coordinate_column_names_the_file_and_column(self, tmp_path, header, column):
+        path = tmp_path / "people.csv"
+        path.write_text(f"{header}\nx,1.0,50.0,2.0\n")
+        with pytest.raises(InputFormatError,
+                           match=rf"people\.csv: duplicate coordinate column '{column}'"):
+            load_table(path)
 
 
 class TestMatrixIO:

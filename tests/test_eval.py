@@ -22,6 +22,7 @@ from distlink import (
     product_vertex_count_check,
     ru_map_data,
     run_simulation,
+    save_table,
 )
 from distlink import evaluation
 from distlink.datasets import census_qi_distributions
@@ -32,6 +33,7 @@ from distlink.evaluation import (
     write_ru_csv,
 )
 from distlink.seeding import STREAM_GENDATA, derive_rng
+from helpers import record_loop_synthetic_tables
 
 
 def tiny_config(**kw):
@@ -183,6 +185,31 @@ class TestGenerateSyntheticPair:
         assert len(pairs) == expected
         p = build_product_graph(gt, gi, Absolute(1.0))
         assert p.n == expected
+
+
+class TestSyntheticTablesAgainstRecordLoop:
+    """The column-built tables save to the same bytes as tables built one
+    record at a time from numpy scalars."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_saved_bytes_match(self, tmp_path, seed):
+        config = tiny_config(n_target=30, n_ident=25, n_common=8)
+        (tt, _), (it_, _), _ = generate_synthetic_pair(config, 0.01, derive_rng(seed, STREAM_GENDATA))
+        oracle_tt, oracle_it = record_loop_synthetic_tables(config, derive_rng(seed, STREAM_GENDATA))
+        for name, table, oracle in (("target", tt, oracle_tt), ("ident", it_, oracle_it)):
+            save_table(table, tmp_path / f"{name}.csv")
+            save_table(oracle, tmp_path / f"{name}_oracle.csv")
+            assert ((tmp_path / f"{name}.csv").read_bytes()
+                    == (tmp_path / f"{name}_oracle.csv").read_bytes())
+            assert all(type(v) is str for r in table.records for v in r.values.values())
+
+    def test_non_string_values_become_their_str(self, tmp_path):
+        config = tiny_config(qi_distributions={"k": {1: 0.25, 2: 0.75}, "f": {0.5: 1.0}})
+        (_, _), (it_, _), _ = generate_synthetic_pair(config, 0.01, derive_rng(1, STREAM_GENDATA))
+        _, oracle = record_loop_synthetic_tables(config, derive_rng(1, STREAM_GENDATA))
+        assert [r.values for r in it_.records] == [r.values for r in oracle.records]
+        assert {r.get("k") for r in it_.records} == {"1", "2"}
+        assert {r.get("f") for r in it_.records} == {"0.5"}
 
 
 class TestRunSimulation:
