@@ -126,9 +126,7 @@ def classical_linkage(
     product graph's vertex list."""
     if tuple(target_table.qi_attributes) != tuple(ident_table.qi_attributes):
         raise InputFormatError("target and identification tables disagree on qi attributes")
-    return tuple(label_pairs(
-        [target_table.qi_tuple(t) for t in range(len(target_table))],
-        [ident_table.qi_tuple(i) for i in range(len(ident_table))]))
+    return tuple(label_pairs(target_table.qi_tuples(), ident_table.qi_tuples()))
 
 
 @dataclass(frozen=True)

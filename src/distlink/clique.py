@@ -13,8 +13,8 @@ suite checks the solver against them.
 
 Graphs with more than SPLIT_MIN_VERTICES vertices are split at the root
 (the ego-network reduction of Chang, KDD 2019).  The root is coloured
-first-fit over the edge arrays, which gives the colours of the
-class-by-class colouring and so the same root order.  Each root branch
+first-fit over the CSR rows, a block at a time, which gives the colours
+of the class-by-class colouring and so the same root order.  Each root branch
 v then searches only the candidates it would have had (v's neighbours
 not yet swept) on local bitsets |S| bits wide instead of |V|, with ids
 in ascending global order, so colourings, pruning, node counts and the
@@ -42,6 +42,9 @@ DEFAULT_NODE_BUDGET = 10**8
 #: per-branch gathers cost more than narrow big-int masks below it
 SPLIT_MIN_VERTICES = 4096
 
+#: array entries the product join and the CSR builder handle at once
+BLOCK = 1 << 16
+
 
 class SimpleGraph:
     """Undirected graph in symmetric CSR form: the neighbours of vertex v
@@ -53,8 +56,8 @@ class SimpleGraph:
 
     def __init__(self, n: int, indptr, indices, validate: bool = True) -> None:
         indptr = np.asarray(indptr, dtype=np.int64)
-        indices = np.asarray(indices, dtype=np.int64)
         if validate:
+            indices = np.asarray(indices, dtype=np.int64)
             if n < 0:
                 raise InputFormatError("vertex count must be nonnegative")
             if indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != len(indices) \
@@ -67,7 +70,7 @@ class SimpleGraph:
                 raise InputFormatError("adjacency must be symmetric, each row strictly ascending")
         self.n = n
         self.indptr = indptr
-        self.indices = indices.astype(np.int32)
+        self.indices = np.asarray(indices, dtype=np.int32)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple]) -> "SimpleGraph":
@@ -113,24 +116,36 @@ def _check_edges(n: int, x: np.ndarray, y: np.ndarray) -> None:
         raise InputFormatError(f"self-loop at vertex {i}" if i == j else f"edge ({i}, {j}) out of range")
 
 
-def _csr(n: int, src: np.ndarray, dst: np.ndarray) -> tuple:
-    """(indptr, indices) of the directed edges src[k] -> dst[k] on
-    0..n-1, each row ascending and repeated edges merged, by one sort of
-    the keys src * n + dst."""
-    key = np.array(src, dtype=np.int64)
+def csr_graph(n: int, x: np.ndarray, y: np.ndarray) -> SimpleGraph:
+    """The graph on 0..n-1 with edges (x[k], y[k]), repeats merged;
+    self-loops and out-of-range ids are the caller's to exclude.  The keys
+    min * n + max are sorted as they are, for the rows' upper halves, then
+    transposed in place, for the lower ones: each half is scattered in
+    blocks straight into the int32 indices."""
+    key = np.minimum(x, y, dtype=np.int64)
     key *= n
-    key += dst
+    key += np.maximum(x, y)
     key.sort()
     fresh = key[1:] != key[:-1]
     if not fresh.all():
         key = key[np.concatenate(([True], fresh))]
-    return np.searchsorted(key, np.arange(n + 1) * n), np.remainder(key, n, out=key)
-
-
-def csr_graph(n: int, x: np.ndarray, y: np.ndarray) -> SimpleGraph:
-    """The graph on 0..n-1 with edges (x[k], y[k]), repeats merged;
-    self-loops and out-of-range ids are the caller's to exclude."""
-    return SimpleGraph(n, *_csr(n, np.concatenate((x, y)), np.concatenate((y, x))), validate=False)
+    del fresh
+    # edges in rows below v: upper[v] as the lower end, lower[v] as the upper end
+    upper = np.searchsorted(key, np.arange(n + 1) * n)
+    lower = np.concatenate(([0], np.cumsum(np.bincount(key % n, minlength=n))))
+    indices = np.empty(2 * len(key), np.int32)
+    for transposed, offset in enumerate((lower[1:], upper[:-1])):
+        if transposed:
+            key.sort()
+        # the i-th key, r * n + c, puts c at indices[offset[r] + i]
+        for start in range(0, len(key), BLOCK):
+            part = key[start:start + BLOCK]
+            r = part // n
+            c = part - r * n
+            indices[offset[r] + np.arange(start, start + len(part))] = c
+            if not transposed:
+                part[:] = c * n + r
+    return SimpleGraph(n, upper + lower, indices, validate=False)
 
 
 def bitset_rows(n: int, x: np.ndarray, y: np.ndarray) -> list:
@@ -170,10 +185,7 @@ def _check_clique(g: SimpleGraph, vertices: Sequence[int]) -> None:
     members; only a failure walks the pairs, to name one that is missing."""
     # not np.unique: its first call imports numpy.ma, 1.7 MB of peak RSS
     members = np.array(sorted(set(vertices)), dtype=np.int64)
-    starts = g.indptr[members]
-    lengths = g.indptr[members + 1] - starts
-    offsets = np.cumsum(lengths) - lengths
-    nbrs = g.indices[np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())]
+    nbrs, lengths = _gather(g.indptr, g.indices, members)
     owner = np.repeat(np.arange(len(members)), lengths)
     pos = np.minimum(np.searchsorted(members, nbrs), len(members) - 1)
     hits = np.bincount(owner[members[pos] == nbrs], minlength=len(members))
@@ -207,10 +219,26 @@ def _colour_classes(rows: Sequence[int], cand: int) -> list:
     return out
 
 
-def _first_fit_colours(n: int, x: np.ndarray, y: np.ndarray, block: int = 256) -> np.ndarray:
-    """Greedy colours in index order of the graph on 0..n-1 with edges
-    (x[k], y[k]): each vertex takes the least colour c >= 1 that no lower
-    neighbour has.
+def _gather(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> tuple:
+    """The CSR lists of the given rows, concatenated, and their lengths."""
+    starts = indptr[rows]
+    lens = indptr[rows + 1] - starts
+    ends = np.cumsum(lens)
+    return indices[np.arange(lens.sum()) + np.repeat(starts - ends + lens, lens)], lens
+
+
+def _relabelled_rows(g: SimpleGraph, order: np.ndarray, pos: np.ndarray, block: int):
+    """Yield g relabelled so that vertex i is g's order[i] (pos inverts order),
+    block vertices at a time: (start, h, nbr), nbr a neighbour of start + h."""
+    for start in range(0, g.n, block):
+        nbr, lens = _gather(g.indptr, g.indices, order[start:start + block])
+        yield start, np.repeat(np.arange(len(lens)), lens), pos[nbr]
+
+
+def _first_fit_colours(g: SimpleGraph, order: np.ndarray, pos: np.ndarray, block: int = 256) -> np.ndarray:
+    """Greedy colours in index order of g relabelled by order (see
+    _relabelled_rows): each vertex takes the least colour c >= 1 that no
+    lower neighbour has.
 
     These are _colour_classes' colours on the whole vertex set: a class
     takes vertices in ascending order, so a vertex is refused colour c
@@ -219,20 +247,17 @@ def _first_fit_colours(n: int, x: np.ndarray, y: np.ndarray, block: int = 256) -
     gathered at once into one forbidden-colour mask per vertex, and
     neighbours inside the block are added edge by edge.
     """
-    indptr, lower = _csr(n, np.maximum(x, y), np.minimum(x, y))
-    colour = np.zeros(n, np.int64)
+    colour = np.zeros(g.n, np.int64)
     top = 0
-    for start in range(0, n, block):
-        ends = indptr[start:start + block + 1]
-        low = lower[ends[0]:ends[-1]]
-        h = np.repeat(np.arange(len(ends) - 1), np.diff(ends))
-        inside = low >= start
-        taken = np.zeros((min(block, n - start), top + 1), bool)
+    for start, h, nbr in _relabelled_rows(g, order, pos, block):
+        before = nbr < start
+        inside = ~before & (nbr < start + h)
+        taken = np.zeros((min(block, g.n - start), top + 1), bool)
         taken[:, 0] = True
-        taken[h[~inside], colour[low[~inside]]] = True
+        taken.reshape(-1)[(h * (top + 1) + colour[nbr])[before]] = True
         width = (top + 8) // 8
         packed = memoryview(np.packbits(taken, axis=1, bitorder="little").tobytes())
-        hs, ls = h[inside].tolist(), (low[inside] - start).tolist()
+        hs, ls = h[inside].tolist(), (nbr[inside] - start).tolist()
         col = []
         j = 0
         for i in range(len(taken)):
@@ -246,18 +271,23 @@ def _first_fit_colours(n: int, x: np.ndarray, y: np.ndarray, block: int = 256) -
     return colour
 
 
-def _root_split(n: int, x: np.ndarray, y: np.ndarray) -> tuple:
-    """The root level of the search as arrays: the sweep order (colour
-    descending, then index descending, as expand takes its candidates),
-    each swept vertex's colour, and a CSR (indptr, indices) in which each
-    vertex lists its neighbours later in the sweep in ascending index:
-    the candidates left when its branch starts."""
-    colour = _first_fit_colours(n, x, y)
-    sweep = np.lexsort((-np.arange(n), -colour))
-    rank = np.empty(n, np.int64)
-    rank[sweep] = np.arange(n)
-    first = rank[x] < rank[y]
-    indptr, adj = _csr(n, np.where(first, x, y), np.where(first, y, x))
+def _root_split(g: SimpleGraph, order: np.ndarray, pos: np.ndarray, block: int = 256) -> tuple:
+    """The root level of the search on g relabelled by order (see
+    _relabelled_rows): the sweep order (colour descending, then index
+    descending, as expand takes its candidates), each swept vertex's
+    colour, and a CSR (indptr, indices) listing each vertex's neighbours
+    later in the sweep, ascending: the candidates its branch starts with.
+    The indices are int64: the sweep indexes with them, int32 costs casts."""
+    colour = _first_fit_colours(g, order, pos, block)
+    indptr = np.zeros(g.n + 1, np.int64)
+    adj = np.empty(g.edge_count(), np.int64)
+    for start, h, nbr in _relabelled_rows(g, order, pos, block):
+        stop = min(start + block, g.n)
+        # neighbours differ in colour, so the later one has the lower colour
+        key = np.sort((h * g.n + nbr)[colour[nbr] < colour[start:stop][h]])
+        indptr[start + 1:stop + 1] = indptr[start] + np.searchsorted(key, np.arange(1, stop - start + 1) * g.n)
+        adj[indptr[start]:indptr[stop]] = key % g.n
+    sweep = np.lexsort((-np.arange(g.n), -colour))
     return sweep.tolist(), colour[sweep].tolist(), indptr, adj
 
 
@@ -271,11 +301,9 @@ class _Search:
     """
 
     def __init__(self, g: SimpleGraph, node_budget: int, keep_ties: bool = False) -> None:
-        x, y = g.edge_array()
         order = np.argsort(-np.diff(g.indptr), kind="stable")
-        pos = np.empty(g.n, np.int32)
+        pos = np.empty(g.n, np.int64)
         pos[order] = np.arange(g.n)
-        x, y = pos[x], pos[y]
         self.order = order.tolist()
         self.budget = node_budget
         self.keep_ties = keep_ties
@@ -283,11 +311,10 @@ class _Search:
         self.best_size = 0
         self.best_masks = [0]
         if g.n > SPLIT_MIN_VERTICES:
-            root = _root_split(g.n, x, y)
-            del x, y
-            self._sweep(*root)
+            self._sweep(*_root_split(g, order, pos))
         else:
-            self.rows = bitset_rows(g.n, x, y)
+            x, y = g.edge_array()
+            self.rows = bitset_rows(g.n, pos[x], pos[y])
             if g.n:
                 self.expand(self.rows, 0, 0, (1 << g.n) - 1)
 
@@ -335,15 +362,12 @@ class _Search:
                 continue
             # the edges among cand, each once, as local ids (a, b): one
             # gather of the candidates' own lists
-            starts = indptr[cand]
-            lens = indptr[cand + 1] - starts
-            ends = np.cumsum(lens)
-            at = np.arange(ends[-1]) + np.repeat(starts - ends + lens, lens)
+            nbrs, lens = _gather(indptr, adj, cand)
             mark[cand] = np.arange(1, s + 1)
-            local = mark[adj[at]]
+            local = mark[nbrs]
             mark[cand] = 0
             hit = np.flatnonzero(local)
-            a = np.searchsorted(ends, hit, side="right")
+            a = np.searchsorted(np.cumsum(lens), hit, side="right")
             b = local[hit] - 1
             # a greedy colour is at most 1 + the vertex's lower neighbours;
             # when that cannot reach the incumbent, expand(rows, 1, ...)

@@ -165,6 +165,11 @@ class MicrodataTable:
         rec = self.records[row]
         return tuple(rec.get(a).strip() for a in self.qi_attributes)
 
+    def qi_tuples(self) -> list:
+        """qi_tuple of every row, in order, reading each quasi-identifier column once."""
+        columns = [[rec.values[a].strip() for rec in self.records] for a in self.qi_attributes]
+        return list(zip(*columns)) if columns else [()] * len(self.records)
+
     def with_qi(self, qi_attributes: Sequence[str]) -> "MicrodataTable":
         """Same table with a different quasi-identifier designation."""
         return MicrodataTable(self.records, self.schema, qi_attributes,

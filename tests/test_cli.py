@@ -181,11 +181,12 @@ class TestAttack:
         assert rc == EXIT_BUDGET
 
     def test_product_beyond_memory_exit_code(self, poets_files, tmp_path, monkeypatch, capsys):
-        # the poets product has 11 vertices and 9 candidate edges: 9 * 72 bytes
-        monkeypatch.setattr(graph, "_physical_memory_bytes", lambda: 647)
+        # the poets product has 11 vertices and 9 candidate edges
+        need = graph.BYTES_PER_CANDIDATE * 9
+        monkeypatch.setattr(graph, "_physical_memory_bytes", lambda: need - 1)
         out = tmp_path / "matches.csv"
         assert main(attack_argv(poets_files, out, "--abs-eps", "5")) == EXIT_INPUT
-        assert "11 vertices and up to 9 edges needs about 648 bytes" in capsys.readouterr().err
+        assert f"11 vertices and up to 9 edges needs about {need} bytes" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_utf8_table_exit_code(self, poets_files, tmp_path, capsys):

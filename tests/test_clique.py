@@ -22,9 +22,14 @@ from distlink import (
     read_dimacs,
     write_dimacs,
 )
-from distlink import clique
+from distlink import build_product_graph, clique
 from distlink.clique import _Search, _colour_classes, _first_fit_colours
-from helpers import random_simple_graph
+from helpers import (
+    census_graphs,
+    edge_array_root_split,
+    random_simple_graph,
+    symmetric_key_sort_csr,
+)
 
 
 def complete_graph(n):
@@ -128,6 +133,30 @@ class TestSimpleGraph:
         assert g.edges() == [tuple(e) for e in np.argwhere(np.triu(dense)).tolist()]
         assert SimpleGraph(n, g.indptr, g.indices).edges() == g.edges()
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                                       st.integers(0, max(n - 1, 0))), max_size=40))),
+        st.sampled_from([1, 3, clique.BLOCK]))
+    def test_csr_bytes_equal_key_sort_oracle(self, case, block):
+        # the from_edges contract: repeated and reversed pairs merge
+        n, pairs = case
+        x, y = np.array([(i, j) for i, j in pairs if i != j], dtype=np.int64).reshape(-1, 2).T
+        _assert_csr_equals_oracle(n, x, y, block)
+
+    def test_large_csr_bytes_equal_key_sort_oracle(self):
+        rng = np.random.default_rng(28)
+        n = 300
+        x, y = rng.integers(0, n, (2, 4000), dtype=np.int32)
+        x, y = x[x != y], y[x != y]
+        x, y = np.concatenate((x, y[:500])), np.concatenate((y, x[:500]))  # reversed repeats
+        for block in (1, 7, 64, clique.BLOCK):
+            _assert_csr_equals_oracle(n, x, y, block)
+
+    def test_trusted_int32_indices_are_kept(self):
+        g = clique.csr_graph(3, np.array([0, 1], np.int32), np.array([2, 2], np.int32))
+        assert SimpleGraph(3, g.indptr, g.indices, validate=False).indices is g.indices
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 5).flatmap(lambda n: st.tuples(
         st.just(n), st.lists(st.lists(st.integers(-1, n), max_size=4), min_size=n, max_size=n))))
@@ -174,6 +203,16 @@ class TestSimpleGraph:
         finally:
             tracemalloc.stop()
         assert peak < 16 << 20
+
+
+def _assert_csr_equals_oracle(n, x, y, block):
+    """csr_graph at the given block size gives the one-sort CSR's bytes."""
+    indptr, indices = symmetric_key_sort_csr(n, x, y)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clique, "BLOCK", block)
+        g = clique.csr_graph(n, x, y)
+    assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int32
+    assert g.indptr.tobytes() == indptr.tobytes() and g.indices.tobytes() == indices.tobytes()
 
 
 class TestMaxClique:
@@ -393,11 +432,27 @@ class TestRootSplit:
         for _ in range(60):
             g = random_simple_graph(rng, int(rng.integers(0, 80)),
                                     float(rng.uniform(0.02, 0.95)))
-            x, y = g.edge_array()
+            identity = np.arange(g.n)
             colours = dict(_colour_classes(g.rows, (1 << g.n) - 1))
             for block in (1, 5, 256):
-                assert _first_fit_colours(g.n, x, y, block).tolist() == \
+                assert _first_fit_colours(g, identity, identity, block).tolist() == \
                     [colours[v] for v in range(g.n)]
+
+    def test_root_split_equals_edge_array_set_up(self):
+        rng = np.random.default_rng(29)
+        graphs = [random_simple_graph(rng, int(rng.integers(0, 80)), float(rng.uniform(0.02, 0.95)))
+                  for _ in range(30)]
+        graphs.append(build_product_graph(*census_graphs(300)).graph)
+        assert graphs[-1].n > clique.SPLIT_MIN_VERTICES
+        for g in graphs:
+            order = np.argsort(-np.diff(g.indptr), kind="stable")
+            pos = np.empty(g.n, np.int32)
+            pos[order] = np.arange(g.n)
+            want = edge_array_root_split(g)
+            for block in (1, 5, 256):
+                sweep, colours, indptr, adj = clique._root_split(g, order, pos, block)
+                assert (sweep, colours) == want[:2]
+                assert indptr.tobytes() == want[2].tobytes() and adj.tobytes() == want[3].tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(small_graphs())

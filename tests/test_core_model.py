@@ -310,6 +310,16 @@ class TestMicrodataTable:
         assert t.qi_tuple(0) == ("f", "1978")
         assert t.qi_tuple(1) == ("m", "1965")
 
+    def test_qi_tuples_equal_per_row_tuples(self):
+        pads = ["", " ", "\t", " \n", "\u00a0"]
+        records = [MicrodataRecord({"sex": pads[k % 5] + "fm"[k % 2] + pads[(k + 2) % 5],
+                                    "yob": pads[(k + 1) % 5] + str(1900 + k) + pads[k % 3],
+                                    "name": f"n{k}"}) for k in range(12)]
+        for qi in (("sex", "yob"), ("yob", "sex"), ("yob",), ()):
+            t = self._table(records=records, qi_attributes=qi)
+            assert t.qi_tuples() == [t.qi_tuple(k) for k in range(len(t))]
+        assert t.qi_tuples() == [()] * 12
+
     def test_rejects_empty(self):
         with pytest.raises(InputFormatError):
             self._table(records=[])

@@ -13,15 +13,16 @@ from distlink import (
     InputFormatError,
     LabeledWeightedGraph,
     QuantileBand,
+    ResourceBudgetError,
     SizeLimitError,
     build_graph,
     build_product_graph,
     max_clique,
     product_vertex_count_check,
 )
+from distlink import clique as clique_module
 from distlink.clique import csr_graph
 from distlink.datasets import (
-    census_qi_distributions,
     example1_table,
     poets_ident_matrix,
     poets_ident_table,
@@ -29,11 +30,14 @@ from distlink.datasets import (
     poets_target_table,
 )
 from distlink import graph as graph_module
-from distlink.evaluation import SimulationConfig, generate_synthetic_pair
 from distlink.graph import _product_edges_general, _product_edges_join, label_pairs
-from distlink.masking import GERMANY, band_from_table, calibrate
-from distlink.seeding import STREAM_GENDATA, derive_rng
-from helpers import POETS_PRODUCT_PAIRS_1BASED, random_labeled_graph, random_relation
+from helpers import (
+    POETS_PRODUCT_PAIRS_1BASED,
+    census_graphs,
+    one_shot_product_edges_join,
+    random_labeled_graph,
+    random_relation,
+)
 from distlink import distance_matrix
 
 
@@ -363,13 +367,7 @@ class TestSparseJoin:
 
     def test_census_graph_does_not_depend_on_join_order(self):
         # the join may emit its edges in any order; the CSR may not change
-        config = SimulationConfig(120, 120, 24, (0.025,), (0.5,), 1, census_qi_distributions(),
-                                  seed=1)
-        (tt, tm), (it, im), _ = generate_synthetic_pair(config, 0.025,
-                                                        derive_rng(1, STREAM_GENDATA))
-        qi = tuple(census_qi_distributions())
-        gt, gi = build_graph(tt.with_qi(qi), tm), build_graph(it.with_qi(qi), im)
-        rel = band_from_table(calibrate(GERMANY, 0.025, 1000, 1), 0.5).as_relation()
+        gt, gi, rel = census_graphs(120)
         p = build_product_graph(gt, gi, rel)
         x, y = _product_edges_join(gt, gi, rel)
         assert np.all(x < y) and len(np.unique(x.astype(np.int64) * p.n + y)) == len(x) > 0
@@ -390,20 +388,78 @@ class TestSparseJoin:
         assert max_clique(wider).size >= max_clique(narrow).size
 
 
+def _spy_candidates(mp):
+    """The list the join's candidate counts go to, through its memory guard."""
+    seen = []
+    check = graph_module._check_edge_memory
+    mp.setattr(graph_module, "_check_edge_memory",
+               lambda n_vertices, n_candidates: seen.append(n_candidates) or check(
+                   n_vertices, n_candidates))
+    return seen
+
+
+def _assert_blocks_equal_one_shot(g1, g2, rel, blocks):
+    """The join at each block size gives the one-shot expansion's int32
+    edges, in the same order."""
+    want = one_shot_product_edges_join(g1, g2, rel)
+    for block in blocks:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "BLOCK", block)
+            got = _product_edges_join(g1, g2, rel)
+        for a, b in zip(got, want):
+            assert a.dtype == np.int32 and np.array_equal(a, b)
+
+
+class TestBlockedJoin:
+    """The join expands its candidates a block at a time; the one-shot
+    expansion it replaced stays as the oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_join_instances())
+    @example((*_REPEATED, QuantileBand(-1.5, 0.5)))
+    @example((*_REPEATED, QuantileBand(-100.0, -50.0)))
+    @example((*_REPEATED, QuantileBand(50.0, 100.0)))
+    @example((_complete("aaa", [1.0, 2.5, 4.0]), _complete("aaaa", [1.5, 2.0, 3.0, 2.5, 4.5, 0.5]),
+              QuantileBand(-1.0, 1.0)))
+    def test_equals_one_shot_expansion(self, case):
+        # 1 << 30 is one block larger than any drawn candidate count
+        _assert_blocks_equal_one_shot(*case, (1, 2, 7, 1 << 30))
+
+    def test_census_blocks_equal_one_shot_expansion(self):
+        gt, gi, rel = census_graphs(120)
+        _assert_blocks_equal_one_shot(gt, gi, rel, (1, 2, 7, 1000, graph_module.BLOCK))
+
+    def test_pairs_with_more_candidates_than_a_block(self):
+        # one label, a band wider than every weight: each target pair meets
+        # all 2 * 45 ordered identification pairs, more than a block of 7
+        rng = np.random.default_rng(7)
+        g1, g2 = random_labeled_graph(rng, 8, 1), random_labeled_graph(rng, 10, 1)
+        _assert_blocks_equal_one_shot(g1, g2, Absolute(1e9), (1, 7, 89, 90, 91))
+
+    def test_desk_grid_join_is_one_block(self):
+        # the simulation grid's widest band on 100 records: every candidate
+        # of a repetition's product fits in a single block
+        with pytest.MonkeyPatch.context() as mp:
+            seen = _spy_candidates(mp)
+            build_product_graph(*census_graphs(100, sigma=0.05, alpha=0.9))
+        assert 0 < seen[0] <= graph_module.BLOCK
+
+
 class TestMemoryGuard:
     """build_product_graph refuses a product whose candidate edges, at
-    BYTES_PER_CANDIDATE (72) bytes each, exceed physical memory; the
-    poets product has 11 vertices and 9 candidates, so 648 bytes."""
+    BYTES_PER_CANDIDATE bytes each, exceed physical memory; the poets
+    product has 11 vertices and 9 candidates."""
 
     def test_refuses_before_building(self, monkeypatch):
         def no_build(*args):
             raise AssertionError("the product was built")
 
         gt, gi = poets_graphs()
-        monkeypatch.setattr(graph_module, "_physical_memory_bytes", lambda: 647)
+        need = graph_module.BYTES_PER_CANDIDATE * 9
+        monkeypatch.setattr(graph_module, "_physical_memory_bytes", lambda: need - 1)
         monkeypatch.setattr(graph_module, "csr_graph", no_build)
         with pytest.raises(SizeLimitError,
-                           match="11 vertices and up to 9 edges needs about 648 bytes"):
+                           match=f"11 vertices and up to 9 edges needs about {need} bytes"):
             build_product_graph(gt, gi, Absolute(5.0))
 
     def test_refuses_before_expanding_candidates(self, monkeypatch):
@@ -426,8 +482,28 @@ class TestMemoryGuard:
 
     def test_estimate_within_memory_passes(self, monkeypatch):
         gt, gi = poets_graphs()
-        monkeypatch.setattr(graph_module, "_physical_memory_bytes", lambda: 648)
+        monkeypatch.setattr(graph_module, "_physical_memory_bytes",
+                            lambda: graph_module.BYTES_PER_CANDIDATE * 9)
         assert build_product_graph(gt, gi, Absolute(5.0)).n == 11
+
+    def test_estimate_covers_build_and_solver_set_up(self, monkeypatch):
+        # one label on 70 records a side: 4,900 product vertices, above the
+        # root split's threshold, and about 580,000 candidates, so the
+        # candidate arrays dwarf everything of size |V| or of the pairs
+        rng = np.random.default_rng(8)
+        g1, g2 = random_labeled_graph(rng, 70, 1), random_labeled_graph(rng, 70, 1)
+        seen = _spy_candidates(monkeypatch)
+        tracemalloc.start()
+        try:
+            p = build_product_graph(g1, g2, Absolute(0.25))
+            assert p.n > clique_module.SPLIT_MIN_VERTICES
+            with pytest.raises(ResourceBudgetError):
+                max_clique(p.graph, node_budget=2)  # the split set-up, then two nodes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seen[0] > 500_000
+        assert peak <= graph_module.BYTES_PER_CANDIDATE * seen[0]
 
     def test_unknown_memory_size_is_not_checked(self, monkeypatch):
         gt, gi = poets_graphs()
