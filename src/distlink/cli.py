@@ -107,6 +107,8 @@ def _relation_from_args(args) -> object:
         raise DistlinkError(
             "exactly one of --abs-eps, --band, --calibration is required"
             + (f", got {', '.join(chosen)}" if chosen else ""))
+    if args.alpha is not None and args.calibration is None:
+        raise DistlinkError("--alpha requires --calibration")
     if args.abs_eps is not None:
         return Absolute(args.abs_eps)
     if args.band is not None:
@@ -302,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="explicit deviation band in km")
     p.add_argument("--calibration", default=None,
                    help="calibration JSON; needs --alpha")
-    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--alpha", type=float, default=None,
+                   help="band level in (0, 1); only with --calibration")
     p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--enumerate-ties", action="store_true",
                    help="also enumerate all maximum cliques and their intersection")

@@ -12,15 +12,16 @@ graphs, on a bitset view of the graph, live here as well; the test
 suite checks the solver against them.
 
 Graphs with more than SPLIT_MIN_VERTICES vertices are split at the root
-(the ego-network reduction of Chang, KDD 2019).  The root is coloured
-first-fit over the CSR rows, a block at a time, which gives the colours
-of the class-by-class colouring and so the same root order.  Each root branch
-v then searches only the candidates it would have had (v's neighbours
-not yet swept) on local bitsets |S| bits wide instead of |V|, with ids
-in ascending global order, so colourings, pruning, node counts and the
-cliques found are those of the unsplit search, which stays as the
-oracle and as the path for smaller graphs.  A branch whose candidates
-cannot hold a large enough clique by a degree bound is skipped before
+(the ego-network reduction of Chang, KDD 2019).  One pass over the CSR
+rows, a block at a time, colours the root first-fit, which gives the
+colours of the class-by-class colouring and so the same root order, and
+hands each edge to its end swept first.  Each root branch v then
+searches only the candidates it would have had (v's neighbours not yet
+swept) on local bitsets |S| bits wide instead of |V|, with ids in
+ascending global order, so colourings, pruning, node counts and the
+cliques found are those of the unsplit search, which stays as the oracle
+and as the path for smaller graphs.  A branch whose candidates cannot
+hold a large enough clique by a degree bound is skipped before
 any rows are built, exactly where the unsplit search would have cut it.
 """
 
@@ -64,8 +65,7 @@ class SimpleGraph:
                     or np.any(np.diff(indptr) < 0):
                 raise InputFormatError(f"indptr must be {n + 1} nondecreasing offsets, 0 to {len(indices)}")
             src = np.repeat(np.arange(n), np.diff(indptr))
-            _check_edges(n, src, indices)
-            own = csr_graph(n, src, indices)  # the CSR of its own edges
+            own = csr_graph(n, _edge_keys(n, src, indices))  # the CSR of its own edges
             if not (np.array_equal(own.indptr, indptr) and np.array_equal(own.indices, indices)):
                 raise InputFormatError("adjacency must be symmetric, each row strictly ascending")
         self.n = n
@@ -78,8 +78,7 @@ class SimpleGraph:
         pairs = np.array(list(edges) or np.empty((0, 2)), dtype=np.int64)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise InputFormatError("edges must be vertex pairs")
-        _check_edges(n, pairs[:, 0], pairs[:, 1])
-        return csr_graph(n, pairs[:, 0], pairs[:, 1])
+        return csr_graph(n, _edge_keys(n, pairs[:, 0], pairs[:, 1]))
 
     def has_edge(self, i: int, j: int) -> bool:
         return j in self.indices[self.indptr[i]:self.indptr[i + 1]]
@@ -106,25 +105,29 @@ class SimpleGraph:
         return bitset_rows(self.n, *self.edge_array())
 
 
-def _check_edges(n: int, x: np.ndarray, y: np.ndarray) -> None:
-    """Refuse n outside 0..2**31 - 1 (int32 ids), self-loops and ids outside 0..n-1."""
+def _edge_keys(n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The int64 keys min * n + max of the edges (x[k], y[k]), for
+    csr_graph, after refusing n outside 0..2**31 - 1 (int32 ids),
+    self-loops and ids outside 0..n-1."""
     if not 0 <= n < 2**31:
         raise InputFormatError("vertex count must be nonnegative and below 2**31")
     bad = np.flatnonzero((x == y) | (np.minimum(x, y) < 0) | (np.maximum(x, y) >= n))
     if bad.size:
         i, j = int(x[bad[0]]), int(y[bad[0]])
         raise InputFormatError(f"self-loop at vertex {i}" if i == j else f"edge ({i}, {j}) out of range")
-
-
-def csr_graph(n: int, x: np.ndarray, y: np.ndarray) -> SimpleGraph:
-    """The graph on 0..n-1 with edges (x[k], y[k]), repeats merged;
-    self-loops and out-of-range ids are the caller's to exclude.  The keys
-    min * n + max are sorted as they are, for the rows' upper halves, then
-    transposed in place, for the lower ones: each half is scattered in
-    blocks straight into the int32 indices."""
     key = np.minimum(x, y, dtype=np.int64)
     key *= n
     key += np.maximum(x, y)
+    return key
+
+
+def csr_graph(n: int, key: np.ndarray) -> SimpleGraph:
+    """The graph on 0..n-1 with the edges x < y given by the int64 keys
+    x * n + y, repeats merged; self-loops and out-of-range ids are the
+    caller's to exclude.  The keys, taken over and overwritten, are sorted
+    as they are, for the rows' upper halves, then transposed in place, for
+    the lower ones: each half is scattered in blocks straight into the
+    int32 indices."""
     key.sort()
     fresh = key[1:] != key[:-1]
     if not fresh.all():
@@ -227,68 +230,60 @@ def _gather(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> tuple:
     return indices[np.arange(lens.sum()) + np.repeat(starts - ends + lens, lens)], lens
 
 
-def _relabelled_rows(g: SimpleGraph, order: np.ndarray, pos: np.ndarray, block: int):
-    """Yield g relabelled so that vertex i is g's order[i] (pos inverts order),
-    block vertices at a time: (start, h, nbr), nbr a neighbour of start + h."""
-    for start in range(0, g.n, block):
-        nbr, lens = _gather(g.indptr, g.indices, order[start:start + block])
-        yield start, np.repeat(np.arange(len(lens)), lens), pos[nbr]
+def _root_split(g: SimpleGraph, order: np.ndarray, pos: np.ndarray, block: int = 256) -> tuple:
+    """The root level of the search on g relabelled so that vertex i is
+    g's order[i] (pos inverts order): the sweep order (colour descending,
+    then index descending, as expand takes its candidates), each swept
+    vertex's colour, and a CSR (indptr, indices) listing each vertex's
+    neighbours later in the sweep, ascending: the candidates its branch
+    starts with.  The indices are int64: the sweep indexes with them,
+    int32 costs casts.
 
-
-def _first_fit_colours(g: SimpleGraph, order: np.ndarray, pos: np.ndarray, block: int = 256) -> np.ndarray:
-    """Greedy colours in index order of g relabelled by order (see
-    _relabelled_rows): each vertex takes the least colour c >= 1 that no
-    lower neighbour has.
-
-    These are _colour_classes' colours on the whole vertex set: a class
-    takes vertices in ascending order, so a vertex is refused colour c
-    exactly when a lower neighbour already holds c.  Vertices go in
-    blocks: the colours held by lower neighbours in earlier blocks are
-    gathered at once into one forbidden-colour mask per vertex, and
-    neighbours inside the block are added edge by edge.
+    One pass over the relabelled rows, block vertices at a time, colours
+    first-fit and emits the CSR keys.  Each vertex takes the least colour
+    c >= 1 that no lower neighbour has: _colour_classes' colours on the
+    whole vertex set, since a class takes vertices in ascending order and
+    so refuses a vertex colour c exactly when a lower neighbour holds c.
+    Lower neighbours in earlier blocks give one forbidden-colour mask per
+    vertex at once; those inside the block are added edge by edge.  Each
+    edge is then met once, from its later end in degree order, with both
+    ends coloured: neighbours differ in colour, and the end with the
+    higher colour is swept first, so it lists the other.  One sort of the
+    |E| keys gives the CSR.
     """
     colour = np.zeros(g.n, np.int64)
-    top = 0
-    for start, h, nbr in _relabelled_rows(g, order, pos, block):
+    key = np.empty(g.edge_count(), np.int64)
+    top = m = 0
+    for start in range(0, g.n, block):
+        nbr, lens = _gather(g.indptr, g.indices, order[start:start + block])
+        nbr = pos[nbr]
+        v = start + np.repeat(np.arange(len(lens)), lens)
+        lower = nbr < v
+        v, nbr = v[lower], nbr[lower]
         before = nbr < start
-        inside = ~before & (nbr < start + h)
-        taken = np.zeros((min(block, g.n - start), top + 1), bool)
+        taken = np.zeros((len(lens), top + 1), bool)
         taken[:, 0] = True
-        taken.reshape(-1)[(h * (top + 1) + colour[nbr])[before]] = True
+        taken.reshape(-1)[((v - start) * (top + 1) + colour[nbr])[before]] = True
         width = (top + 8) // 8
         packed = memoryview(np.packbits(taken, axis=1, bitorder="little").tobytes())
-        hs, ls = h[inside].tolist(), (nbr[inside] - start).tolist()
+        hs, ls = (v[~before] - start).tolist(), (nbr[~before] - start).tolist()
         col = []
         j = 0
-        for i in range(len(taken)):
-            m = int.from_bytes(packed[i * width:(i + 1) * width], "little")
+        for i in range(len(lens)):
+            mask = int.from_bytes(packed[i * width:(i + 1) * width], "little")
             while j < len(hs) and hs[j] == i:
-                m |= 1 << col[ls[j]]
+                mask |= 1 << col[ls[j]]
                 j += 1
-            col.append((~m & (m + 1)).bit_length() - 1)
+            col.append((~mask & (mask + 1)).bit_length() - 1)
         colour[start:start + len(col)] = col
         top = max(top, max(col))
-    return colour
-
-
-def _root_split(g: SimpleGraph, order: np.ndarray, pos: np.ndarray, block: int = 256) -> tuple:
-    """The root level of the search on g relabelled by order (see
-    _relabelled_rows): the sweep order (colour descending, then index
-    descending, as expand takes its candidates), each swept vertex's
-    colour, and a CSR (indptr, indices) listing each vertex's neighbours
-    later in the sweep, ascending: the candidates its branch starts with.
-    The indices are int64: the sweep indexes with them, int32 costs casts."""
-    colour = _first_fit_colours(g, order, pos, block)
-    indptr = np.zeros(g.n + 1, np.int64)
-    adj = np.empty(g.edge_count(), np.int64)
-    for start, h, nbr in _relabelled_rows(g, order, pos, block):
-        stop = min(start + block, g.n)
-        # neighbours differ in colour, so the later one has the lower colour
-        key = np.sort((h * g.n + nbr)[colour[nbr] < colour[start:stop][h]])
-        indptr[start + 1:stop + 1] = indptr[start] + np.searchsorted(key, np.arange(1, stop - start + 1) * g.n)
-        adj[indptr[start]:indptr[stop]] = key % g.n
+        owner = np.where(colour[v] > colour[nbr], v, nbr)
+        key[m:m + len(v)] = owner * g.n + (v + nbr - owner)
+        m += len(v)
+    key.sort()
+    indptr = np.searchsorted(key, np.arange(g.n + 1) * g.n)
     sweep = np.lexsort((-np.arange(g.n), -colour))
-    return sweep.tolist(), colour[sweep].tolist(), indptr, adj
+    return sweep.tolist(), colour[sweep].tolist(), indptr, np.remainder(key, g.n, out=key)
 
 
 class _Search:
@@ -516,9 +511,11 @@ def read_dimacs(path) -> SimpleGraph:
                     raise InputFormatError(f"{where}: repeated problem line")
                 if len(parts) != 4 or parts[1] != "edge":
                     raise InputFormatError(f"{where}: malformed problem line")
-                n = _dimacs_int(parts[2], where, "problem")
+                n, n_edges = (_dimacs_int(part, where, "problem") for part in parts[2:])
                 if n < 0:
                     raise InputFormatError(f"{where}: negative vertex count")
+                if n_edges < 0:
+                    raise InputFormatError(f"{where}: negative edge count")
             elif parts[0] == "e":
                 if n is None:
                     raise InputFormatError(f"{where}: edge before problem line")

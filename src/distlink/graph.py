@@ -8,12 +8,14 @@ and its edges connect pairs whose distances agree up to the one
 approximate-equality relation, an open band on the signed deviation
 (QuantileBand; Absolute(eps) is its symmetric case).  The product comes
 out of one sorted interval join as a CSR SimpleGraph, after a guard has
-checked that the join's candidate edges fit in physical memory; the join
-expands them a block at a time, so the CSR build's sort keys are the peak.
+checked that the join's candidate edges fit in physical memory.  The join
+expands them a block at a time into the int64 edge keys that csr_graph
+sorts in place, so those keys and the CSR's int32 indices are the peak.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -166,9 +168,11 @@ def _product_edges_join(
     target: LabeledWeightedGraph,
     ident: LabeledWeightedGraph,
     rel: QuantileBand,
-) -> tuple:
-    """Edges (x, y), x < y, of the product of two complete graphs, by one
-    sorted interval join over all label pairs at once.
+    pairs: Sequence[tuple],
+) -> np.ndarray:
+    """Edges of the product of two complete graphs on the vertices pairs
+    (label_pairs order), by one sorted interval join over all label pairs
+    at once: the int64 keys x * len(pairs) + y, x < y, that csr_graph takes.
 
     A target pair v1 < v2 with weight t meets the ordered identification
     pairs w1 != w2 of the same label pair whose weight s lies in the
@@ -176,22 +180,21 @@ def _product_edges_join(
     rounding is monotone and leaves lo itself unchanged, so
     lo < fl(s - t) implies s - t > lo, hence s >= fl(t + lo); likewise
     s <= fl(t + hi).  rel.deviation_mask then decides every candidate, so
-    the edge set is the scalar loop's.  A product vertex (v, w) has id
-    base[v] + rank[w], its position in label_pairs order, so v1 < v2
-    gives x < y and every edge comes out once.  Candidates are expanded
-    about BLOCK at a time into int32 x and y sized for all of them.
+    the edge set is the scalar loop's.  Vertex (v, w) is pairs[base[v] +
+    rank[w]]: base[v] is v's first pair, rank[w] the offset of w within
+    each of those runs, so v1 < v2 gives x < y and every edge comes out
+    once.  Candidates are expanded about BLOCK at a time into one key
+    array sized for all of them.
     """
     common = {lab: k for k, lab in enumerate(sorted(set(target.labels) & set(ident.labels)))}
     t_lab = np.array([common.get(lab, -1) for lab in target.labels], dtype=np.int64)
     i_lab = np.array([common.get(lab, -1) for lab in ident.labels], dtype=np.int64)
     # int32 ids: |V| <= n_target * n_ident, far below 2**31 at any size that fits
     tv, iw = (np.flatnonzero(lab >= 0).astype(np.int32) for lab in (t_lab, i_lab))
-    by_label = np.argsort(i_lab, kind="stable")
-    rank = np.empty(len(i_lab), np.int32)
-    rank[by_label] = np.arange(len(i_lab)) - np.searchsorted(i_lab[by_label], i_lab[by_label])
-    count = np.zeros(len(t_lab), np.int32)
-    count[tv] = np.bincount(i_lab[iw], minlength=len(common))[t_lab[tv]]
-    base = np.cumsum(count, dtype=np.int32) - count
+    pv, pw = np.fromiter(itertools.chain.from_iterable(pairs), np.int64, 2 * len(pairs)).reshape(-1, 2).T
+    base = np.searchsorted(pv, np.arange(len(t_lab))).astype(np.int32)
+    rank = np.zeros(len(i_lab), np.int32)
+    rank[pw] = np.arange(len(pv)) - base[pv]
 
     v1, v2 = (tv[k] for k in np.triu_indices(len(tv), 1))
     t_key = t_lab[v1] * len(common) + t_lab[v2]
@@ -230,8 +233,8 @@ def _product_edges_join(
     hits -= first
     ends = np.cumsum(hits)
     first -= ends - hits  # candidate j of target pair q is identification pair j + first[q]
-    _check_edge_memory(int(count.sum()), int(hits.sum()))
-    x, y = np.empty(hits.sum(), np.int32), np.empty(hits.sum(), np.int32)
+    _check_edge_memory(len(pv), int(hits.sum()))
+    edges = np.empty(hits.sum(), np.int64)
     lo = m = 0
     while lo < len(hits):
         # the next pairs whose candidates fit in one block, or one pair
@@ -240,9 +243,9 @@ def _product_edges_join(
         c = np.arange(ends[lo] - hits[lo], ends[hi - 1]) + np.repeat(first[lo:hi], hits[lo:hi])
         keep = rel.deviation_mask(t[q], s[c])
         q, c = q[keep], c[keep]
-        x[m:m + len(q)], y[m:m + len(q)] = base1[q] + rank1[c], base2[q] + rank2[c]
+        edges[m:m + len(q)] = (base1[q] + rank1[c]).astype(np.int64) * len(pv) + base2[q] + rank2[c]
         m, lo = m + len(q), hi
-    return x[:m], y[:m]
+    return edges[:m]
 
 
 def _product_edges_general(
@@ -279,9 +282,10 @@ def _physical_memory_bytes() -> Optional[int]:
         return None
 
 
-#: bytes per candidate edge at the attack's peak, the CSR build (the join's
-#: int32 edges, int64 keys, int32 indices): peak RSS grew by 25.7 and 25.0
-#: per candidate over the 600x600 and 1000x1000 census attacks
+#: bytes per candidate edge at the attack's peak: the CSR build (the join's
+#: int64 edge keys, sorted in place, and the int32 indices) or the solver's
+#: set-up (the CSR and one int64 key per edge); peak RSS grew by 26.5 and
+#: 18.1 per candidate over the 600x600 and 1000x1000 census attacks
 BYTES_PER_CANDIDATE = 34
 
 
@@ -305,7 +309,7 @@ def build_product_graph(
         raise InputFormatError("graphs were built with different qi schemas")
     pairs = label_pairs(target.labels, ident.labels)
     if target.edge_present is None and ident.edge_present is None:
-        graph = csr_graph(len(pairs), *_product_edges_join(target, ident, rel))
+        graph = csr_graph(len(pairs), _product_edges_join(target, ident, rel, pairs))
     else:
         graph = SimpleGraph.from_edges(len(pairs), _product_edges_general(target, ident, rel, pairs))
     return ProductGraph(pairs, graph)

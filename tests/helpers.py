@@ -259,8 +259,9 @@ def symmetric_key_sort_csr(n, x, y):
 
 
 def edge_array_first_fit_colours(n, x, y, block=256):
-    """clique._first_fit_colours on the edges (x[k], y[k]) of a graph
-    already relabelled, through a CSR of every vertex's lower neighbours."""
+    """The first-fit colours of clique._root_split on the edges (x[k], y[k])
+    of a graph already relabelled, through a CSR of every vertex's lower
+    neighbours."""
     indptr, lower = key_sort_csr(n, np.maximum(x, y), np.minimum(x, y))
     colour = np.zeros(n, np.int64)
     top = 0

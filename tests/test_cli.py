@@ -170,6 +170,13 @@ class TestAttack:
                               "--calibration", str(cal_dir / "calibration_sigma0.05.json")))
         assert rc == EXIT_INPUT
 
+    @pytest.mark.parametrize("relation", [["--abs-eps", "5"], ["--band", "-5", "5"]])
+    def test_alpha_requires_calibration(self, poets_files, tmp_path, capsys, relation):
+        out = tmp_path / "matches.csv"
+        assert main(attack_argv(poets_files, out, *relation, "--alpha", "7")) == EXIT_INPUT
+        assert "--alpha requires --calibration" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_band_rejected(self, poets_files, tmp_path):
         out = tmp_path / "matches.csv"
         assert main(attack_argv(poets_files, out, "--band", "5", "-5")) == EXIT_INPUT

@@ -23,7 +23,7 @@ from distlink import (
     write_dimacs,
 )
 from distlink import build_product_graph, clique
-from distlink.clique import _Search, _colour_classes, _first_fit_colours
+from distlink.clique import _Search, _colour_classes
 from helpers import (
     census_graphs,
     edge_array_root_split,
@@ -99,7 +99,7 @@ class TestSimpleGraph:
             SimpleGraph(2, [0, 1, 1], [-1])
         # ids are int32; checked before anything of size n is allocated
         with pytest.raises(InputFormatError, match=r"below 2\*\*31"):
-            clique._check_edges(2**31, np.empty(0), np.empty(0))
+            SimpleGraph.from_edges(2**31, [])
 
     def test_rejects_csr_self_loop(self):
         with pytest.raises(InputFormatError, match="self-loop at vertex 1"):
@@ -154,7 +154,8 @@ class TestSimpleGraph:
             _assert_csr_equals_oracle(n, x, y, block)
 
     def test_trusted_int32_indices_are_kept(self):
-        g = clique.csr_graph(3, np.array([0, 1], np.int32), np.array([2, 2], np.int32))
+        g = clique.csr_graph(3, np.array([0 * 3 + 2, 1 * 3 + 2], np.int64))  # edges (0, 2), (1, 2)
+        assert g.edges() == [(0, 2), (1, 2)]
         assert SimpleGraph(3, g.indptr, g.indices, validate=False).indices is g.indices
 
     @settings(max_examples=300, deadline=None)
@@ -206,13 +207,17 @@ class TestSimpleGraph:
 
 
 def _assert_csr_equals_oracle(n, x, y, block):
-    """csr_graph at the given block size gives the one-sort CSR's bytes."""
+    """csr_graph at the given block size, on the edges' keys in reverse
+    order and through from_edges, gives the one-sort CSR's bytes."""
     indptr, indices = symmetric_key_sort_csr(n, x, y)
+    key = np.minimum(x, y).astype(np.int64) * n + np.maximum(x, y)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(clique, "BLOCK", block)
-        g = clique.csr_graph(n, x, y)
-    assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int32
-    assert g.indptr.tobytes() == indptr.tobytes() and g.indices.tobytes() == indices.tobytes()
+        graphs = [clique.csr_graph(n, key[::-1].copy()),
+                  SimpleGraph.from_edges(n, np.stack((x, y), axis=1))]
+    for g in graphs:
+        assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int32
+        assert g.indptr.tobytes() == indptr.tobytes() and g.indices.tobytes() == indices.tobytes()
 
 
 class TestMaxClique:
@@ -427,7 +432,7 @@ class TestRootSplit:
                     split, unsplit = split.vertices, unsplit.vertices
                 assert split == unsplit
 
-    def test_first_fit_equals_colour_classes(self):
+    def test_root_split_colours_equal_colour_classes(self):
         rng = np.random.default_rng(27)
         for _ in range(60):
             g = random_simple_graph(rng, int(rng.integers(0, 80)),
@@ -435,8 +440,8 @@ class TestRootSplit:
             identity = np.arange(g.n)
             colours = dict(_colour_classes(g.rows, (1 << g.n) - 1))
             for block in (1, 5, 256):
-                assert _first_fit_colours(g, identity, identity, block).tolist() == \
-                    [colours[v] for v in range(g.n)]
+                sweep, swept_colours = clique._root_split(g, identity, identity, block)[:2]
+                assert dict(zip(sweep, swept_colours)) == colours
 
     def test_root_split_equals_edge_array_set_up(self):
         rng = np.random.default_rng(29)
@@ -617,6 +622,14 @@ class TestDimacs:
         path.write_text("p edge -2 0\n")
         with pytest.raises(InputFormatError, match=r"g\.dimacs:1: negative vertex count"):
             read_dimacs(path)
+        path.write_text("p edge 3 abc\n")
+        with pytest.raises(InputFormatError, match=r"g\.dimacs:1: malformed problem line: 'abc'"):
+            read_dimacs(path)
+        path.write_text("c x\np edge 3 -5\n")
+        with pytest.raises(InputFormatError, match=r"g\.dimacs:2: negative edge count"):
+            read_dimacs(path)
+        path.write_text("p edge 3 7\ne 1 2\n")  # the count need not match the e lines
+        assert read_dimacs(path).edges() == [(0, 1)]
 
     def test_ignores_comment_lines(self, tmp_path):
         path = tmp_path / "g.dimacs"

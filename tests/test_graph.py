@@ -369,10 +369,10 @@ class TestSparseJoin:
         # the join may emit its edges in any order; the CSR may not change
         gt, gi, rel = census_graphs(120)
         p = build_product_graph(gt, gi, rel)
-        x, y = _product_edges_join(gt, gi, rel)
-        assert np.all(x < y) and len(np.unique(x.astype(np.int64) * p.n + y)) == len(x) > 0
-        order = np.lexsort((y, x))
-        g = csr_graph(p.n, x[order], y[order])
+        key = _product_edges_join(gt, gi, rel, p.vertices)
+        x, y = np.divmod(key, p.n)
+        assert np.all(x < y) and len(np.unique(key)) == len(key) > 0
+        g = csr_graph(p.n, np.sort(key)[::-1].copy())
         assert np.array_equal(p.graph.indptr, g.indptr)
         assert np.array_equal(p.graph.indices, g.indices)
 
@@ -399,15 +399,17 @@ def _spy_candidates(mp):
 
 
 def _assert_blocks_equal_one_shot(g1, g2, rel, blocks):
-    """The join at each block size gives the one-shot expansion's int32
-    edges, in the same order."""
+    """The join at each block size gives the one-shot expansion's edges,
+    in the same order, as int64 keys x * |V| + y."""
     want = one_shot_product_edges_join(g1, g2, rel)
+    pairs = label_pairs(g1.labels, g2.labels)
     for block in blocks:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graph_module, "BLOCK", block)
-            got = _product_edges_join(g1, g2, rel)
-        for a, b in zip(got, want):
-            assert a.dtype == np.int32 and np.array_equal(a, b)
+            got = _product_edges_join(g1, g2, rel, pairs)
+        assert got.dtype == np.int64
+        for a, b in zip(np.divmod(got, len(pairs)), want):
+            assert np.array_equal(a, b)
 
 
 class TestBlockedJoin:
@@ -504,6 +506,23 @@ class TestMemoryGuard:
             tracemalloc.stop()
         assert seen[0] > 500_000
         assert peak <= graph_module.BYTES_PER_CANDIDATE * seen[0]
+
+    def test_build_peaks_at_the_key_sort(self, monkeypatch):
+        # the instance above: the join hands csr_graph its int64 keys and
+        # keeps no edge arrays of its own, so the build's traced peak is
+        # the keys (8 bytes a candidate), the int32 indices (8 an edge)
+        # and the CSR builder's block-sized temporaries
+        rng = np.random.default_rng(8)
+        g1, g2 = random_labeled_graph(rng, 70, 1), random_labeled_graph(rng, 70, 1)
+        seen = _spy_candidates(monkeypatch)
+        tracemalloc.start()
+        try:
+            build_product_graph(g1, g2, Absolute(0.25))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seen[0] > 500_000
+        assert peak <= 24 * seen[0]
 
     def test_unknown_memory_size_is_not_checked(self, monkeypatch):
         gt, gi = poets_graphs()
