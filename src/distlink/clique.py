@@ -23,11 +23,21 @@ cliques found are those of the unsplit search, which stays as the oracle
 and as the path for smaller graphs.  A branch whose candidates cannot
 hold a large enough clique by a degree bound is skipped before
 any rows are built, exactly where the unsplit search would have cut it.
+That bound and the branch's local edges never read the incumbent: with
+more than one usable CPU (worker_cpus), forked workers compute them
+ahead, CHUNK branches at a time in sweep order, while the search, its
+incumbent and its node count stay in one process, so every result is
+the one-CPU result.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import multiprocessing
+import os
+import signal
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,6 +55,9 @@ SPLIT_MIN_VERTICES = 4096
 
 #: array entries the product join and the CSR builder handle at once
 BLOCK = 1 << 16
+
+#: root branches a sweep worker computes per message
+CHUNK = 128
 
 
 class SimpleGraph:
@@ -230,6 +243,110 @@ def _gather(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> tuple:
     return indices[np.arange(lens.sum()) + np.repeat(starts - ends + lens, lens)], lens
 
 
+class _Branches:
+    """branch(v), on _root_split's forward CSR, is the part of root branch
+    v that never reads the incumbent, (bound, a, b): the edges among v's
+    candidates, each once, as local ids (a[k], b[k]), from one gather of
+    their forward lists, and 1 + the most lower neighbours a candidate has
+    among them, which bounds its greedy colour."""
+
+    def __init__(self, indptr: np.ndarray, adj: np.ndarray) -> None:
+        self.indptr, self.adj = indptr, adj
+        self.fdeg = np.diff(indptr)
+        self.mark = np.zeros(len(self.fdeg), np.int64)
+        top = int(self.fdeg.max(initial=0))  # a gather takes at most min(top**2, |adj|) entries
+        self.ramp = np.arange(min(top * top, len(adj)) + top + 1)
+
+    def __call__(self, v: int) -> tuple:
+        cand = self.adj[self.indptr[v]:self.indptr[v + 1]]
+        lens = self.fdeg[cand]
+        ends = np.cumsum(lens)
+        if not len(cand):
+            return 0, ends, ends
+        nbrs = self.adj[self.ramp[:ends[-1]] + np.repeat(self.indptr[cand] + lens - ends, lens)]
+        self.mark[cand] = self.ramp[1:len(cand) + 1]
+        local = self.mark[nbrs]
+        self.mark[cand] = 0
+        hit = np.flatnonzero(local)
+        a = np.searchsorted(ends, hit, side="right")
+        b = local[hit]
+        b -= 1
+        return 1 + int(np.bincount(np.maximum(a, b, out=hit), minlength=1).max()), a, b
+
+
+def worker_cpus() -> int:
+    """The CPUs forked workers may spread work over: the affinity mask's
+    size, or 1 in a child process, without fork, or beside other threads,
+    where a fork is unsafe."""
+    if multiprocessing.parent_process() is not None or threading.active_count() > 1:
+        return 1
+    if not hasattr(os, "sched_getaffinity") or "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+@contextlib.contextmanager
+def forked(target, arg_lists: list):
+    """The inboxes of forked children, one per argument list, each running
+    target(*args, outbox) and sending its results through the pipe its
+    inbox reads.  A child that cannot start, fails or dies reads as EOF,
+    and its work is the parent's.  Children ignore interrupts and are
+    killed and joined on exit."""
+    fork = multiprocessing.get_context("fork")
+    children, inboxes = [], []
+    try:
+        for args in arg_lists:
+            inbox, outbox = fork.Pipe(duplex=False)
+            inboxes.append(inbox)
+            child = fork.Process(target=_child_main, args=(target, *args, outbox), daemon=True)
+            with contextlib.suppress(OSError):
+                child.start()
+                children.append(child)
+            outbox.close()
+        yield inboxes
+    finally:
+        for child in children:
+            child.kill()
+            child.join()
+        for inbox in inboxes:
+            inbox.close()
+
+
+def _child_main(target, *args) -> None:
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    with contextlib.suppress(Exception):
+        target(*args)
+
+
+def _branch_stream(branch: _Branches, sweep: list):
+    """branch(v) for each v of sweep in turn: computed on demand, or, with
+    more than one worker CPU and chunk, by forked workers that take the
+    chunks of CHUNK branches in turn and send them ahead.  A chunk whose
+    worker died is computed here."""
+    chunks = range(0, len(sweep), CHUNK)
+    workers = min(worker_cpus(), len(chunks))
+    if workers < 2:
+        yield from map(branch, sweep)
+        return
+    with forked(_sweep_worker, [(branch, sweep, chunks[k::workers]) for k in range(workers)]) as inboxes:
+        for j, start in enumerate(chunks):
+            try:
+                bounds, ends, a, b = inboxes[j % workers].recv()
+                done = ((bound, a[lo:hi], b[lo:hi]) for bound, lo, hi in zip(bounds, [0] + ends, ends))
+            except (EOFError, OSError):
+                done = map(branch, sweep[start:start + CHUNK])
+            yield from done
+
+
+def _sweep_worker(branch: _Branches, sweep: list, starts: range, outbox) -> None:
+    """Send the bounds, the edge lists' ends and the concatenated a and b
+    of the CHUNK branches from each start."""
+    for start in starts:
+        bounds, a, b = zip(*map(branch, sweep[start:start + CHUNK]))
+        outbox.send((bounds, np.cumsum([len(x) for x in a]).tolist(),
+                     np.concatenate(a, dtype=np.int32), np.concatenate(b, dtype=np.int32)))
+
+
 def _root_split(g: SimpleGraph, order: np.ndarray, pos: np.ndarray, block: int = 256) -> tuple:
     """The root level of the search on g relabelled so that vertex i is
     g's order[i] (pos inverts order): the sweep order (colour descending,
@@ -344,40 +461,32 @@ class _Search:
     def _sweep(self, sweep: list, colours: list, indptr: np.ndarray, adj: np.ndarray) -> None:
         """expand(rows, 0, 0, all) on _root_split's arrays: each root
         branch v is searched on local rows of its candidates cand, the
-        vertices adj lists for v; local id i is cand[i]."""
-        mark = np.zeros(len(indptr) - 1, np.int64)
-        for v, colour in zip(sweep, colours):
-            if colour + self.keep_ties <= self.best_size:
-                return
-            self._spend()
-            cand = adj[indptr[v]:indptr[v + 1]]
-            s = len(cand)
-            if not s:
-                self._found(1, 1 << v)
-                continue
-            # the edges among cand, each once, as local ids (a, b): one
-            # gather of the candidates' own lists
-            nbrs, lens = _gather(indptr, adj, cand)
-            mark[cand] = np.arange(1, s + 1)
-            local = mark[nbrs]
-            mark[cand] = 0
-            hit = np.flatnonzero(local)
-            a = np.searchsorted(np.cumsum(lens), hit, side="right")
-            b = local[hit] - 1
-            # a greedy colour is at most 1 + the vertex's lower neighbours;
-            # when that cannot reach the incumbent, expand(rows, 1, ...)
-            # would return at once without spending a node
-            bound = 1 + int(np.bincount(np.maximum(a, b), minlength=1).max())
-            if 1 + bound + self.keep_ties <= self.best_size:
-                continue
-            # collect the branch's cliques apart, as local masks, and map
-            # them back: they replace the outer ones if the branch grew
-            outer, size = self.best_masks, self.best_size
-            self.best_masks = []
-            self.expand(bitset_rows(s, a, b), 1, 0, (1 << s) - 1)
-            ids = cand.tolist()
-            found = [sum(1 << ids[i] for i in _bits(m)) | 1 << v for m in self.best_masks]
-            self.best_masks = found if self.best_size > size else outer + found
+        vertices adj lists for v; local id i is cand[i].  The branches'
+        skip bounds and local edges come from _branch_stream, in sweep
+        order; the incumbent, the cuts and the node count stay here."""
+        with contextlib.closing(_branch_stream(_Branches(indptr, adj), sweep)) as branches:
+            for v, colour in zip(sweep, colours):
+                if colour + self.keep_ties <= self.best_size:
+                    return
+                self._spend()
+                bound, a, b = next(branches)
+                cand = adj[indptr[v]:indptr[v + 1]]
+                s = len(cand)
+                if not s:
+                    self._found(1, 1 << v)
+                    continue
+                # expand(rows, 1, ...) would return at once without
+                # spending a node
+                if 1 + bound + self.keep_ties <= self.best_size:
+                    continue
+                # collect the branch's cliques apart, as local masks, and map
+                # them back: they replace the outer ones if the branch grew
+                outer, size = self.best_masks, self.best_size
+                self.best_masks = []
+                self.expand(bitset_rows(s, a, b), 1, 0, (1 << s) - 1)
+                ids = cand.tolist()
+                found = [sum(1 << ids[i] for i in _bits(m)) | 1 << v for m in self.best_masks]
+                self.best_masks = found if self.best_size > size else outer + found
 
     def vertices(self, mask: int) -> tuple:
         return tuple(sorted(self.order[v] for v in _bits(mask)))

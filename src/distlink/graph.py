@@ -15,7 +15,6 @@ sorts in place, so those keys and the CSR's int32 indices are the peak.
 
 from __future__ import annotations
 
-import itertools
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -135,13 +134,27 @@ def Absolute(epsilon: float) -> QuantileBand:
     return QuantileBand(-epsilon, epsilon)
 
 
+def _pair_columns(target_labels: Sequence[VertexLabel], ident_labels: Sequence[VertexLabel]) -> tuple:
+    """(pv, pw, t_lab, i_lab, k): the label-equal (target, ident) pairs in
+    lexicographic order as two int64 columns, the one enumeration of the
+    product's vertices, and each record's label as its index among the k
+    labels both sides share, in sorted order, or -1 if only one side has it."""
+    common = {lab: k for k, lab in enumerate(sorted(set(target_labels) & set(ident_labels)))}
+    t_lab, i_lab = (np.array([common.get(lab, -1) for lab in labels], dtype=np.int64)
+                    for labels in (target_labels, ident_labels))
+    by_label = np.argsort(i_lab, kind="stable")
+    lo, hi = (np.searchsorted(i_lab[by_label], t_lab, side) for side in ("left", "right"))
+    lens = np.where(t_lab >= 0, hi - lo, 0)
+    ends = np.cumsum(lens)
+    pv = np.repeat(np.arange(len(t_lab)), lens)
+    return pv, by_label[np.arange(len(pv)) + np.repeat(lo + lens - ends, lens)], t_lab, i_lab, len(common)
+
+
 def label_pairs(target_labels: Sequence[VertexLabel], ident_labels: Sequence[VertexLabel]) -> list:
     """Every label-equal (target, ident) index pair, in lexicographic
     order: the vertex set of the product graph."""
-    by_label: dict = {}
-    for w, lab in enumerate(ident_labels):
-        by_label.setdefault(lab, []).append(w)
-    return [(v, w) for v, lab in enumerate(target_labels) for w in by_label.get(lab, ())]
+    pv, pw = _pair_columns(target_labels, ident_labels)[:2]
+    return list(zip(pv.tolist(), pw.tolist()))
 
 
 class ProductGraph:
@@ -168,11 +181,11 @@ def _product_edges_join(
     target: LabeledWeightedGraph,
     ident: LabeledWeightedGraph,
     rel: QuantileBand,
-    pairs: Sequence[tuple],
-) -> np.ndarray:
-    """Edges of the product of two complete graphs on the vertices pairs
-    (label_pairs order), by one sorted interval join over all label pairs
-    at once: the int64 keys x * len(pairs) + y, x < y, that csr_graph takes.
+) -> tuple:
+    """The product of two complete graphs as (pv, pw, key): its vertices
+    as _pair_columns gives them, and its edges, by one sorted interval
+    join over all label pairs at once, as the int64 keys x * len(pv) + y,
+    x < y, that csr_graph takes.
 
     A target pair v1 < v2 with weight t meets the ordered identification
     pairs w1 != w2 of the same label pair whose weight s lies in the
@@ -180,24 +193,21 @@ def _product_edges_join(
     rounding is monotone and leaves lo itself unchanged, so
     lo < fl(s - t) implies s - t > lo, hence s >= fl(t + lo); likewise
     s <= fl(t + hi).  rel.deviation_mask then decides every candidate, so
-    the edge set is the scalar loop's.  Vertex (v, w) is pairs[base[v] +
-    rank[w]]: base[v] is v's first pair, rank[w] the offset of w within
+    the edge set is the scalar loop's.  Vertex (v, w) is number base[v] +
+    rank[w]: base[v] is v's first pair, rank[w] the offset of w within
     each of those runs, so v1 < v2 gives x < y and every edge comes out
     once.  Candidates are expanded about BLOCK at a time into one key
     array sized for all of them.
     """
-    common = {lab: k for k, lab in enumerate(sorted(set(target.labels) & set(ident.labels)))}
-    t_lab = np.array([common.get(lab, -1) for lab in target.labels], dtype=np.int64)
-    i_lab = np.array([common.get(lab, -1) for lab in ident.labels], dtype=np.int64)
+    pv, pw, t_lab, i_lab, n_common = _pair_columns(target.labels, ident.labels)
     # int32 ids: |V| <= n_target * n_ident, far below 2**31 at any size that fits
     tv, iw = (np.flatnonzero(lab >= 0).astype(np.int32) for lab in (t_lab, i_lab))
-    pv, pw = np.fromiter(itertools.chain.from_iterable(pairs), np.int64, 2 * len(pairs)).reshape(-1, 2).T
     base = np.searchsorted(pv, np.arange(len(t_lab))).astype(np.int32)
     rank = np.zeros(len(i_lab), np.int32)
     rank[pw] = np.arange(len(pv)) - base[pv]
 
     v1, v2 = (tv[k] for k in np.triu_indices(len(tv), 1))
-    t_key = t_lab[v1] * len(common) + t_lab[v2]
+    t_key = t_lab[v1] * n_common + t_lab[v2]
     t = target.weights.entries[v1, v2]
     # visit the target pairs in (label pair, weight) order: the key searches
     # below then run on ascending queries, the weight searches on one
@@ -218,8 +228,8 @@ def _product_edges_join(
     # count at or below high.  Keys stay below 2**63 for any pair of
     # matrices that fits in memory.
     span = len(s_sorted) + 1
-    key = np.concatenate(((i_lab[w1] * len(common) + i_lab[w2]) * span + p,
-                          (i_lab[w2] * len(common) + i_lab[w1]) * span + p))
+    key = np.concatenate(((i_lab[w1] * n_common + i_lab[w2]) * span + p,
+                          (i_lab[w2] * n_common + i_lab[w1]) * span + p))
     order = np.argsort(key)
     key = key[order]
     rank1 = np.concatenate((rank[w1], rank[w2]))[order]
@@ -245,7 +255,7 @@ def _product_edges_join(
         q, c = q[keep], c[keep]
         edges[m:m + len(q)] = (base1[q] + rank1[c]).astype(np.int64) * len(pv) + base2[q] + rank2[c]
         m, lo = m + len(q), hi
-    return edges[:m]
+    return pv, pw, edges[:m]
 
 
 def _product_edges_general(
@@ -307,10 +317,12 @@ def build_product_graph(
     """Construct the product graph of two labelled weighted graphs."""
     if target.label_arity != ident.label_arity:
         raise InputFormatError("graphs were built with different qi schemas")
-    pairs = label_pairs(target.labels, ident.labels)
     if target.edge_present is None and ident.edge_present is None:
-        graph = csr_graph(len(pairs), _product_edges_join(target, ident, rel, pairs))
+        pv, pw, key = _product_edges_join(target, ident, rel)
+        graph = csr_graph(len(pv), key)
+        pairs = list(zip(pv.tolist(), pw.tolist()))
     else:
+        pairs = label_pairs(target.labels, ident.labels)
         graph = SimpleGraph.from_edges(len(pairs), _product_edges_general(target, ident, rel, pairs))
     return ProductGraph(pairs, graph)
 

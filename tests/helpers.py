@@ -17,6 +17,7 @@ from distlink import (
     SimpleGraph,
 )
 from distlink import build_graph
+from distlink.clique import _gather
 from distlink.core import _great_circle_km
 from distlink.datasets import census_qi_distributions
 from distlink.evaluation import ID_ATTRIBUTE, SimulationConfig, generate_synthetic_pair
@@ -191,6 +192,15 @@ def record_loop_synthetic_tables(config, rng):
     return build_table(target_entities, False), build_table(ident_entities, True)
 
 
+def dict_label_pairs(target_labels, ident_labels):
+    """graph.label_pairs as a dict of each label's ident records, read in
+    target order: the enumeration before it went through label codes."""
+    by_label = {}
+    for w, lab in enumerate(ident_labels):
+        by_label.setdefault(lab, []).append(w)
+    return [(v, w) for v, lab in enumerate(target_labels) for w in by_label.get(lab, ())]
+
+
 # ---- one-shot product build and edge-array solver set-up ---------------
 # The product join, CSR builder and root split as they were before they
 # went blockwise: every candidate expanded at once, one sort of 2E keys,
@@ -305,3 +315,20 @@ def edge_array_root_split(g):
     first = rank[x] < rank[y]
     indptr, adj = key_sort_csr(g.n, np.where(first, x, y), np.where(first, y, x))
     return sweep.tolist(), colour[sweep].tolist(), indptr, adj
+
+
+def gather_branch_edges(indptr, adj, v):
+    """Root branch v's skip bound and local edges (a, b) as the sweep
+    computed them before clique._Branches: a gather through clique._gather,
+    a fresh mark array, its own cumsum and arange for the owner search."""
+    cand = adj[indptr[v]:indptr[v + 1]]
+    if not len(cand):
+        return 0, np.empty(0, np.int64), np.empty(0, np.int64)
+    nbrs, lens = _gather(indptr, adj, cand)
+    mark = np.zeros(len(indptr) - 1, np.int64)
+    mark[cand] = np.arange(1, len(cand) + 1)
+    local = mark[nbrs]
+    hit = np.flatnonzero(local)
+    a = np.searchsorted(np.cumsum(lens), hit, side="right")
+    b = local[hit] - 1
+    return 1 + int(np.bincount(np.maximum(a, b), minlength=1).max()), a, b

@@ -3,11 +3,18 @@
 import csv
 import hashlib
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from distlink import graph, load_calibration, load_matrix, save_matrix, save_table
+import distlink
+from distlink import DistanceMatrix, cli, graph, load_calibration, load_matrix, save_matrix, save_table
 from distlink.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, SEED_ENV_VAR, main
 from distlink.datasets import (
     census_qi_distributions,
@@ -224,6 +231,116 @@ class TestAttack:
         argv = attack_argv(poets_files, tmp_path / "m.csv", "--abs-eps", "5")
         assert main(argv + ["--node-budget", budget]) == EXIT_INPUT
         assert f"--node-budget must be an integer >= 1, got {budget}" in capsys.readouterr().err
+
+
+def _attack_both_ways(monkeypatch, capsys, argv):
+    """(exit code, stderr, matches bytes or None) of main(argv) with the
+    matrices parsed one after the other, then side by side; the two must
+    agree."""
+    out = Path(argv[argv.index("--out") + 1])
+    monkeypatch.setattr(cli, "PARALLEL_LOAD_BYTES", 0)
+    outcomes = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(cli, "worker_cpus", lambda: cpus)
+        out.unlink(missing_ok=True)
+        code = main(argv)
+        outcomes.append((code, capsys.readouterr().err, out.read_bytes() if out.exists() else None))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+def _pinned_attack(argv, cpus):
+    """Run `distlink attack` in a fresh interpreter limited to the given CPUs."""
+    env = dict(os.environ, PYTHONPATH=str(Path(distlink.__file__).parents[1]))
+    subprocess.run([sys.executable, "-m", "distlink.cli", *argv], env=env, check=True,
+                   capture_output=True, preexec_fn=lambda: os.sched_setaffinity(0, cpus))
+
+
+class TestParallelMatrixLoad:
+    """Matrices parsed side by side give what parsing them in turn gives."""
+
+    def test_success(self, poets_files, tmp_path, monkeypatch, capsys):
+        children = []
+        real = cli.forked
+        monkeypatch.setattr(cli, "forked", lambda *args: children.append(args) or real(*args))
+        argv = attack_argv(poets_files, tmp_path / "m.csv", "--abs-eps", "5")
+        assert _attack_both_ways(monkeypatch, capsys, argv)[0] == EXIT_OK
+        assert len(children) == 1  # the second run only
+
+    @pytest.mark.parametrize("broken", [("tm",), ("im",), ("tm", "im")])
+    def test_malformed_matrix(self, poets_files, tmp_path, monkeypatch, capsys, broken):
+        for key in broken:
+            poets_files[key].write_text(f"0,1\n1,{key}\n")
+        argv = attack_argv(poets_files, tmp_path / "m.csv", "--abs-eps", "5")
+        code, err, _ = _attack_both_ways(monkeypatch, capsys, argv)
+        assert code == EXIT_INPUT and f"{poets_files[broken[0]]}:2: malformed number" in err
+
+    @pytest.mark.parametrize("key", ["tm", "im"])
+    def test_missing_matrix(self, poets_files, tmp_path, monkeypatch, capsys, key):
+        poets_files[key].unlink()
+        argv = attack_argv(poets_files, tmp_path / "m.csv", "--abs-eps", "5")
+        code, err, _ = _attack_both_ways(monkeypatch, capsys, argv)
+        assert code == EXIT_INPUT and "No such file" in err
+
+    @pytest.mark.parametrize("failing", [("tm",), ("im",), ("tm", "im")])
+    def test_read_error_keeps_its_type(self, poets_files, tmp_path, monkeypatch, capsys, failing):
+        real = cli.load_matrix
+
+        def load(path):
+            if Path(path) in {poets_files[key] for key in failing}:
+                raise PermissionError(13, "Permission denied", str(path))
+            return real(path)
+
+        monkeypatch.setattr(cli, "load_matrix", load)
+        argv = attack_argv(poets_files, tmp_path / "m.csv", "--abs-eps", "5")
+        code, err, _ = _attack_both_ways(monkeypatch, capsys, argv)
+        assert code == EXIT_INPUT and err == f"error: [Errno 13] Permission denied: '{poets_files[failing[0]]}'\n"
+        monkeypatch.setattr(cli, "worker_cpus", lambda: 2)
+        with pytest.raises(PermissionError, match=str(poets_files[failing[0]])):
+            cli._load_matrices(poets_files["tm"], poets_files["im"])
+
+    def test_killed_child_changes_nothing(self, poets_files, tmp_path, monkeypatch, capsys):
+        real = cli.load_matrix
+
+        def load(path):
+            if multiprocessing.parent_process() is not None:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(path)
+
+        monkeypatch.setattr(cli, "load_matrix", load)
+        argv = attack_argv(poets_files, tmp_path / "m.csv", "--abs-eps", "5")
+        assert _attack_both_ways(monkeypatch, capsys, argv)[0] == EXIT_OK
+        assert multiprocessing.active_children() == []
+
+    def test_mismatched_sizes(self, poets_files, tmp_path, monkeypatch, capsys):
+        save_matrix(DistanceMatrix(np.zeros((2, 2))), poets_files["im"])
+        argv = attack_argv(poets_files, tmp_path / "m.csv", "--abs-eps", "5")
+        code, err, _ = _attack_both_ways(monkeypatch, capsys, argv)
+        assert code == EXIT_INPUT and "2x2" in err
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs two usable CPUs")
+    def test_matches_byte_identical_on_one_and_two_cpus(self, tmp_path):
+        """A 300 x 300 census pair: matrix files over 1 MiB and a product
+        over 4,096 vertices, so two CPUs take both forked paths."""
+        cfg = small_sim_config(tmp_path, n_target=300, n_ident=300, n_common=60,
+                               sigma_grid=[0.025], qi_distributions="census", seed=1)
+        data = tmp_path / "gen"
+        assert main(["gendata", "--config", str(cfg), "--out-dir", str(data)]) == EXIT_OK
+        assert (data / "target_matrix.csv").stat().st_size > cli.PARALLEL_LOAD_BYTES
+        assert main(["calibrate", "--sigma", "0.025", "--out-dir", str(tmp_path / "cal")]) == EXIT_OK
+        outputs = []
+        usable = sorted(os.sched_getaffinity(0))
+        for cpus in (set(usable[:1]), set(usable[:2])):
+            out = tmp_path / f"matches{len(cpus)}.csv"
+            _pinned_attack(["attack", "--qi", "gender,age_band", "--out", str(out),
+                            "--calibration", str(tmp_path / "cal" / "calibration_sigma0.025.json"),
+                            "--alpha", "0.5"]
+                           + [arg for role in ("target", "ident") for kind in ("table", "matrix")
+                              for arg in (f"--{role}-{kind}", str(data / f"{role}_{kind}.csv"))],
+                           cpus)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] and outputs[0].count(b"\n") > 10
 
 
 class TestCalibrate:

@@ -1,7 +1,12 @@
 """Exact maximum clique search, counting, bounds, DIMACS files."""
 
+import collections
 import hashlib
 import itertools
+import multiprocessing
+import os
+import signal
+import threading
 import tracemalloc
 
 import numpy as np
@@ -27,6 +32,7 @@ from distlink.clique import _Search, _colour_classes
 from helpers import (
     census_graphs,
     edge_array_root_split,
+    gather_branch_edges,
     random_simple_graph,
     symmetric_key_sort_csr,
 )
@@ -472,6 +478,134 @@ class TestRootSplit:
             found = enumerate_maximum_cliques(g)
         assert r.size == brute_force_max_clique(g).size == nx.max_weight_clique(h, weight=None)[1]
         assert len(found) == count_cliques_of_size(g, r.size) and r.vertices in found
+
+
+def _with_workers(search, g, cpus, chunk=4):
+    """search(g) split at the root, its branches' bounds and edges from
+    forked workers when cpus > 1 (chunks of chunk branches), computed in
+    this process when cpus == 1; an exhausted budget counts as an outcome."""
+    started = []
+    real = clique.forked
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clique, "SPLIT_MIN_VERTICES", -1)
+        mp.setattr(clique, "CHUNK", chunk)
+        mp.setattr(clique, "worker_cpus", lambda: cpus)
+        mp.setattr(clique, "forked", lambda *args: started.append(args) or real(*args))
+        try:
+            out = search(g)
+        except ResourceBudgetError:
+            out = ResourceBudgetError
+    if out is not ResourceBudgetError:  # workers start with the first branch
+        assert bool(started) == (cpus > 1 and g.n > chunk)
+    assert multiprocessing.active_children() == []
+    return out
+
+
+def _killed_after(calls):
+    """A _Branches.__call__ that kills the worker process calling it on
+    that process's calls-th call."""
+    real = clique._Branches.__call__
+    counts = collections.Counter()
+
+    def call(self, v):
+        counts[os.getpid()] += 1
+        if multiprocessing.parent_process() is not None and counts[os.getpid()] == calls:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(self, v)
+
+    return call
+
+
+def _search_in_child(g, outbox):
+    """max_clique(g) in a forked child, with forking itself refused: sends
+    (worker_cpus(), the clique) or the error."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker started inside a child process")
+
+    clique.multiprocessing.get_context = refuse
+    try:
+        outbox.send((clique.worker_cpus(), max_clique(g).vertices))
+    except Exception as exc:
+        outbox.send(repr(exc))
+
+
+class TestParallelSweep:
+    """The sweep fed by forked workers against the sweep that computes
+    every branch itself, which stays as the oracle."""
+
+    def test_bounds_and_edges_equal_gather_oracle(self):
+        rng = np.random.default_rng(31)
+        graphs = [random_simple_graph(rng, int(rng.integers(0, 80)), float(rng.uniform(0.02, 0.95)))
+                  for _ in range(30)]
+        graphs.append(build_product_graph(*census_graphs(300)).graph)
+        for g in graphs:
+            order = np.argsort(-np.diff(g.indptr), kind="stable")
+            pos = np.empty(g.n, np.int64)
+            pos[order] = np.arange(g.n)
+            sweep, _, indptr, adj = clique._root_split(g, order, pos)
+            branch = clique._Branches(indptr, adj)
+            for v in sweep[:600]:
+                bound, a, b = branch(v)
+                want = gather_branch_edges(indptr, adj, v)
+                assert bound == want[0]
+                assert a.tolist() == want[1].tolist() and b.tolist() == want[2].tolist()
+
+    def test_same_results_with_and_without_workers(self):
+        rng = np.random.default_rng(32)
+        graphs = list(_special_graphs())
+        for _ in range(12):
+            graphs.append(random_simple_graph(rng, int(rng.integers(20, 70)),
+                                              float(rng.uniform(0.05, 0.9))))
+        for g in graphs:
+            assert _with_workers(_solve, g, 2) == _with_workers(_solve, g, 1)
+        g = graphs[-1]
+        assert _with_workers(_solve, g, 3, chunk=1) == _with_workers(_solve, g, 1)
+
+    def test_census_product(self):
+        g = build_product_graph(*census_graphs(300)).graph
+        assert g.n > 4096
+        for chunk in (128, 7):
+            assert _with_workers(_solve, g, 2, chunk) == _with_workers(_solve, g, 1)
+
+    def test_node_budget(self):
+        g = random_simple_graph(np.random.default_rng(33), 60, 0.5)
+        for search in (max_clique, enumerate_maximum_cliques):
+            nodes = _with_workers(lambda g: _Search(g, 10**8, search is not max_clique).nodes, g, 1)
+            for cpus in (1, 2):
+                assert _with_workers(lambda g: search(g, node_budget=nodes - 1), g, cpus) \
+                    is ResourceBudgetError
+
+    def test_killed_worker_changes_nothing(self, monkeypatch):
+        g = random_simple_graph(np.random.default_rng(34), 70, 0.4)
+        want = _with_workers(_solve, g, 1)
+        for calls in (1, 6):
+            monkeypatch.setattr(clique._Branches, "__call__", _killed_after(calls))
+            assert _with_workers(_solve, g, 2) == want
+
+    def test_no_worker_inside_a_child_process(self, monkeypatch):
+        monkeypatch.setattr(clique, "SPLIT_MIN_VERTICES", -1)
+        monkeypatch.setattr(clique, "CHUNK", 4)
+        g = random_simple_graph(np.random.default_rng(35), 50, 0.5)
+        fork = multiprocessing.get_context("fork")
+        inbox, outbox = fork.Pipe(duplex=False)
+        child = fork.Process(target=_search_in_child, args=(g, outbox))
+        child.start()
+        assert inbox.poll(60)
+        got = inbox.recv()
+        child.join(timeout=60)
+        assert not child.is_alive()
+        assert got == (1, max_clique(g).vertices)
+
+    def test_no_worker_beside_other_threads(self):
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            assert clique.worker_cpus() == 1
+        finally:
+            done.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
 
 
 class TestBruteForce:

@@ -34,6 +34,7 @@ from distlink.graph import _product_edges_general, _product_edges_join, label_pa
 from helpers import (
     POETS_PRODUCT_PAIRS_1BASED,
     census_graphs,
+    dict_label_pairs,
     one_shot_product_edges_join,
     random_labeled_graph,
     random_relation,
@@ -172,6 +173,16 @@ class TestProductGraph:
         ident = [("a",), ("c",), ("a",)]
         assert label_pairs(target, ident) == [(0, 0), (0, 2), (2, 0), (2, 2)]
         assert label_pairs(target, [("z",)]) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from("abcd"), max_size=12), st.lists(st.sampled_from("bcde"), max_size=12))
+    def test_label_pairs_equal_dict_oracle(self, target, ident):
+        target, ident = [(c,) for c in target], [(c,) for c in ident]
+        assert label_pairs(target, ident) == dict_label_pairs(target, ident)
+
+    def test_census_vertices_equal_dict_oracle(self):
+        gt, gi, rel = census_graphs(120)
+        assert build_product_graph(gt, gi, rel).vertices == tuple(dict_label_pairs(gt.labels, gi.labels))
 
     def test_vertices_sorted_lexicographically(self):
         gt, gi = poets_graphs()
@@ -369,7 +380,7 @@ class TestSparseJoin:
         # the join may emit its edges in any order; the CSR may not change
         gt, gi, rel = census_graphs(120)
         p = build_product_graph(gt, gi, rel)
-        key = _product_edges_join(gt, gi, rel, p.vertices)
+        key = _product_edges_join(gt, gi, rel)[2]
         x, y = np.divmod(key, p.n)
         assert np.all(x < y) and len(np.unique(key)) == len(key) > 0
         g = csr_graph(p.n, np.sort(key)[::-1].copy())
@@ -402,13 +413,12 @@ def _assert_blocks_equal_one_shot(g1, g2, rel, blocks):
     """The join at each block size gives the one-shot expansion's edges,
     in the same order, as int64 keys x * |V| + y."""
     want = one_shot_product_edges_join(g1, g2, rel)
-    pairs = label_pairs(g1.labels, g2.labels)
     for block in blocks:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graph_module, "BLOCK", block)
-            got = _product_edges_join(g1, g2, rel, pairs)
+            pv, _, got = _product_edges_join(g1, g2, rel)
         assert got.dtype == np.int64
-        for a, b in zip(np.divmod(got, len(pairs)), want):
+        for a, b in zip(np.divmod(got, len(pv)), want):
             assert np.array_equal(a, b)
 
 
