@@ -6,26 +6,17 @@ graph, reduces linking two such datasets to a maximum-clique problem on
 their product graph, and solves it exactly.  Around that core it ships
 the defender-side Gaussian coordinate masking, empirical calibration of
 the distance-tolerance relation, and a seeded simulation harness that
-measures attack precision and recall against known ground truth.
+measures attack precision and recall against known ground truth.  The
+brute-force references the tests check all this against are in
+distlink.oracles.
 """
 
-from .attack import (
-    AttackReport,
-    CommonSubgraphWitness,
-    MatchList,
-    classical_linkage,
-    enumerate_common_subgraphs,
-    run_attack,
-    theorem1_check,
-)
+from .attack import AttackReport, MatchList, run_attack
 from .clique import (
     DEFAULT_NODE_BUDGET,
     CliqueResult,
     SimpleGraph,
-    brute_force_max_clique,
-    count_cliques_of_size,
     enumerate_maximum_cliques,
-    greedy_coloring_bound,
     max_clique,
     read_dimacs,
     write_dimacs,
@@ -67,7 +58,6 @@ from .graph import (
     QuantileBand,
     build_graph,
     build_product_graph,
-    product_vertex_count_check,
 )
 from .masking import (
     GERMANY,
@@ -80,6 +70,14 @@ from .masking import (
     perturb_points,
     save_calibration,
     utility_score,
+)
+from .oracles import (
+    CommonSubgraphWitness,
+    brute_force_max_clique,
+    count_cliques_of_size,
+    enumerate_common_subgraphs,
+    product_vertex_count_check,
+    theorem1_check,
 )
 
 __version__ = "0.1.0"

@@ -1,13 +1,9 @@
-"""The graph-theoretic linkage attack and its correctness oracles.
+"""The graph-theoretic linkage attack.
 
 The attack links an anonymised target dataset to an identification
 dataset in five steps: build both labelled weighted graphs, build their
 product graph under an approximate-equality relation, find a maximum
-clique, and read the clique's vertices off as record matches.  The
-brute-force witness enumeration at the bottom of the module provides an
-independent check that cliques of the product graph and approximate
-common subgraphs of the two inputs are in one-to-one correspondence,
-which is the fact the attack rests on.
+clique, and read the clique's vertices off as record matches.
 """
 
 from __future__ import annotations
@@ -15,22 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .clique import (
-    DEFAULT_NODE_BUDGET,
-    CliqueResult,
-    count_cliques_of_size,
-    enumerate_maximum_cliques,
-    max_clique,
-)
+from .clique import DEFAULT_NODE_BUDGET, CliqueResult, enumerate_maximum_cliques, max_clique
 from .core import DistanceMatrix, MicrodataTable
-from .errors import InputFormatError, SizeLimitError
-from .graph import (
-    LabeledWeightedGraph,
-    ProductGraph,
-    build_graph,
-    build_product_graph,
-    label_pairs,
-)
+from .errors import InputFormatError
+from .graph import ProductGraph, build_graph, build_product_graph
 
 
 @dataclass(frozen=True)
@@ -115,113 +99,3 @@ def run_attack(
         core = _matches_from_vertices(product, sorted(common))
         stable_core = MatchList(core.matches, match_list.distance_supported)
     return AttackReport(match_list, product.n, clique, product, stable_core, n_maximum)
-
-
-def classical_linkage(
-    target_table: MicrodataTable,
-    ident_table: MicrodataTable,
-) -> tuple:
-    """Baseline linkage on labels alone: every row pair whose
-    quasi-identifier tuples coincide, in lexicographic order.  Equals the
-    product graph's vertex list."""
-    if tuple(target_table.qi_attributes) != tuple(ident_table.qi_attributes):
-        raise InputFormatError("target and identification tables disagree on qi attributes")
-    return tuple(label_pairs(target_table.qi_tuples(), ident_table.qi_tuples()))
-
-
-@dataclass(frozen=True)
-class CommonSubgraphWitness:
-    """An order-k approximate common subgraph: vertex sets S and T with
-    the label-preserving bijection phi between them."""
-
-    S: tuple
-    T: tuple
-    phi: tuple  # pairs (s, phi(s)), s ascending
-
-    def __post_init__(self) -> None:
-        if len(self.S) != len(self.T):
-            raise InputFormatError("witness sides must have equal size")
-
-
-_WITNESS_ORDER_LIMIT = 7
-
-
-def _edge_compatible(
-    g1: LabeledWeightedGraph,
-    g2: LabeledWeightedGraph,
-    rel,
-    s1: int,
-    t1: int,
-    s2: int,
-    t2: int,
-) -> bool:
-    e1 = g1.has_edge(s1, s2)
-    e2 = g2.has_edge(t1, t2)
-    if e1 and e2:
-        return rel.holds(g1.weight(s1, s2), g2.weight(t1, t2))
-    return not e1 and not e2
-
-
-def enumerate_common_subgraphs(
-    g1: LabeledWeightedGraph,
-    g2: LabeledWeightedGraph,
-    rel,
-    k: int,
-) -> list:
-    """All approximate common subgraphs of order exactly k, brute force.
-
-    Enumerates label-preserving injections by backtracking: S is chosen
-    in ascending vertex order, images unrestricted, the edge condition
-    checked incrementally.  Restricted to small graphs by design."""
-    if g1.n > _WITNESS_ORDER_LIMIT or g2.n > _WITNESS_ORDER_LIMIT:
-        raise SizeLimitError(
-            f"witness enumeration limited to order {_WITNESS_ORDER_LIMIT}")
-    if k < 1:
-        raise InputFormatError("witness order k must be >= 1")
-    witnesses = []
-    s_stack: list = []
-    t_stack: list = []
-    used: set = set()
-
-    def rec() -> None:
-        if len(s_stack) == k:
-            witnesses.append(CommonSubgraphWitness(
-                tuple(s_stack), tuple(t_stack),
-                tuple(zip(s_stack, t_stack))))
-            return
-        lo = s_stack[-1] + 1 if s_stack else 0
-        # keep enough vertices after s to finish the set
-        for s in range(lo, g1.n - (k - len(s_stack)) + 1):
-            for t in range(g2.n):
-                if t in used:
-                    continue
-                if g1.labels[s] != g2.labels[t]:
-                    continue
-                if all(_edge_compatible(g1, g2, rel, s_stack[m], t_stack[m], s, t)
-                       for m in range(len(s_stack))):
-                    s_stack.append(s)
-                    t_stack.append(t)
-                    used.add(t)
-                    rec()
-                    used.discard(t)
-                    t_stack.pop()
-                    s_stack.pop()
-
-    rec()
-    return witnesses
-
-
-def theorem1_check(g1: LabeledWeightedGraph, g2: LabeledWeightedGraph, rel) -> bool:
-    """Cross-check the clique correspondence on a small instance.
-
-    True iff, for every order k, the number of approximate common
-    subgraphs found by brute force equals the number of k-cliques of the
-    product graph.  Both sides are computed by independent enumerations."""
-    if g1.n > _WITNESS_ORDER_LIMIT or g2.n > _WITNESS_ORDER_LIMIT:
-        raise SizeLimitError(
-            f"correspondence check limited to order {_WITNESS_ORDER_LIMIT}")
-    product = build_product_graph(g1, g2, rel)
-    for k in range(1, min(g1.n, g2.n) + 1):
-        if len(enumerate_common_subgraphs(g1, g2, rel, k)) != count_cliques_of_size(product.graph, k):
-            return False
-    return True

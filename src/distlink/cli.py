@@ -357,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="JSON simulation config")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--threads", type=int, default=1,
-                   help="worker processes, at most one per job and CPU; 1 is fully sequential")
+                   help="worker processes, at most one per job and per CPU the process may run on "
+                        "(one in a child process or beside other threads); 1 is fully sequential")
     p.add_argument("--seed", type=int, default=None, help="overrides the config seed")
     p.set_defaults(func=cmd_simulate)
 

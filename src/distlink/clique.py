@@ -7,9 +7,7 @@ sets.  It is deterministic: with the fixed vertex ordering (descending
 degree, ties by ascending index) the same input always yields the same
 clique.  The same search, told to keep ties, enumerates every maximum
 clique.  A node budget turns runaway instances into an explicit error
-instead of a silent heuristic answer.  Brute-force oracles for small
-graphs, on a bitset view of the graph, live here as well; the test
-suite checks the solver against them.
+instead of a silent heuristic answer.
 
 Graphs with more than SPLIT_MIN_VERTICES vertices are split at the root
 (the ego-network reduction of Chang, KDD 2019).  One pass over the CSR
@@ -33,7 +31,6 @@ the one-CPU result.
 from __future__ import annotations
 
 import contextlib
-import functools
 import multiprocessing
 import os
 import signal
@@ -45,7 +42,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InputFormatError, ResourceBudgetError, SizeLimitError
+from .errors import InputFormatError, ResourceBudgetError
 
 DEFAULT_NODE_BUDGET = 10**8
 
@@ -62,11 +59,7 @@ CHUNK = 128
 
 class SimpleGraph:
     """Undirected graph in symmetric CSR form: the neighbours of vertex v
-    are indices[indptr[v]:indptr[v + 1]], in ascending order.
-
-    rows is a bitset view (one int of n bits per vertex) built on first
-    use, for the small-graph oracles; the solver never reads it.
-    """
+    are indices[indptr[v]:indptr[v + 1]], in ascending order."""
 
     def __init__(self, n: int, indptr, indices, validate: bool = True) -> None:
         indptr = np.asarray(indptr, dtype=np.int64)
@@ -112,10 +105,6 @@ class SimpleGraph:
     def edges(self) -> list:
         x, y = self.edge_array()
         return list(zip(x.tolist(), y.tolist()))
-
-    @functools.cached_property
-    def rows(self) -> list:
-        return bitset_rows(self.n, *self.edge_array())
 
 
 def _edge_keys(n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -519,78 +508,11 @@ def enumerate_maximum_cliques(g: SimpleGraph, node_budget: int = DEFAULT_NODE_BU
     return sorted(search.vertices(mask) for mask in search.best_masks)
 
 
-def brute_force_max_clique(g: SimpleGraph, max_n: int = 25) -> CliqueResult:
-    """Exhaustive oracle: recursively extend cliques in index order.
-
-    Independent of the branch-and-bound solver (no colouring, no vertex
-    reordering), which is what makes it a trustworthy cross-check.
-    """
-    if g.n > max_n:
-        raise SizeLimitError(f"brute force limited to {max_n} vertices, got {g.n}")
-    start = time.perf_counter()
-    best = [0, 0]
-    nodes = [0]
-
-    def extend(mask: int, size: int, cand: int) -> None:
-        nodes[0] += 1
-        if size > best[0]:
-            best[0] = size
-            best[1] = mask
-        rest = cand
-        while rest:
-            b = rest & -rest
-            v = b.bit_length() - 1
-            rest ^= b
-            extend(mask | b, size + 1, cand & g.rows[v] & ~((b << 1) - 1))
-
-    extend(0, 0, (1 << g.n) - 1)
-    vertices = tuple(sorted(_bits(best[1])))
-    _check_clique(g, vertices)
-    return CliqueResult(vertices, best[0], nodes[0], time.perf_counter() - start)
-
-
-def greedy_coloring_bound(g: SimpleGraph, candidate_set: Optional[Iterable[int]] = None) -> int:
-    """Number of colour classes of a greedy colouring of the induced
-    subgraph; an upper bound on its clique number."""
-    if candidate_set is None:
-        cand = (1 << g.n) - 1
-    else:
-        cand = 0
-        for v in candidate_set:
-            if not 0 <= v < g.n:
-                raise InputFormatError(f"vertex {v} out of range")
-            cand |= 1 << v
-    classes = _colour_classes(g.rows, cand)
-    return classes[-1][1] if classes else 0
-
-
-def count_cliques_of_size(g: SimpleGraph, k: int) -> int:
-    """Number of vertex subsets of size k that are cliques, by recursive
-    subset enumeration in index order.  k = 0 counts the empty clique."""
-    if k < 0:
-        raise InputFormatError("k must be nonnegative")
-    if k == 0:
-        return 1
-
-    def rec(depth: int, cand: int) -> int:
-        if depth == k:
-            return 1
-        total = 0
-        rest = cand
-        while rest:
-            b = rest & -rest
-            v = b.bit_length() - 1
-            rest ^= b
-            nxt = cand & g.rows[v] & ~((b << 1) - 1)
-            if k - depth - 1 <= nxt.bit_count():
-                total += rec(depth + 1, nxt)
-        return total
-
-    return rec(0, (1 << g.n) - 1)
-
-
 def write_dimacs(g: SimpleGraph, path, comment: Optional[str] = None) -> None:
-    """Write the graph in DIMACS ascii clique format (1-based vertices)."""
+    """Write the graph in DIMACS ascii clique format (1-based vertices).
+    A non-ASCII comment raises InputFormatError before path is opened."""
+    if comment is not None and not comment.isascii():
+        raise InputFormatError(f"{path}: DIMACS comment must be ASCII")
     x, y = g.edge_array()
     lines = [f"c {part}" for part in (comment or "").splitlines()]
     lines.append(f"p edge {g.n} {len(x)}")

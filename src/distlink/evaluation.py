@@ -15,7 +15,6 @@ import csv
 import itertools
 import math
 import numbers
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
@@ -24,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .attack import MatchList, run_attack
-from .clique import DEFAULT_NODE_BUDGET
+from .clique import DEFAULT_NODE_BUDGET, worker_cpus
 from .core import GeoPoint, MicrodataRecord, MicrodataTable, distance_matrix
 from .datasets import census_qi_distributions
 from .errors import InputFormatError, ResourceBudgetError
@@ -320,7 +319,7 @@ def run_simulation(config: SimulationConfig, threads: int = 1) -> SimulationResu
     Every repetition derives its own RNG streams from (seed, sigma index,
     alpha index, repetition index), so the result is independent of the
     execution schedule; threads > 1 only changes wall-clock time.  At
-    most min(threads, jobs, CPUs) worker processes start.
+    most min(threads, jobs, worker_cpus()) worker processes start.
     Calibration is computed once per sigma and shared across the grid.
     """
     if threads < 1:
@@ -330,7 +329,7 @@ def run_simulation(config: SimulationConfig, threads: int = 1) -> SimulationResu
                     for si, sigma in enumerate(config.sigma_grid)]
     jobs = [(config, si, ai, rep, calibrations[si]) for si, ai, rep in itertools.product(
         range(len(config.sigma_grid)), range(len(config.alpha_grid)), range(config.repetitions))]
-    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    workers = min(threads, len(jobs), worker_cpus())
     if workers <= 1:
         rows = [_worker(job) for job in jobs]
     else:

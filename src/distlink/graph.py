@@ -16,7 +16,6 @@ sorts in place, so those keys and the CSR's int32 indices are the peak.
 from __future__ import annotations
 
 import os
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -325,14 +324,3 @@ def build_product_graph(
         pairs = label_pairs(target.labels, ident.labels)
         graph = SimpleGraph.from_edges(len(pairs), _product_edges_general(target, ident, rel, pairs))
     return ProductGraph(pairs, graph)
-
-
-def product_vertex_count_check(
-    target: LabeledWeightedGraph,
-    ident: LabeledWeightedGraph,
-) -> int:
-    """Independent tally of the expected product vertex count: the sum over
-    labels of (target multiplicity) times (identification multiplicity)."""
-    ct = Counter(target.labels)
-    ci = Counter(ident.labels)
-    return sum(ct[lab] * ci[lab] for lab in ct.keys() & ci.keys())

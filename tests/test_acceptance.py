@@ -23,7 +23,6 @@ from distlink import (
     Absolute,
     GroundTruth,
     SimulationConfig,
-    brute_force_max_clique,
     calibrate,
     distance_matrix,
     evaluate,
@@ -31,7 +30,6 @@ from distlink import (
     ru_map_data,
     run_attack,
     run_simulation,
-    theorem1_check,
 )
 from distlink.cli import main
 from distlink.datasets import (
@@ -43,6 +41,7 @@ from distlink.datasets import (
     poets_target_matrix,
     poets_target_table,
 )
+from distlink.oracles import brute_force_max_clique, theorem1_check
 from helpers import (
     EXAMPLE_CITY_MATRIX,
     POETS_PRODUCT_PAIRS_1BASED,

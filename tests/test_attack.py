@@ -14,12 +14,8 @@ from distlink import (
     SizeLimitError,
     build_graph,
     build_product_graph,
-    classical_linkage,
-    count_cliques_of_size,
     distance_matrix,
-    enumerate_common_subgraphs,
     run_attack,
-    theorem1_check,
 )
 from distlink.datasets import (
     example1_table,
@@ -28,6 +24,8 @@ from distlink.datasets import (
     poets_target_matrix,
     poets_target_table,
 )
+from distlink.graph import label_pairs
+from distlink.oracles import count_cliques_of_size, enumerate_common_subgraphs, theorem1_check
 from helpers import (
     POETS_PRODUCT_PAIRS_1BASED,
     POETS_TRUE_MATCHES_1BASED,
@@ -57,8 +55,8 @@ class TestRunAttack:
 
     def test_matches_subset_of_classical_linkage(self):
         report = poets_attack()
-        classical = set(classical_linkage(poets_target_table(),
-                                          poets_ident_table()))
+        classical = set(label_pairs(poets_target_table().qi_tuples(),
+                                    poets_ident_table().qi_tuples()))
         assert set(report.matches) <= classical
 
     def test_self_linkage_recovers_identity(self):
@@ -116,7 +114,7 @@ class TestMatchList:
 
 class TestClassicalLinkage:
     def test_poets_pairs(self):
-        pairs = classical_linkage(poets_target_table(), poets_ident_table())
+        pairs = label_pairs(poets_target_table().qi_tuples(), poets_ident_table().qi_tuples())
         assert {(t + 1, i + 1) for t, i in pairs} == POETS_PRODUCT_PAIRS_1BASED
         assert list(pairs) == sorted(pairs)
 
@@ -124,13 +122,13 @@ class TestClassicalLinkage:
         gt = build_graph(poets_target_table(), poets_target_matrix())
         gi = build_graph(poets_ident_table(), poets_ident_matrix())
         p = build_product_graph(gt, gi, Absolute(0.001))
-        assert tuple(classical_linkage(poets_target_table(),
-                                       poets_ident_table())) == p.vertices
+        assert tuple(label_pairs(poets_target_table().qi_tuples(),
+                                 poets_ident_table().qi_tuples())) == p.vertices
 
     def test_whitespace_in_values_ignored(self):
         a = MicrodataTable([MicrodataRecord({"g": " x "})], ("g",), ("g",))
         b = MicrodataTable([MicrodataRecord({"g": "x"})], ("g",), ("g",))
-        assert classical_linkage(a, b) == ((0, 0),)
+        assert label_pairs(a.qi_tuples(), b.qi_tuples()) == [(0, 0)]
 
 
 def identical_triangle_pair():

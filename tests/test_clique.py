@@ -19,16 +19,14 @@ from distlink import (
     ResourceBudgetError,
     SimpleGraph,
     SizeLimitError,
-    brute_force_max_clique,
-    count_cliques_of_size,
     enumerate_maximum_cliques,
-    greedy_coloring_bound,
     max_clique,
     read_dimacs,
     write_dimacs,
 )
 from distlink import build_product_graph, clique
 from distlink.clique import _Search, _colour_classes
+from distlink.oracles import adjacency_rows, brute_force_max_clique, count_cliques_of_size
 from helpers import (
     census_graphs,
     edge_array_root_split,
@@ -60,7 +58,7 @@ class TestSimpleGraph:
         assert g.degree(1) == 2 and g.degree(3) == 0
         assert g.edge_count() == 2
         assert g.edges() == [(0, 1), (1, 2)]
-        assert g.rows == [0b0010, 0b0101, 0b0010, 0]
+        assert adjacency_rows(g) == [0b0010, 0b0101, 0b0010, 0]
 
     def test_edges_in_row_order(self):
         rng = np.random.default_rng(21)
@@ -68,7 +66,7 @@ class TestSimpleGraph:
             g = random_simple_graph(rng, n, 0.3)
             assert g.edges() == [(i, j) for i in range(n) for j in range(i + 1, n)
                                  if g.has_edge(i, j)]
-            assert SimpleGraph.from_edges(n, g.edges()).rows == g.rows
+            assert adjacency_rows(SimpleGraph.from_edges(n, g.edges())) == adjacency_rows(g)
 
     def test_rejects_self_loop(self):
         with pytest.raises(InputFormatError, match="self-loop at vertex 0"):
@@ -309,10 +307,11 @@ def _relabel_by_shifts(g):
     labels with one |V|-bit shift per endpoint."""
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     pos = {v: k for k, v in enumerate(order)}
+    adj = adjacency_rows(g)
     rows = [0] * g.n
     for v in range(g.n):
         for w in range(g.n):
-            if g.rows[v] >> w & 1:
+            if adj[v] >> w & 1:
                 rows[pos[v]] |= 1 << pos[w]
     return order, rows
 
@@ -444,7 +443,7 @@ class TestRootSplit:
             g = random_simple_graph(rng, int(rng.integers(0, 80)),
                                     float(rng.uniform(0.02, 0.95)))
             identity = np.arange(g.n)
-            colours = dict(_colour_classes(g.rows, (1 << g.n) - 1))
+            colours = dict(_colour_classes(adjacency_rows(g), (1 << g.n) - 1))
             for block in (1, 5, 256):
                 sweep, swept_colours = clique._root_split(g, identity, identity, block)[:2]
                 assert dict(zip(sweep, swept_colours)) == colours
@@ -618,22 +617,6 @@ class TestBruteForce:
         assert brute_force_max_clique(complete_graph(4)).size == 4
 
 
-class TestColoringBound:
-    def test_exact_on_complete_and_edgeless(self):
-        assert greedy_coloring_bound(complete_graph(5)) == 5
-        assert greedy_coloring_bound(SimpleGraph.from_edges(4, [])) == 1
-
-    def test_admissible_upper_bound(self):
-        rng = np.random.default_rng(17)
-        for _ in range(15):
-            g = random_simple_graph(rng, 12, float(rng.uniform(0.2, 0.9)))
-            assert greedy_coloring_bound(g) >= brute_force_max_clique(g).size
-
-    def test_candidate_subset(self):
-        g = complete_graph(6)
-        assert greedy_coloring_bound(g, candidate_set=[0, 1, 2]) == 3
-
-
 class TestEnumerateMaximumCliques:
     def test_two_disjoint_triangles(self):
         g = SimpleGraph.from_edges(6, [(0, 1), (0, 2), (1, 2),
@@ -705,7 +688,14 @@ class TestDimacs:
         path = tmp_path / "g.dimacs"
         write_dimacs(g, path, comment="round trip fixture")
         h = read_dimacs(path)
-        assert h.n == g.n and h.rows == g.rows
+        assert h.n == g.n and adjacency_rows(h) == adjacency_rows(g)
+
+    def test_non_ascii_comment_rejected_before_writing(self, tmp_path):
+        path = tmp_path / "g.dimacs"
+        path.write_bytes(b"p edge 2 0\n")
+        with pytest.raises(InputFormatError, match="comment must be ASCII"):
+            write_dimacs(SimpleGraph.from_edges(2, [(0, 1)]), path, comment="caf\u00e9")
+        assert path.read_bytes() == b"p edge 2 0\n"
 
     def test_file_is_one_based(self, tmp_path):
         g = SimpleGraph.from_edges(3, [(0, 1)])

@@ -2,7 +2,6 @@
 
 import csv
 import math
-import os
 
 import numpy as np
 import pytest
@@ -13,19 +12,19 @@ from distlink import (
     InputFormatError,
     MatchList,
     SimulationConfig,
-    classical_linkage,
     build_graph,
     build_product_graph,
     Absolute,
     evaluate,
     generate_synthetic_pair,
-    product_vertex_count_check,
     ru_map_data,
     run_simulation,
     save_table,
 )
 from distlink import evaluation
 from distlink.datasets import census_qi_distributions
+from distlink.graph import label_pairs
+from distlink.oracles import product_vertex_count_check
 from distlink.evaluation import (
     ID_ATTRIBUTE,
     write_aggregate_csv,
@@ -180,8 +179,7 @@ class TestGenerateSyntheticPair:
         gt = build_graph(tt.with_qi(tuple(census_qi_distributions())), tm)
         gi = build_graph(it_.with_qi(tuple(census_qi_distributions())), im)
         expected = product_vertex_count_check(gt, gi)
-        pairs = classical_linkage(tt.with_qi(tuple(census_qi_distributions())),
-                                  it_.with_qi(tuple(census_qi_distributions())))
+        pairs = label_pairs(gt.labels, gi.labels)
         assert len(pairs) == expected
         p = build_product_graph(gt, gi, Absolute(1.0))
         assert p.n == expected
@@ -264,9 +262,9 @@ class TestRunSimulation:
         expected = [(r.tp, r.fp, r.fn) for r in run_simulation(config, threads=1).rows]
         monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
         for cpus, threads, started in ((3, 10**6, [3]), (8, 10**6, [4]), (8, 2, [2]),
-                                       (1, 10**6, []), (None, 10**6, []), (8, 1, [])):
+                                       (1, 10**6, []), (1, 2, []), (8, 1, [])):
             pools.clear()
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            monkeypatch.setattr(evaluation, "worker_cpus", lambda: cpus)
             res = run_simulation(config, threads=threads)
             assert pools == started
             assert [(r.tp, r.fp, r.fn) for r in res.rows] == expected
