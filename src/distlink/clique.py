@@ -202,12 +202,15 @@ def _check_clique(g: SimpleGraph, vertices: Sequence[int]) -> None:
                 raise AssertionError(f"reported clique not pairwise adjacent: {a}, {b}")
 
 
-def _colour_classes(rows: Sequence[int], cand: int) -> list:
-    """Greedy colouring of the candidate set by colour classes.
-
-    Returns (vertex, colour) pairs grouped by ascending colour; a
-    vertex's colour bounds the largest clique containing it within the
-    candidates, which drives the search's pruning.
+def _colour_classes(outs: Sequence[int], cand: int, kmin: int) -> list:
+    """Greedy colouring of the candidate set by colour classes, each
+    taking in ascending order the vertices left that none in it is
+    adjacent to.  outs[v] is the nonnegative mask of the vertices that are
+    neither v nor its neighbours: one AND drops both, where ~mask would
+    build a negative int.  Returns the (vertex, colour) pairs with colour
+    above kmin, grouped by ascending colour.  A vertex's colour bounds the
+    largest clique containing it within the candidates; the search cuts a
+    colour up to kmin at once, so those go unlisted.
     """
     out = []
     rest = cand
@@ -218,10 +221,17 @@ def _colour_classes(rows: Sequence[int], cand: int) -> list:
         while avail:
             b = avail & -avail
             v = b.bit_length() - 1
-            out.append((v, colour))
-            avail &= ~(rows[v] | b)
+            if colour > kmin:
+                out.append((v, colour))
+            avail &= outs[v]
             rest ^= b
     return out
+
+
+def _complements(rows: list) -> list:
+    """_colour_classes' outs for the adjacency rows of vertices 0..n-1."""
+    full = (1 << len(rows)) - 1
+    return [full ^ (row | 1 << v) for v, row in enumerate(rows)]
 
 
 def _gather(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> tuple:
@@ -348,10 +358,11 @@ def _root_split(g: SimpleGraph, order: np.ndarray, pos: np.ndarray, block: int =
     One pass over the relabelled rows, block vertices at a time, colours
     first-fit and emits the CSR keys.  Each vertex takes the least colour
     c >= 1 that no lower neighbour has: _colour_classes' colours on the
-    whole vertex set, since a class takes vertices in ascending order and
-    so refuses a vertex colour c exactly when a lower neighbour holds c.
-    Lower neighbours in earlier blocks give one forbidden-colour mask per
-    vertex at once; those inside the block are added edge by edge.  Each
+    whole vertex set with kmin <= 0, since a class takes vertices in
+    ascending order and so refuses a vertex colour c exactly when a lower
+    neighbour holds c.  Lower neighbours in earlier blocks give one
+    forbidden-colour mask per vertex at once; those inside the block are
+    added edge by edge.  Each
     edge is then met once, from its later end in degree order, with both
     ends coloured: neighbours differ in colour, and the end with the
     higher colour is swept first, so it lists the other.  One sort of the
@@ -417,7 +428,7 @@ class _Search:
             x, y = g.edge_array()
             self.rows = bitset_rows(g.n, pos[x], pos[y])
             if g.n:
-                self.expand(self.rows, 0, 0, (1 << g.n) - 1)
+                self.expand(self.rows, _complements(self.rows), 0, 0, (1 << g.n) - 1)
 
     def _spend(self) -> None:
         self.nodes += 1
@@ -432,8 +443,13 @@ class _Search:
         elif self.keep_ties and size == self.best_size:
             self.best_masks.append(mask)
 
-    def expand(self, rows: Sequence[int], size: int, mask: int, cand: int) -> None:
-        for v, colour in reversed(_colour_classes(rows, cand)):
+    def expand(self, rows: list, outs: list, size: int, mask: int, cand: int) -> None:
+        """Extend the clique mask, of size vertices, by the candidates
+        cand, on adjacency rows and their _complements outs.  Colours up
+        to kmin go unlisted: their branches cannot beat the incumbent
+        (or, keeping ties, reach it) as it stands, and it only grows."""
+        kmin = self.best_size - size - self.keep_ties
+        for v, colour in reversed(_colour_classes(outs, cand, kmin)):
             # a branch that cannot beat the incumbent (or, keeping ties,
             # cannot reach it) is cut, together with every lower colour
             if size + colour + self.keep_ties <= self.best_size:
@@ -442,17 +458,18 @@ class _Search:
             b = 1 << v
             nxt = cand & rows[v]
             if nxt:
-                self.expand(rows, size + 1, mask | b, nxt)
+                self.expand(rows, outs, size + 1, mask | b, nxt)
             else:
                 self._found(size + 1, mask | b)
-            cand &= ~b
+            cand ^= b
 
     def _sweep(self, sweep: list, colours: list, indptr: np.ndarray, adj: np.ndarray) -> None:
-        """expand(rows, 0, 0, all) on _root_split's arrays: each root
-        branch v is searched on local rows of its candidates cand, the
-        vertices adj lists for v; local id i is cand[i].  The branches'
-        skip bounds and local edges come from _branch_stream, in sweep
-        order; the incumbent, the cuts and the node count stay here."""
+        """expand(rows, outs, 0, 0, all) on _root_split's arrays: each root
+        branch v is searched on local rows, and their _complements, of its
+        candidates cand, the vertices adj lists for v; local id i is
+        cand[i].  The branches' skip bounds and local edges come from
+        _branch_stream, in sweep order; the incumbent, the cuts and the
+        node count stay here."""
         with contextlib.closing(_branch_stream(_Branches(indptr, adj), sweep)) as branches:
             for v, colour in zip(sweep, colours):
                 if colour + self.keep_ties <= self.best_size:
@@ -464,7 +481,7 @@ class _Search:
                 if not s:
                     self._found(1, 1 << v)
                     continue
-                # expand(rows, 1, ...) would return at once without
+                # expand(rows, outs, 1, ...) would return at once without
                 # spending a node
                 if 1 + bound + self.keep_ties <= self.best_size:
                     continue
@@ -472,7 +489,8 @@ class _Search:
                 # them back: they replace the outer ones if the branch grew
                 outer, size = self.best_masks, self.best_size
                 self.best_masks = []
-                self.expand(bitset_rows(s, a, b), 1, 0, (1 << s) - 1)
+                rows = bitset_rows(s, a, b)
+                self.expand(rows, _complements(rows), 1, 0, (1 << s) - 1)
                 ids = cand.tolist()
                 found = [sum(1 << ids[i] for i in _bits(m)) | 1 << v for m in self.best_masks]
                 self.best_masks = found if self.best_size > size else outer + found

@@ -16,7 +16,7 @@ from distlink import (
     QuantileBand,
     SimpleGraph,
 )
-from distlink import build_graph
+from distlink import build_graph, build_product_graph
 from distlink.clique import _gather
 from distlink.core import _great_circle_km
 from distlink.datasets import census_qi_distributions
@@ -87,6 +87,27 @@ def census_graphs(n, sigma=0.025, alpha=0.5, seed=1):
     qi = tuple(census_qi_distributions())
     rel = band_from_table(calibrate(GERMANY, sigma, 1000, seed), alpha).as_relation()
     return build_graph(tt.with_qi(qi), tm), build_graph(it.with_qi(qi), im), rel
+
+
+def gender_tie_product(shuffle_seed):
+    """The product graph of the 40 x 40 pair with 8 common records,
+    gender as the only QI and sigma 0.1, as `distlink gendata` draws it
+    for seed 1, under Absolute(25): a small product with several maximum
+    cliques.  Both tables' rows, with their matrices, are first shuffled
+    by permutations drawn from default_rng(shuffle_seed)."""
+    n = 40
+    qi = {"gender": census_qi_distributions()["gender"]}
+    config = SimulationConfig(n, n, n // 5, (0.1,), (0.5,), 1, qi, seed=1)
+    pair = generate_synthetic_pair(config, 0.1, derive_rng(1, STREAM_GENDATA))[:2]
+    rng = np.random.default_rng(shuffle_seed)
+    graphs = []
+    for table, matrix in pair:
+        order = rng.permutation(n)
+        points = None if table.points is None else [table.points[k] for k in order]
+        table = MicrodataTable([table.records[k] for k in order], table.schema,
+                               table.qi_attributes, table.id_attribute, points)
+        graphs.append(build_graph(table, DistanceMatrix(matrix.entries[np.ix_(order, order)])))
+    return build_product_graph(*graphs, Absolute(25.0)).graph
 
 
 def random_points(rng, n):
@@ -199,6 +220,28 @@ def dict_label_pairs(target_labels, ident_labels):
     for w, lab in enumerate(ident_labels):
         by_label.setdefault(lab, []).append(w)
     return [(v, w) for v, lab in enumerate(target_labels) for w in by_label.get(lab, ())]
+
+
+# ---- class-by-class colouring -------------------------------------------
+
+
+def inverted_row_colour_classes(rows, cand):
+    """clique._colour_classes as it was before it took complement masks:
+    every (vertex, colour) pair, each class dropping a vertex and its
+    neighbours through the negative mask ~(rows[v] | b)."""
+    out = []
+    rest = cand
+    colour = 0
+    while rest:
+        colour += 1
+        avail = rest
+        while avail:
+            b = avail & -avail
+            v = b.bit_length() - 1
+            out.append((v, colour))
+            avail &= ~(rows[v] | b)
+            rest ^= b
+    return out
 
 
 # ---- one-shot product build and edge-array solver set-up ---------------

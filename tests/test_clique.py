@@ -25,12 +25,14 @@ from distlink import (
     write_dimacs,
 )
 from distlink import build_product_graph, clique
-from distlink.clique import _Search, _colour_classes
+from distlink.clique import _Search, _colour_classes, _complements
 from distlink.oracles import adjacency_rows, brute_force_max_clique, count_cliques_of_size
 from helpers import (
     census_graphs,
     edge_array_root_split,
     gather_branch_edges,
+    gender_tie_product,
+    inverted_row_colour_classes,
     random_simple_graph,
     symmetric_key_sort_csr,
 )
@@ -332,6 +334,37 @@ SEARCH_RESULTS = [
 ]
 
 
+class TestColourClasses:
+    """The complement-mask colouring against the class-by-class oracle."""
+
+    def test_complements_are_nonnegative_and_exclude_the_vertex(self):
+        rng = np.random.default_rng(30)
+        for n in (0, 1, 9, 70):
+            rows = adjacency_rows(random_simple_graph(rng, n, 0.4))
+            outs = _complements(rows)
+            full = (1 << n) - 1
+            for v, (row, out) in enumerate(zip(rows, outs)):
+                assert out >= 0 and not out >> v & 1 and not out & row
+                assert out | row | 1 << v == full
+
+    def test_lists_the_oracle_colours_above_kmin(self):
+        rng = np.random.default_rng(31)
+        graphs = [SimpleGraph.from_edges(0, []), SimpleGraph.from_edges(6, []), complete_graph(9)]
+        for _ in range(80):
+            graphs.append(random_simple_graph(rng, int(rng.integers(0, 71)),
+                                              float(rng.uniform(0.02, 0.95))))
+        for g in graphs:
+            rows = adjacency_rows(g)
+            outs = _complements(rows)
+            some = sum(1 << int(v) for v in np.flatnonzero(rng.random(g.n) < 0.5))
+            for cand in ((1 << g.n) - 1, some):
+                want = inverted_row_colour_classes(rows, cand)
+                top = max((colour for _, colour in want), default=0)
+                for kmin in range(-1, top + 2):
+                    assert _colour_classes(outs, cand, kmin) == [
+                        (v, colour) for v, colour in want if colour > kmin]
+
+
 class TestSearchSetup:
     def test_relabel_equals_shift_loop(self):
         rng = np.random.default_rng(22)
@@ -367,6 +400,32 @@ def _on_both_paths(search, g):
 def _solve(g):
     r = max_clique(g)
     return r.vertices, r.nodes_explored, enumerate_maximum_cliques(g)
+
+
+#: shuffle seed of helpers.gender_tie_product, then |V|, |E|, omega,
+#: max_clique's vertices and nodes_explored, the number of maximum cliques,
+#: the first one and the tie pass's nodes, as the negative-mask colouring
+#: gave them
+TIE_PRODUCT_RESULTS = [
+    (1, 810, 19164, 8, (18, 150, 163, 308, 385, 454, 557, 809), 396, 3,
+     (18, 150, 163, 308, 385, 454, 557, 809), 679),
+    (3, 810, 19164, 8, (222, 261, 319, 377, 451, 476, 579, 655), 389, 3,
+     (84, 201, 414, 428, 491, 524, 530, 600), 558),
+    (4, 810, 19164, 8, (0, 118, 176, 341, 361, 424, 593, 763), 410, 3,
+     (0, 118, 176, 341, 361, 424, 593, 737), 684),
+]
+
+
+@pytest.mark.parametrize("seed, n, edges, omega, vertices, nodes, n_maximum, first, tie_nodes",
+                         TIE_PRODUCT_RESULTS)
+def test_tie_product_results_unchanged_on_both_paths(seed, n, edges, omega, vertices, nodes,
+                                                     n_maximum, first, tie_nodes):
+    g = gender_tie_product(seed)
+    assert (g.n, g.edge_count(), len(vertices)) == (n, edges, omega)
+    for found_vertices, found_nodes, found in _on_both_paths(_solve, g):
+        assert (found_vertices, found_nodes) == (vertices, nodes)
+        assert (len(found), found[0]) == (n_maximum, first)
+    assert _on_both_paths(lambda g: _Search(g, 10**8, keep_ties=True).nodes, g) == [tie_nodes] * 2
 
 
 def _special_graphs():
@@ -443,7 +502,7 @@ class TestRootSplit:
             g = random_simple_graph(rng, int(rng.integers(0, 80)),
                                     float(rng.uniform(0.02, 0.95)))
             identity = np.arange(g.n)
-            colours = dict(_colour_classes(adjacency_rows(g), (1 << g.n) - 1))
+            colours = dict(inverted_row_colour_classes(adjacency_rows(g), (1 << g.n) - 1))
             for block in (1, 5, 256):
                 sweep, swept_colours = clique._root_split(g, identity, identity, block)[:2]
                 assert dict(zip(sweep, swept_colours)) == colours
