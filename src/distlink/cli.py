@@ -148,7 +148,7 @@ def _load_matrices(target_path, ident_path) -> tuple:
     sizes = [os.path.getsize(p) if os.path.isfile(p) else 0 for p in (target_path, ident_path)]
     if min(sizes) <= PARALLEL_LOAD_BYTES or worker_cpus() < 2:
         return load_matrix(target_path), load_matrix(ident_path)
-    with forked(_load_matrix_child, [(target_path,)]) as (inbox,):
+    with forked(lambda path: load_matrix(path).entries, [[target_path]]) as (inbox,):
         try:
             ident = load_matrix(ident_path)
         except Exception as exc:
@@ -160,10 +160,6 @@ def _load_matrices(target_path, ident_path) -> tuple:
     if isinstance(ident, Exception):
         raise ident
     return target, ident
-
-
-def _load_matrix_child(path, outbox) -> None:
-    outbox.send(load_matrix(path).entries)
 
 
 def cmd_attack(args) -> int:
@@ -357,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="JSON simulation config")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--threads", type=int, default=1,
-                   help="worker processes, at most one per job and per CPU the process may run on "
+                   help="forked worker processes, at most one per job and per CPU the process may run on "
                         "(one in a child process or beside other threads); 1 is fully sequential")
     p.add_argument("--seed", type=int, default=None, help="overrides the config seed")
     p.set_defaults(func=cmd_simulate)

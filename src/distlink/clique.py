@@ -23,9 +23,9 @@ hold a large enough clique by a degree bound is skipped before
 any rows are built, exactly where the unsplit search would have cut it.
 That bound and the branch's local edges never read the incumbent: with
 more than one usable CPU (worker_cpus), forked workers compute them
-ahead, CHUNK branches at a time in sweep order, while the search, its
-incumbent and its node count stay in one process, so every result is
-the one-CPU result.
+ahead, CHUNK branches at a time in sweep order (fan_out, which also
+spreads the simulation grid), while the search, its incumbent and its
+node count stay in one process, so every result is the one-CPU result.
 """
 
 from __future__ import annotations
@@ -272,6 +272,12 @@ class _Branches:
         b -= 1
         return 1 + int(np.bincount(np.maximum(a, b, out=hit), minlength=1).max()), a, b
 
+    def chunk(self, vs: list) -> tuple:
+        """The branches of vs for a pipe: bounds, edge-list ends, concatenated a and b."""
+        bounds, a, b = zip(*map(self, vs))
+        return (bounds, np.cumsum([len(x) for x in a]).tolist(),
+                np.concatenate(a, dtype=np.int32), np.concatenate(b, dtype=np.int32))
+
 
 def worker_cpus() -> int:
     """The CPUs forked workers may spread work over: the affinity mask's
@@ -285,19 +291,19 @@ def worker_cpus() -> int:
 
 
 @contextlib.contextmanager
-def forked(target, arg_lists: list):
-    """The inboxes of forked children, one per argument list, each running
-    target(*args, outbox) and sending its results through the pipe its
-    inbox reads.  A child that cannot start, fails or dies reads as EOF,
-    and its work is the parent's.  Children ignore interrupts and are
-    killed and joined on exit."""
+def forked(fn, item_lists: list):
+    """The inboxes of forked children, one per item list, each sending
+    fn(item) for each of its items in turn through the pipe its inbox
+    reads.  A child that cannot start, fails or dies reads as EOF, and
+    its work is the parent's.  Children ignore interrupts and are killed
+    and joined on exit."""
     fork = multiprocessing.get_context("fork")
     children, inboxes = [], []
     try:
-        for args in arg_lists:
+        for items in item_lists:
             inbox, outbox = fork.Pipe(duplex=False)
             inboxes.append(inbox)
-            child = fork.Process(target=_child_main, args=(target, *args, outbox), daemon=True)
+            child = fork.Process(target=_child_main, args=(fn, items, outbox), daemon=True)
             with contextlib.suppress(OSError):
                 child.start()
                 children.append(child)
@@ -311,39 +317,41 @@ def forked(target, arg_lists: list):
             inbox.close()
 
 
-def _child_main(target, *args) -> None:
+def _child_main(fn, items: Sequence, outbox) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     with contextlib.suppress(Exception):
-        target(*args)
+        for item in items:
+            outbox.send(fn(item))
+
+
+def fan_out(fn, items: Sequence, most: int):
+    """fn(item) for each item in turn.  With w = min(most, len(items),
+    worker_cpus()) >= 2, forked child k computes items k, k + w, ... and
+    sends them ahead, and a dead child's are computed here; otherwise
+    every item is computed here on demand."""
+    workers = min(most, len(items), worker_cpus())
+    if workers < 2:
+        yield from map(fn, items)
+        return
+    with forked(fn, [items[k::workers] for k in range(workers)]) as inboxes:
+        for j, item in enumerate(items):
+            try:
+                result = inboxes[j % workers].recv()
+            except (EOFError, OSError):
+                result = fn(item)
+            yield result
 
 
 def _branch_stream(branch: _Branches, sweep: list):
-    """branch(v) for each v of sweep in turn: computed on demand, or, with
-    more than one worker CPU and chunk, by forked workers that take the
-    chunks of CHUNK branches in turn and send them ahead.  A chunk whose
-    worker died is computed here."""
-    chunks = range(0, len(sweep), CHUNK)
-    workers = min(worker_cpus(), len(chunks))
-    if workers < 2:
+    """branch(v) for each v of sweep in turn: on demand, or, with more
+    than one worker CPU and chunk, fanned out CHUNK branches at a time."""
+    chunks = [sweep[start:start + CHUNK] for start in range(0, len(sweep), CHUNK)]
+    if min(worker_cpus(), len(chunks)) < 2:
         yield from map(branch, sweep)
         return
-    with forked(_sweep_worker, [(branch, sweep, chunks[k::workers]) for k in range(workers)]) as inboxes:
-        for j, start in enumerate(chunks):
-            try:
-                bounds, ends, a, b = inboxes[j % workers].recv()
-                done = ((bound, a[lo:hi], b[lo:hi]) for bound, lo, hi in zip(bounds, [0] + ends, ends))
-            except (EOFError, OSError):
-                done = map(branch, sweep[start:start + CHUNK])
-            yield from done
-
-
-def _sweep_worker(branch: _Branches, sweep: list, starts: range, outbox) -> None:
-    """Send the bounds, the edge lists' ends and the concatenated a and b
-    of the CHUNK branches from each start."""
-    for start in starts:
-        bounds, a, b = zip(*map(branch, sweep[start:start + CHUNK]))
-        outbox.send((bounds, np.cumsum([len(x) for x in a]).tolist(),
-                     np.concatenate(a, dtype=np.int32), np.concatenate(b, dtype=np.int32)))
+    with contextlib.closing(fan_out(branch.chunk, chunks, len(chunks))) as done:
+        for bounds, ends, a, b in done:
+            yield from ((bound, a[lo:hi], b[lo:hi]) for bound, lo, hi in zip(bounds, [0] + ends, ends))
 
 
 def _root_split(g: SimpleGraph, order: np.ndarray, pos: np.ndarray, block: int = 256) -> tuple:
@@ -523,7 +531,10 @@ def enumerate_maximum_cliques(g: SimpleGraph, node_budget: int = DEFAULT_NODE_BU
     ResourceBudgetError when node_budget branch nodes are exceeded.
     """
     search = _Search(g, node_budget, keep_ties=True)
-    return sorted(search.vertices(mask) for mask in search.best_masks)
+    cliques = sorted(search.vertices(mask) for mask in search.best_masks)
+    for c in cliques:
+        _check_clique(g, c)
+    return cliques
 
 
 def write_dimacs(g: SimpleGraph, path, comment: Optional[str] = None) -> None:

@@ -15,7 +15,6 @@ import csv
 import itertools
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
@@ -23,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .attack import MatchList, run_attack
-from .clique import DEFAULT_NODE_BUDGET, worker_cpus
+from .clique import DEFAULT_NODE_BUDGET, fan_out
 from .core import GeoPoint, MicrodataRecord, MicrodataTable, distance_matrix
 from .datasets import census_qi_distributions
 from .errors import InputFormatError, ResourceBudgetError
@@ -309,18 +308,14 @@ def _run_repetition(config: SimulationConfig, si: int, ai: int, rep: int,
                          scored.precision_defined, False)
 
 
-def _worker(job) -> RepetitionRow:
-    return _run_repetition(*job)
-
-
 def run_simulation(config: SimulationConfig, threads: int = 1) -> SimulationResult:
     """Run the full (sigma, alpha, repetition) grid.
 
     Every repetition derives its own RNG streams from (seed, sigma index,
     alpha index, repetition index), so the result is independent of the
-    execution schedule; threads > 1 only changes wall-clock time.  At
-    most min(threads, jobs, worker_cpus()) worker processes start.
-    Calibration is computed once per sigma and shared across the grid.
+    execution schedule; threads > 1 only changes wall-clock time: fan_out
+    spreads the jobs over min(threads, jobs, worker_cpus()) forked workers
+    and runs a dead one's here.  Calibration is computed once per sigma.
     """
     if threads < 1:
         raise InputFormatError("threads must be at least 1")
@@ -329,12 +324,7 @@ def run_simulation(config: SimulationConfig, threads: int = 1) -> SimulationResu
                     for si, sigma in enumerate(config.sigma_grid)]
     jobs = [(config, si, ai, rep, calibrations[si]) for si, ai, rep in itertools.product(
         range(len(config.sigma_grid)), range(len(config.alpha_grid)), range(config.repetitions))]
-    workers = min(threads, len(jobs), worker_cpus())
-    if workers <= 1:
-        rows = [_worker(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_worker, jobs, chunksize=1))
+    rows = list(fan_out(lambda job: _run_repetition(*job), jobs, threads))
     cells = []
     reps = config.repetitions
     for k, (sigma, alpha) in enumerate(itertools.product(config.sigma_grid, config.alpha_grid)):

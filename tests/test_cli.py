@@ -445,22 +445,22 @@ class TestSimulate:
         assert (d1 / "results.csv").read_bytes() == (d2 / "results.csv").read_bytes()
 
     def test_one_cpu_runs_threads_in_process(self, tmp_path):
-        """--threads 2 in a process pinned to one CPU starts no pool and
+        """--threads 2 in a process pinned to one CPU forks no worker and
         writes the bytes of --threads 1."""
         cfg = small_sim_config(tmp_path)
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
         assert main(["simulate", "--config", str(cfg),
                      "--out-dir", str(d1), "--threads", "1"]) == EXIT_OK
-        refuse_pool = ("import sys\n"
-                       "from distlink import evaluation\n"
+        refuse_fork = ("import sys\n"
+                       "from distlink import clique\n"
                        "from distlink.cli import main\n"
-                       "def pool(*args, **kwargs):\n"
-                       "    raise AssertionError('a worker pool started')\n"
-                       "evaluation.ProcessPoolExecutor = pool\n"
+                       "def fork(*args, **kwargs):\n"
+                       "    raise AssertionError('a worker was forked')\n"
+                       "clique.forked = fork\n"
                        "sys.exit(main(sys.argv[1:]))\n")
         env = dict(os.environ, PYTHONPATH=str(Path(distlink.__file__).parents[1]))
         cpu = min(os.sched_getaffinity(0))
-        run = subprocess.run([sys.executable, "-c", refuse_pool, "simulate", "--config", str(cfg),
+        run = subprocess.run([sys.executable, "-c", refuse_fork, "simulate", "--config", str(cfg),
                               "--out-dir", str(d2), "--threads", "2"],
                              env=env, capture_output=True, text=True,
                              preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))

@@ -290,6 +290,13 @@ class TestCheckClique:
         with pytest.raises(AssertionError, match=r"not pairwise adjacent: 0, 1$"):
             clique._check_clique(SimpleGraph.from_edges(3, [(1, 2)]), (0, 1))
 
+    @pytest.mark.parametrize("search", [max_clique, enumerate_maximum_cliques])
+    def test_searches_check_what_they_report(self, monkeypatch, search):
+        g = SimpleGraph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+        monkeypatch.setattr(clique._Search, "vertices", lambda self, mask: (0, 1, 3))
+        with pytest.raises(AssertionError, match=r"not pairwise adjacent: 0, 3$"):
+            search(g)
+
     def test_agrees_with_the_pairwise_loop(self):
         rng = np.random.default_rng(29)
         for _ in range(200):

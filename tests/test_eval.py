@@ -2,6 +2,9 @@
 
 import csv
 import math
+import multiprocessing
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from distlink import (
     run_simulation,
     save_table,
 )
-from distlink import evaluation
+from distlink import clique, evaluation
 from distlink.datasets import census_qi_distributions
 from distlink.graph import label_pairs
 from distlink.oracles import product_vertex_count_check
@@ -241,33 +244,41 @@ class TestRunSimulation:
                [(r.tp, r.fp, r.fn) for r in b.rows]
 
     def test_workers_capped_by_jobs_and_cpus(self, monkeypatch):
-        pools = []
-
-        class RecordingPool:
-            """Records max_workers and maps in this process; starts nothing."""
-
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs, chunksize=1):
-                return map(fn, jobs)
-
+        started = []
+        real = clique.forked
+        monkeypatch.setattr(clique, "forked",
+                            lambda fn, item_lists: started.append(len(item_lists)) or real(fn, item_lists))
         config = tiny_config(sigma_grid=(0.005, 0.02), repetitions=2)  # 4 jobs
         expected = [(r.tp, r.fp, r.fn) for r in run_simulation(config, threads=1).rows]
-        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
-        for cpus, threads, started in ((3, 10**6, [3]), (8, 10**6, [4]), (8, 2, [2]),
+        for cpus, threads, workers in ((3, 10**6, [3]), (8, 10**6, [4]), (8, 2, [2]),
                                        (1, 10**6, []), (1, 2, []), (8, 1, [])):
-            pools.clear()
-            monkeypatch.setattr(evaluation, "worker_cpus", lambda: cpus)
+            started.clear()
+            monkeypatch.setattr(clique, "worker_cpus", lambda: cpus)
             res = run_simulation(config, threads=threads)
-            assert pools == started
+            assert started == workers
             assert [(r.tp, r.fp, r.fn) for r in res.rows] == expected
+        assert multiprocessing.active_children() == []
+
+    def test_killed_worker_changes_nothing(self, monkeypatch, tmp_path):
+        """Each worker killed on its second repetition: the repetitions
+        left run in this process, and the rows are those of one thread."""
+        config = tiny_config(sigma_grid=(0.005, 0.02), repetitions=2)
+        write_results_csv(run_simulation(config, threads=1), tmp_path / "one.csv")
+        real = evaluation._run_repetition
+        calls = []
+
+        def killed(*job):
+            calls.append(job[1:4])
+            if multiprocessing.parent_process() is not None and len(calls) == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*job)
+
+        monkeypatch.setattr(evaluation, "_run_repetition", killed)
+        monkeypatch.setattr(clique, "worker_cpus", lambda: 2)
+        write_results_csv(run_simulation(config, threads=2), tmp_path / "two.csv")
+        assert (tmp_path / "two.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+        assert calls == [(1, 0, 0), (1, 0, 1)]  # each worker's second repetition, run here
+        assert multiprocessing.active_children() == []
 
     def test_budget_exhaustion_is_recorded_not_fatal(self):
         config = tiny_config(node_budget=1)
