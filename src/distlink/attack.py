@@ -78,8 +78,9 @@ def run_attack(
 
     Returns the matches extracted from a maximum clique of the product
     graph; with enumerate_ties the report also carries the number of
-    maximum cliques and their intersection (the stable match core).
-    Deterministic for fixed inputs.
+    maximum cliques and their intersection (the stable match core),
+    from the tie pass resumed from that clique's search, whose nodes
+    count against the same node_budget.  Deterministic for fixed inputs.
     """
     if tuple(target_table.qi_attributes) != tuple(ident_table.qi_attributes):
         raise InputFormatError("target and identification tables disagree on qi attributes")
@@ -91,7 +92,7 @@ def run_attack(
     stable_core = None
     n_maximum = None
     if enumerate_ties:
-        all_max = enumerate_maximum_cliques(product.graph, node_budget)
+        all_max = enumerate_maximum_cliques(product.graph, node_budget, clique)
         n_maximum = len(all_max)
         common = set(all_max[0])
         for other in all_max[1:]:

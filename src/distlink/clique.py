@@ -5,9 +5,11 @@ rows; bitsets exist only inside the search.  The solver is a sequential
 branch-and-bound with greedy-colouring bounds over bitset candidate
 sets.  It is deterministic: with the fixed vertex ordering (descending
 degree, ties by ascending index) the same input always yields the same
-clique.  The same search, told to keep ties, enumerates every maximum
-clique.  A node budget turns runaway instances into an explicit error
-instead of a silent heuristic answer.
+clique.  It also records the ties it meets and the subproblems it cuts
+with a colour bound equal to its incumbent; the tie pass resumes it
+there, keeping ties, and so enumerates every maximum clique without
+searching again from the empty clique.  A node budget turns runaway
+instances into an explicit error instead of a silent heuristic answer.
 
 Graphs with more than SPLIT_MIN_VERTICES vertices are split at the root
 (the ego-network reduction of Chang, KDD 2019).  One pass over the CSR
@@ -31,12 +33,15 @@ node count stay in one process, so every result is the one-CPU result.
 from __future__ import annotations
 
 import contextlib
+import copy
+import itertools
 import multiprocessing
+import operator
 import os
 import signal
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -182,6 +187,8 @@ class CliqueResult:
     size: int
     nodes_explored: int
     elapsed_seconds: float
+    #: max_clique's search, for enumerate_maximum_cliques to resume
+    _search: Optional[_Search] = field(default=None, repr=False, compare=False)
 
 
 def _check_clique(g: SimpleGraph, vertices: Sequence[int]) -> None:
@@ -415,31 +422,41 @@ class _Search:
     """Branch-and-bound over a degree-sorted copy of the graph, run on
     construction; split at the root above SPLIT_MIN_VERTICES vertices.
 
-    best_masks holds cliques of size best_size, starting from the empty
-    clique: the first one found, or with keep_ties every one that ties
-    the incumbent.
+    best_masks holds the cliques of size best_size the search met, starting
+    from the empty clique, the first one found first; with keep_ties they
+    are every maximum clique.  Without keep_ties, ties holds the
+    subproblems the search cut with a colour bound exactly equal to
+    best_size, where the other maximum cliques can hide, for resumed().
+    Both start over whenever the incumbent grows.
     """
 
     def __init__(self, g: SimpleGraph, node_budget: int, keep_ties: bool = False) -> None:
         order = np.argsort(-np.diff(g.indptr), kind="stable")
         pos = np.empty(g.n, np.int64)
         pos[order] = np.arange(g.n)
+        self.graph = g
         self.order = order.tolist()
         self.budget = node_budget
         self.keep_ties = keep_ties
         self.nodes = 0
         self.best_size = 0
         self.best_masks = [0]
+        #: (root branch or None, size, mask, cand, the (vertex, colour)
+        #: pairs of the cut colour left in cand), or (root branch, whether
+        #: its root node is still to spend) for a root branch to search whole
+        self.ties = []
+        self.root = self.adj = None
         if g.n > SPLIT_MIN_VERTICES:
             self._sweep(*_root_split(g, order, pos))
         else:
             x, y = g.edge_array()
             self.rows = bitset_rows(g.n, pos[x], pos[y])
+            self.outs = _complements(self.rows)
             if g.n:
-                self.expand(self.rows, _complements(self.rows), 0, 0, (1 << g.n) - 1)
+                self.expand(self.rows, self.outs, 0, 0, (1 << g.n) - 1)
 
-    def _spend(self) -> None:
-        self.nodes += 1
+    def _spend(self, nodes: int = 1) -> None:
+        self.nodes += nodes
         if self.nodes > self.budget:
             raise ResourceBudgetError(
                 f"clique search exceeded its node budget of {self.budget}")
@@ -448,19 +465,28 @@ class _Search:
         if size > self.best_size:
             self.best_size = size
             self.best_masks = [mask]
-        elif self.keep_ties and size == self.best_size:
+            self.ties = []
+        elif size == self.best_size:
             self.best_masks.append(mask)
 
-    def expand(self, rows: list, outs: list, size: int, mask: int, cand: int) -> None:
+    def expand(self, rows: list, outs: list, size: int, mask: int, cand: int,
+               coloured=None) -> None:
         """Extend the clique mask, of size vertices, by the candidates
-        cand, on adjacency rows and their _complements outs.  Colours up
-        to kmin go unlisted: their branches cannot beat the incumbent
-        (or, keeping ties, reach it) as it stands, and it only grows."""
-        kmin = self.best_size - size - self.keep_ties
-        for v, colour in reversed(_colour_classes(outs, cand, kmin)):
+        cand, on adjacency rows and their _complements outs, branching on
+        the (vertex, colour) pairs coloured, an iterator by descending
+        colour: by default cand's colour classes.  Colours below
+        best_size - size go unlisted: their branches can neither beat nor
+        reach the incumbent as it stands, and it only grows."""
+        if coloured is None:
+            coloured = reversed(_colour_classes(outs, cand, self.best_size - size - 1))
+        for v, colour in coloured:
             # a branch that cannot beat the incumbent (or, keeping ties,
-            # cannot reach it) is cut, together with every lower colour
+            # cannot reach it) is cut, together with every lower colour;
+            # a cut that could reach it is a tie cut, never met keeping ties
             if size + colour + self.keep_ties <= self.best_size:
+                if size + colour == self.best_size:
+                    top = [(v, colour), *itertools.takewhile(lambda p: p[1] == colour, coloured)]
+                    self.ties.append((self.root, size, mask, cand, top))
                 return
             self._spend()
             b = 1 << v
@@ -472,36 +498,74 @@ class _Search:
             cand ^= b
 
     def _sweep(self, sweep: list, colours: list, indptr: np.ndarray, adj: np.ndarray) -> None:
-        """expand(rows, outs, 0, 0, all) on _root_split's arrays: each root
-        branch v is searched on local rows, and their _complements, of its
-        candidates cand, the vertices adj lists for v; local id i is
-        cand[i].  The branches' skip bounds and local edges come from
-        _branch_stream, in sweep order; the incumbent, the cuts and the
-        node count stay here."""
+        """expand(rows, outs, 0, 0, all) on _root_split's arrays, kept for
+        resumed(): each root branch v is searched on local rows of its
+        candidates, the vertices adj lists for v.  The branches' skip
+        bounds and local edges come from _branch_stream, in sweep order;
+        the incumbent, the cuts and the node count stay here."""
+        self.indptr, self.adj = indptr, adj
+        roots = zip(sweep, colours)
         with contextlib.closing(_branch_stream(_Branches(indptr, adj), sweep)) as branches:
-            for v, colour in zip(sweep, colours):
+            for v, colour in roots:
                 if colour + self.keep_ties <= self.best_size:
+                    if colour == self.best_size:
+                        rest = itertools.takewhile(lambda p: p[1] == colour, roots)
+                        self.ties += [(v, True)] + [(u, True) for u, _ in rest]
                     return
                 self._spend()
-                bound, a, b = next(branches)
-                cand = adj[indptr[v]:indptr[v + 1]]
-                s = len(cand)
-                if not s:
-                    self._found(1, 1 << v)
-                    continue
-                # expand(rows, outs, 1, ...) would return at once without
-                # spending a node
-                if 1 + bound + self.keep_ties <= self.best_size:
-                    continue
-                # collect the branch's cliques apart, as local masks, and map
-                # them back: they replace the outer ones if the branch grew
-                outer, size = self.best_masks, self.best_size
-                self.best_masks = []
-                rows = bitset_rows(s, a, b)
-                self.expand(rows, _complements(rows), 1, 0, (1 << s) - 1)
-                ids = cand.tolist()
-                found = [sum(1 << ids[i] for i in _bits(m)) | 1 << v for m in self.best_masks]
-                self.best_masks = found if self.best_size > size else outer + found
+                self._root_branch(v, *next(branches))
+
+    def _root_branch(self, v: int, bound: int, a: np.ndarray, b: np.ndarray, ties=None) -> None:
+        """Root branch v, its node spent, on its skip bound and its local
+        edges (a[k], b[k]): local id i is the candidate adj lists i-th.
+        Searched whole, or only at the tie cuts recorded in it."""
+        cand = self.adj[self.indptr[v]:self.indptr[v + 1]]
+        s = len(cand)
+        if not s:
+            self._found(1, 1 << v)
+            return
+        # expand(rows, outs, 1, ...) would return at once without spending
+        # a node; at the incumbent's size it could make a tie cut, so the
+        # branch is recorded whole
+        if 1 + bound + self.keep_ties <= self.best_size:
+            if 1 + bound == self.best_size:
+                self.ties.append((v, False))
+            return
+        # collect the branch's cliques apart, as local masks, and map them
+        # back: they replace the outer ones if the branch grew
+        outer, size = self.best_masks, self.best_size
+        self.best_masks, self.root = [], v
+        rows = bitset_rows(s, a, b)
+        outs = _complements(rows)
+        if ties is None:
+            self.expand(rows, outs, 1, 0, (1 << s) - 1)
+        for _, at, mask, sub, top in ties or ():
+            self.expand(rows, outs, at, mask, sub, iter(top))
+        ids = cand.tolist()
+        found = [sum(1 << ids[i] for i in _bits(m)) | 1 << v for m in self.best_masks]
+        self.best_masks = found if self.best_size > size else outer + found
+
+    def resumed(self, node_budget: int) -> "_Search":
+        """A copy that keeps ties and searches, with the incumbent fixed,
+        only this search's tie cuts, so that its best_masks are every
+        maximum clique; its nodes count on from this search's against
+        node_budget."""
+        tie = copy.copy(self)
+        tie.budget, tie.keep_ties = node_budget, True
+        tie.best_masks, tie.ties = list(self.best_masks), []
+        tie._spend(0)  # max_clique alone may have spent node_budget
+        if self.adj is None:
+            for _, size, mask, cand, top in self.ties:
+                tie.expand(self.rows, self.outs, size, mask, cand, iter(top))
+        elif self.ties:
+            branch = _Branches(self.indptr, self.adj)
+            for v, group in itertools.groupby(self.ties, operator.itemgetter(0)):
+                group = list(group)
+                if len(group[0]) == 2:  # a root branch to search whole
+                    tie._spend(group[0][1])
+                    group = None
+                tie._root_branch(v, *branch(v), group)
+        return tie
 
     def vertices(self, mask: int) -> tuple:
         return tuple(sorted(self.order[v] for v in _bits(mask)))
@@ -512,25 +576,38 @@ def max_clique(g: SimpleGraph, node_budget: int = DEFAULT_NODE_BUDGET) -> Clique
 
     Deterministic and sequential; among multiple maximum cliques the
     first optimum under the fixed search order is returned.  Raises
-    ResourceBudgetError when node_budget branch nodes are exceeded.
+    ResourceBudgetError when node_budget branch nodes are exceeded.  The
+    result also carries, unseen, what enumerate_maximum_cliques needs to
+    resume the search: the ties met and the tie cuts made at the optimum's
+    size, and the search's bitset rows (at most 2 * n * ceil(n / 8) bytes)
+    or, split at the root, its forward lists.
     """
     start = time.perf_counter()
     search = _Search(g, node_budget)
     vertices = search.vertices(search.best_masks[0])
     _check_clique(g, vertices)
     return CliqueResult(vertices, len(vertices), search.nodes,
-                        time.perf_counter() - start)
+                        time.perf_counter() - start, search)
 
 
-def enumerate_maximum_cliques(g: SimpleGraph, node_budget: int = DEFAULT_NODE_BUDGET) -> list:
+def enumerate_maximum_cliques(g: SimpleGraph, node_budget: int = DEFAULT_NODE_BUDGET,
+                              clique: Optional[CliqueResult] = None) -> list:
     """All maximum cliques, each as a sorted vertex tuple, in ascending
     lexicographic order; the empty graph gives [()].
 
-    One pass of the branch-and-bound behind max_clique that keeps every
-    clique tying the incumbent and drops them when it grows.  Raises
-    ResourceBudgetError when node_budget branch nodes are exceeded.
+    Resumes the search behind clique, max_clique's result on g, which is
+    run first when not given: with the incumbent fixed at its size, the
+    search keeps ties and explores only the subproblems max_clique cut
+    with a colour bound equal to it, then adds the maximum cliques
+    max_clique met.  The nodes count on from clique.nodes_explored: raises
+    ResourceBudgetError once the total exceeds node_budget, and
+    InputFormatError for a clique that max_clique did not find on g.
     """
-    search = _Search(g, node_budget, keep_ties=True)
+    if clique is None:
+        clique = max_clique(g, node_budget)
+    if clique._search is None or clique._search.graph is not g:
+        raise InputFormatError("clique is not max_clique's result on this graph")
+    search = clique._search.resumed(node_budget)
     cliques = sorted(search.vertices(mask) for mask in search.best_masks)
     for c in cliques:
         _check_clique(g, c)

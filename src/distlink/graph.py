@@ -205,16 +205,6 @@ def _product_edges_join(
     rank = np.zeros(len(i_lab), np.int32)
     rank[pw] = np.arange(len(pv)) - base[pv]
 
-    v1, v2 = (tv[k] for k in np.triu_indices(len(tv), 1))
-    t_key = t_lab[v1] * n_common + t_lab[v2]
-    t = target.weights.entries[v1, v2]
-    # visit the target pairs in (label pair, weight) order: the key searches
-    # below then run on ascending queries, the weight searches on one
-    # ascending run per label pair
-    by_key = np.argsort(t_key * (len(t) + 1) + np.argsort(np.argsort(t)))
-    t, t_key = t[by_key], t_key[by_key]
-    base1, base2 = base[v1[by_key]], base[v2[by_key]]
-    del v1, v2, by_key
     w1, w2 = (iw[k] for k in np.triu_indices(len(iw), 1))
     s_order = np.argsort(ident.weights.entries[w1, w2])
     s_sorted, p = ident.weights.entries[w1[s_order], w2[s_order]], np.argsort(s_order)
@@ -236,9 +226,27 @@ def _product_edges_join(
     del w1, w2, s_order, p, order
     s = s_sorted[key % span]
 
-    first = np.searchsorted(key, t_key * span + np.searchsorted(s_sorted, t + rel.lo, "left"))
-    hits = np.searchsorted(key, t_key * span + np.searchsorted(s_sorted, t + rel.hi, "right"))
-    del key, t_key, s_sorted
+    v1, v2 = (tv[k] for k in np.triu_indices(len(tv), 1))
+    t = target.weights.entries[v1, v2]
+    # look the target pairs' weight windows up in weight order, so the
+    # searches run on ascending queries, then visit the pairs in (label
+    # pair, weight) order, where the key searches do: a stable sort by
+    # label pair, done as a sort of distinct keys
+    by_weight = np.argsort(t)
+    t, v1, v2 = t[by_weight], v1[by_weight], v2[by_weight]
+    del by_weight
+    low = np.searchsorted(s_sorted, t + rel.lo, "left")
+    high = np.searchsorted(s_sorted, t + rel.hi, "right")
+    del s_sorted
+    t_key = t_lab[v1] * n_common + t_lab[v2]
+    by_key = np.argsort(t_key * len(t) + np.arange(len(t)))
+    t, t_key, low, high = t[by_key], t_key[by_key], low[by_key], high[by_key]
+    base1, base2 = base[v1[by_key]], base[v2[by_key]]
+    del v1, v2, by_key
+    t_key *= span
+    first = np.searchsorted(key, low + t_key)
+    hits = np.searchsorted(key, high + t_key)
+    del key, t_key, low, high
     hits -= first
     ends = np.cumsum(hits)
     first -= ends - hits  # candidate j of target pair q is identification pair j + first[q]

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from distlink import (
     EARTH_RADIUS_KM,
@@ -14,9 +15,10 @@ from distlink import (
     MicrodataRecord,
     MicrodataTable,
     QuantileBand,
+    ResourceBudgetError,
     SimpleGraph,
 )
-from distlink import build_graph, build_product_graph
+from distlink import build_graph, build_product_graph, clique
 from distlink.clique import _gather
 from distlink.core import _great_circle_km
 from distlink.datasets import census_qi_distributions
@@ -89,25 +91,46 @@ def census_graphs(n, sigma=0.025, alpha=0.5, seed=1):
     return build_graph(tt.with_qi(qi), tm), build_graph(it.with_qi(qi), im), rel
 
 
-def gender_tie_product(shuffle_seed):
-    """The product graph of the 40 x 40 pair with 8 common records,
-    gender as the only QI and sigma 0.1, as `distlink gendata` draws it
-    for seed 1, under Absolute(25): a small product with several maximum
-    cliques.  Both tables' rows, with their matrices, are first shuffled
-    by permutations drawn from default_rng(shuffle_seed)."""
+def gender_tie_pair(shuffle_seed):
+    """The 40 x 40 pair with 8 common records, gender as the only QI and
+    sigma 0.1, as `distlink gendata` draws it for seed 1, as ((target
+    table, matrix), (identification table, matrix)).  Both tables' rows,
+    with their matrices, are first shuffled by permutations drawn from
+    default_rng(shuffle_seed)."""
     n = 40
     qi = {"gender": census_qi_distributions()["gender"]}
     config = SimulationConfig(n, n, n // 5, (0.1,), (0.5,), 1, qi, seed=1)
     pair = generate_synthetic_pair(config, 0.1, derive_rng(1, STREAM_GENDATA))[:2]
     rng = np.random.default_rng(shuffle_seed)
-    graphs = []
+    shuffled = []
     for table, matrix in pair:
         order = rng.permutation(n)
         points = None if table.points is None else [table.points[k] for k in order]
         table = MicrodataTable([table.records[k] for k in order], table.schema,
                                table.qi_attributes, table.id_attribute, points)
-        graphs.append(build_graph(table, DistanceMatrix(matrix.entries[np.ix_(order, order)])))
+        shuffled.append((table, DistanceMatrix(matrix.entries[np.ix_(order, order)])))
+    return tuple(shuffled)
+
+
+def gender_tie_product(shuffle_seed):
+    """The product graph of gender_tie_pair(shuffle_seed) under
+    Absolute(25): a small product with several maximum cliques."""
+    graphs = [build_graph(table, matrix) for table, matrix in gender_tie_pair(shuffle_seed)]
     return build_product_graph(*graphs, Absolute(25.0)).graph
+
+
+def on_both_paths(search, g):
+    """search(g) with the clique search's root split forced on, then off;
+    an exhausted node budget counts as an outcome."""
+    out = []
+    for threshold in (-1, 10**9):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(clique, "SPLIT_MIN_VERTICES", threshold)
+            try:
+                out.append(search(g))
+            except ResourceBudgetError:
+                out.append(ResourceBudgetError)
+    return out
 
 
 def random_points(rng, n):

@@ -24,11 +24,14 @@ from distlink.datasets import (
     poets_target_matrix,
     poets_target_table,
 )
+from distlink.clique import _Search
 from distlink.graph import label_pairs
 from distlink.oracles import count_cliques_of_size, enumerate_common_subgraphs, theorem1_check
 from helpers import (
     POETS_PRODUCT_PAIRS_1BASED,
     POETS_TRUE_MATCHES_1BASED,
+    gender_tie_pair,
+    on_both_paths,
     random_labeled_graph,
     random_relation,
 )
@@ -52,6 +55,19 @@ class TestRunAttack:
         report = poets_attack(enumerate_ties=True)
         assert report.maximum_clique_count == 1
         assert report.stable_core.one_based() == POETS_TRUE_MATCHES_1BASED
+
+    def test_gender_tie_enumeration(self):
+        (tt, tm), (it, im) = gender_tie_pair(1)
+        reports = on_both_paths(
+            lambda rel: run_attack(tt, tm, it, im, rel, enumerate_ties=True), Absolute(25.0))
+        for report in reports:
+            g = report.product.graph
+            oracle = _Search(g, 10**8, keep_ties=True)
+            common = set.intersection(*(set(oracle.vertices(m)) for m in oracle.best_masks))
+            assert report.maximum_clique_count == count_cliques_of_size(g, report.clique.size) == 3
+            assert report.stable_core.matches == tuple(sorted(report.product.vertices[v]
+                                                              for v in common))
+        assert reports[0].stable_core == reports[1].stable_core
 
     def test_matches_subset_of_classical_linkage(self):
         report = poets_attack()

@@ -33,6 +33,7 @@ from helpers import (
     gather_branch_edges,
     gender_tie_product,
     inverted_row_colour_classes,
+    on_both_paths,
     random_simple_graph,
     symmetric_key_sort_csr,
 )
@@ -390,29 +391,22 @@ class TestSearchSetup:
         assert (len(found), found[0]) == (n_maximum, first)
 
 
-def _on_both_paths(search, g):
-    """search(g) with the root split forced on, then off; an exhausted
-    node budget counts as an outcome."""
-    out = []
-    for threshold in (-1, 10**9):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(clique, "SPLIT_MIN_VERTICES", threshold)
-            try:
-                out.append(search(g))
-            except ResourceBudgetError:
-                out.append(ResourceBudgetError)
-    return out
-
-
 def _solve(g):
     r = max_clique(g)
-    return r.vertices, r.nodes_explored, enumerate_maximum_cliques(g)
+    return r.vertices, r.nodes_explored, enumerate_maximum_cliques(g, clique=r)
+
+
+def _nodes(g, keep_ties):
+    """The nodes max_clique spends on g, or, keeping ties, those it and
+    the tie pass resumed from it spend together."""
+    search = _Search(g, 10**8)
+    return search.resumed(10**8).nodes if keep_ties else search.nodes
 
 
 #: shuffle seed of helpers.gender_tie_product, then |V|, |E|, omega,
 #: max_clique's vertices and nodes_explored, the number of maximum cliques,
-#: the first one and the tie pass's nodes, as the negative-mask colouring
-#: gave them
+#: the first one and the nodes of the keep-ties search from the empty
+#: clique (the tie pass's oracle), as the negative-mask colouring gave them
 TIE_PRODUCT_RESULTS = [
     (1, 810, 19164, 8, (18, 150, 163, 308, 385, 454, 557, 809), 396, 3,
      (18, 150, 163, 308, 385, 454, 557, 809), 679),
@@ -429,10 +423,81 @@ def test_tie_product_results_unchanged_on_both_paths(seed, n, edges, omega, vert
                                                      n_maximum, first, tie_nodes):
     g = gender_tie_product(seed)
     assert (g.n, g.edge_count(), len(vertices)) == (n, edges, omega)
-    for found_vertices, found_nodes, found in _on_both_paths(_solve, g):
+    for found_vertices, found_nodes, found in on_both_paths(_solve, g):
         assert (found_vertices, found_nodes) == (vertices, nodes)
         assert (len(found), found[0]) == (n_maximum, first)
-    assert _on_both_paths(lambda g: _Search(g, 10**8, keep_ties=True).nodes, g) == [tie_nodes] * 2
+    assert on_both_paths(lambda g: _Search(g, 10**8, keep_ties=True).nodes, g) == [tie_nodes] * 2
+
+
+def _planted_clique_graph():
+    """A sparse random graph on 6,000 vertices, above SPLIT_MIN_VERTICES,
+    with a 12-clique planted in it, and the planted vertices."""
+    rng = np.random.default_rng(26)
+    n, k = 6000, 12
+    x, y = rng.integers(0, n, (2, 60000))
+    planted = np.sort(rng.choice(n, k, replace=False))
+    a, b = np.triu_indices(k, 1)
+    edges = np.concatenate([np.stack([x, y], 1)[x != y],
+                            np.stack([planted[a], planted[b]], 1)])
+    return SimpleGraph.from_edges(n, edges), tuple(planted.tolist())
+
+
+class TestResumedTiePass:
+    """The tie pass resumed from max_clique's search against the keep-ties
+    search from the empty clique, which stays as its oracle."""
+
+    @staticmethod
+    def _against_oracle(g):
+        oracle = _Search(g, 10**8, keep_ties=True)
+        want = sorted(oracle.vertices(m) for m in oracle.best_masks)
+        r = max_clique(g)
+        assert enumerate_maximum_cliques(g, clique=r) == want
+        total = r._search.resumed(10**8).nodes  # r is left as it was
+        assert r.nodes_explored <= total <= oracle.nodes
+        return want, total
+
+    def test_random_graphs(self):
+        rng = np.random.default_rng(36)
+        graphs = [SimpleGraph.from_edges(0, []), SimpleGraph.from_edges(9, []), complete_graph(12)]
+        # the oracle takes seconds on 90 vertices or more at density 0.95
+        for sizes, densities in (((1, 2, 5, 12, 30, 60), (0.05, 0.35, 0.65, 0.95)),
+                                 ((90, 120), (0.05, 0.35, 0.65, 0.8))):
+            for n, p in itertools.product(sizes, densities):
+                graphs.append(random_simple_graph(rng, n, p))
+        several = 0
+        for g in graphs:
+            split, unsplit = on_both_paths(self._against_oracle, g)
+            assert split == unsplit
+            several += len(split[0]) > 1
+        assert several >= len(graphs) // 2
+
+    def test_planted_clique_above_split_threshold(self):
+        g = _planted_clique_graph()[0]
+        assert g.n > clique.SPLIT_MIN_VERTICES
+        split, unsplit = on_both_paths(self._against_oracle, g)
+        assert split == unsplit
+
+    @pytest.mark.parametrize("seed", [seed for seed, *_ in TIE_PRODUCT_RESULTS])
+    def test_tie_products(self, seed):
+        split, unsplit = on_both_paths(self._against_oracle, gender_tie_product(seed))
+        assert split == unsplit and len(split[0]) == 3
+
+    def test_clique_of_another_graph_refused(self):
+        g, h = complete_graph(4), complete_graph(4)
+        with pytest.raises(InputFormatError, match="not max_clique's result on this graph"):
+            enumerate_maximum_cliques(g, clique=max_clique(h))
+        with pytest.raises(InputFormatError):
+            enumerate_maximum_cliques(g, clique=brute_force_max_clique(g))
+
+    def test_budget_counts_on_from_max_clique(self):
+        g = random_simple_graph(np.random.default_rng(37), 60, 0.5)
+        r = max_clique(g)
+        total = r._search.resumed(10**8).nodes
+        assert total > r.nodes_explored
+        assert enumerate_maximum_cliques(g, total, r) == enumerate_maximum_cliques(g)
+        for budget in (total - 1, r.nodes_explored - 1):
+            with pytest.raises(ResourceBudgetError):
+                enumerate_maximum_cliques(g, budget, r)
 
 
 def _special_graphs():
@@ -463,7 +528,7 @@ class TestRootSplit:
             graphs.append(random_simple_graph(rng, int(rng.integers(0, 50)),
                                               float(rng.uniform(0.02, 0.95))))
         for g in graphs:
-            split, unsplit = _on_both_paths(_solve, g)
+            split, unsplit = on_both_paths(_solve, g)
             assert split == unsplit
 
     def test_recorded_results_on_split_path(self, monkeypatch):
@@ -476,28 +541,21 @@ class TestRootSplit:
             assert (len(found), found[0]) == (n_maximum, first)
 
     def test_wide_sparse_graph_with_planted_clique(self):
-        rng = np.random.default_rng(26)
-        n, k = 6000, 12
-        x, y = rng.integers(0, n, (2, 60000))
-        planted = np.sort(rng.choice(n, k, replace=False))
-        a, b = np.triu_indices(k, 1)
-        edges = np.concatenate([np.stack([x, y], 1)[x != y],
-                                np.stack([planted[a], planted[b]], 1)])
-        g = SimpleGraph.from_edges(n, edges)
+        g, planted = _planted_clique_graph()
         assert g.n > clique.SPLIT_MIN_VERTICES
-        split, unsplit = _on_both_paths(_solve, g)
+        split, unsplit = on_both_paths(_solve, g)
         assert split == unsplit
-        assert split[0] == tuple(planted.tolist()) and split[2] == [split[0]]
+        assert split[0] == planted and split[2] == [split[0]]
 
     def test_node_budget(self):
         for g in _special_graphs():
             for keep_ties in (False, True):
                 search = enumerate_maximum_cliques if keep_ties else max_clique
-                nodes = _Search(g, 10**8, keep_ties).nodes
+                nodes = _nodes(g, keep_ties)
                 if nodes:  # the empty graph spends none
-                    exhausted = _on_both_paths(lambda g: search(g, node_budget=nodes - 1), g)
+                    exhausted = on_both_paths(lambda g: search(g, node_budget=nodes - 1), g)
                     assert exhausted == [ResourceBudgetError] * 2
-                split, unsplit = _on_both_paths(lambda g: search(g, node_budget=nodes), g)
+                split, unsplit = on_both_paths(lambda g: search(g, node_budget=nodes), g)
                 if not keep_ties:
                     assert split.nodes_explored == unsplit.nodes_explored == nodes
                     split, unsplit = split.vertices, unsplit.vertices
@@ -635,7 +693,7 @@ class TestParallelSweep:
     def test_node_budget(self):
         g = random_simple_graph(np.random.default_rng(33), 60, 0.5)
         for search in (max_clique, enumerate_maximum_cliques):
-            nodes = _with_workers(lambda g: _Search(g, 10**8, search is not max_clique).nodes, g, 1)
+            nodes = _with_workers(lambda g: _nodes(g, search is not max_clique), g, 1)
             for cpus in (1, 2):
                 assert _with_workers(lambda g: search(g, node_budget=nodes - 1), g, cpus) \
                     is ResourceBudgetError
