@@ -73,9 +73,11 @@ from .masking import (
 )
 from .oracles import (
     CommonSubgraphWitness,
+    GeneralGraph,
     brute_force_max_clique,
     count_cliques_of_size,
     enumerate_common_subgraphs,
+    general_product_graph,
     product_vertex_count_check,
     theorem1_check,
 )

@@ -11,6 +11,7 @@ out of one sorted interval join as a CSR SimpleGraph, after a guard has
 checked that the join's candidate edges fit in physical memory.  The join
 expands them a block at a time into the int64 edge keys that csr_graph
 sorts in place, so those keys and the CSR's int32 indices are the peak.
+Graphs with absent edges are test references, in distlink.oracles.
 """
 
 from __future__ import annotations
@@ -31,20 +32,14 @@ VertexLabel = tuple
 
 
 class LabeledWeightedGraph:
-    """Complete graph over table records with labels and distance weights.
-
-    An explicit boolean edge_present matrix turns the graph non-complete;
-    datasets never produce one (their graphs are complete by definition)
-    but the matching machinery below stays correct for general graphs,
-    which the correspondence tests exercise.
-    """
+    """Complete graph over table records with labels and distance weights;
+    graphs with absent edges are distlink.oracles.GeneralGraph."""
 
     def __init__(
         self,
         labels: Sequence[VertexLabel],
         weights: DistanceMatrix,
         record_ids: Optional[Sequence[int]] = None,
-        edge_present: Optional[np.ndarray] = None,
     ) -> None:
         n = len(labels)
         if weights.n != n:
@@ -57,29 +52,17 @@ class LabeledWeightedGraph:
         record_ids = tuple(record_ids)
         if len(record_ids) != n:
             raise InputFormatError("record_ids length must equal vertex count")
-        if edge_present is not None:
-            edge_present = np.asarray(edge_present, dtype=bool)
-            if edge_present.shape != (n, n):
-                raise InputFormatError("edge_present must be n x n")
-            if not np.array_equal(edge_present, edge_present.T):
-                raise InputFormatError("edge_present must be symmetric")
-            if np.any(np.diagonal(edge_present)):
-                raise InputFormatError("edge_present diagonal must be False")
-            edge_present.setflags(write=False)
         self.n = n
         self.labels = tuple(tuple(lab) for lab in labels)
         self.weights = weights
         self.record_ids = record_ids
-        self.edge_present = edge_present
 
     @property
     def label_arity(self) -> int:
         return len(self.labels[0]) if self.labels else 0
 
     def has_edge(self, i: int, j: int) -> bool:
-        if i == j:
-            return False
-        return self.edge_present is None or bool(self.edge_present[i, j])
+        return i != j
 
     def weight(self, i: int, j: int) -> float:
         # canonicalised to the upper-triangle entry so that slightly
@@ -147,13 +130,6 @@ def _pair_columns(target_labels: Sequence[VertexLabel], ident_labels: Sequence[V
     ends = np.cumsum(lens)
     pv = np.repeat(np.arange(len(t_lab)), lens)
     return pv, by_label[np.arange(len(pv)) + np.repeat(lo + lens - ends, lens)], t_lab, i_lab, len(common)
-
-
-def label_pairs(target_labels: Sequence[VertexLabel], ident_labels: Sequence[VertexLabel]) -> list:
-    """Every label-equal (target, ident) index pair, in lexicographic
-    order: the vertex set of the product graph."""
-    pv, pw = _pair_columns(target_labels, ident_labels)[:2]
-    return list(zip(pv.tolist(), pw.tolist()))
 
 
 class ProductGraph:
@@ -265,32 +241,6 @@ def _product_edges_join(
     return pv, pw, edges[:m]
 
 
-def _product_edges_general(
-    target: LabeledWeightedGraph,
-    ident: LabeledWeightedGraph,
-    rel,
-    pairs: Sequence[tuple],
-) -> list:
-    """Scalar adjacency loop honouring missing edges: the edges (x, y),
-    x < y, in ascending order.
-
-    Two product vertices are adjacent when their record pairs are disjoint
-    and either (a) both graphs have the edge and the weights agree up to
-    rel, or (b) neither graph has the edge.
-    """
-    edges = []
-    for x, (v1, w1) in enumerate(pairs):
-        for y in range(x + 1, len(pairs)):
-            v2, w2 = pairs[y]
-            if v1 == v2 or w1 == w2:
-                continue
-            et, ei = target.has_edge(v1, v2), ident.has_edge(w1, w2)
-            agree = et and ei and rel.holds(target.weight(v1, v2), ident.weight(w1, w2))
-            if agree or not (et or ei):
-                edges.append((x, y))
-    return edges
-
-
 def _physical_memory_bytes() -> Optional[int]:
     """Installed RAM, or None where the platform does not report it."""
     try:
@@ -321,14 +271,9 @@ def build_product_graph(
     ident: LabeledWeightedGraph,
     rel,
 ) -> ProductGraph:
-    """Construct the product graph of two labelled weighted graphs."""
+    """Construct the product graph of two complete labelled weighted graphs."""
     if target.label_arity != ident.label_arity:
         raise InputFormatError("graphs were built with different qi schemas")
-    if target.edge_present is None and ident.edge_present is None:
-        pv, pw, key = _product_edges_join(target, ident, rel)
-        graph = csr_graph(len(pv), key)
-        pairs = list(zip(pv.tolist(), pw.tolist()))
-    else:
-        pairs = label_pairs(target.labels, ident.labels)
-        graph = SimpleGraph.from_edges(len(pairs), _product_edges_general(target, ident, rel, pairs))
-    return ProductGraph(pairs, graph)
+    pv, pw, key = _product_edges_join(target, ident, rel)
+    graph = csr_graph(len(pv), key)  # first: the vertex tuples would raise the build's peak
+    return ProductGraph(list(zip(pv.tolist(), pw.tolist())), graph)

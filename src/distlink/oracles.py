@@ -17,6 +17,8 @@ small inputs only:
   common subgraphs.
 - product_vertex_count_check: the reference for the product's vertex
   count, a tally of label multiplicities.
+- GeneralGraph and general_product_graph: graphs with absent edges and
+  their product by the scalar definition, the reference for the join.
 
 The clique oracles read a graph through adjacency_rows, a bitset view
 (one int of n bits per vertex) that the solver never builds.
@@ -27,10 +29,13 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .clique import CliqueResult, SimpleGraph, _bits, _check_clique, bitset_rows
 from .errors import InputFormatError, SizeLimitError
-from .graph import LabeledWeightedGraph, build_product_graph
+from .graph import LabeledWeightedGraph, ProductGraph, VertexLabel, _pair_columns, build_product_graph
 
 
 def adjacency_rows(g: SimpleGraph) -> list:
@@ -93,6 +98,62 @@ def count_cliques_of_size(g: SimpleGraph, k: int) -> int:
         return total
 
     return rec(0, (1 << g.n) - 1)
+
+
+class GeneralGraph:
+    """A LabeledWeightedGraph with edges only where present is True.  It has
+    n, labels, has_edge and weight alone, so build_product_graph fails on it."""
+
+    def __init__(self, graph: LabeledWeightedGraph, present: np.ndarray) -> None:
+        present = np.asarray(present, dtype=bool)
+        if (present.shape != (graph.n, graph.n) or not np.array_equal(present, present.T)
+                or np.any(np.diagonal(present))):
+            raise InputFormatError("edge mask must be a symmetric n x n matrix with a False diagonal")
+        self.n, self.labels, self.weight = graph.n, graph.labels, graph.weight
+        self._present = present
+
+    def has_edge(self, i: int, j: int) -> bool:
+        return bool(self._present[i, j])
+
+
+def label_pairs(target_labels: Sequence[VertexLabel], ident_labels: Sequence[VertexLabel]) -> list:
+    """Every label-equal (target, ident) index pair, in lexicographic
+    order: the vertex set of the product graph."""
+    pv, pw = _pair_columns(target_labels, ident_labels)[:2]
+    return list(zip(pv.tolist(), pw.tolist()))
+
+
+def _product_edges_general(
+    target: LabeledWeightedGraph,
+    ident: LabeledWeightedGraph,
+    rel,
+    pairs: Sequence[tuple],
+) -> list:
+    """Scalar adjacency loop honouring missing edges: the edges (x, y),
+    x < y, in ascending order.
+
+    Two product vertices are adjacent when their record pairs are disjoint
+    and either (a) both graphs have the edge and the weights agree up to
+    rel, or (b) neither graph has the edge.
+    """
+    edges = []
+    for x, (v1, w1) in enumerate(pairs):
+        for y in range(x + 1, len(pairs)):
+            v2, w2 = pairs[y]
+            if v1 == v2 or w1 == w2:
+                continue
+            et, ei = target.has_edge(v1, v2), ident.has_edge(w1, w2)
+            agree = et and ei and rel.holds(target.weight(v1, v2), ident.weight(w1, w2))
+            if agree or not (et or ei):
+                edges.append((x, y))
+    return edges
+
+
+def general_product_graph(target, ident, rel) -> ProductGraph:
+    """The product of two complete graphs or GeneralGraphs by its definition."""
+    pairs = label_pairs(target.labels, ident.labels)
+    edges = _product_edges_general(target, ident, rel, pairs)
+    return ProductGraph(pairs, SimpleGraph.from_edges(len(pairs), edges))
 
 
 @dataclass(frozen=True)
@@ -186,7 +247,8 @@ def theorem1_check(g1: LabeledWeightedGraph, g2: LabeledWeightedGraph, rel) -> b
     if g1.n > _WITNESS_ORDER_LIMIT or g2.n > _WITNESS_ORDER_LIMIT:
         raise SizeLimitError(
             f"correspondence check limited to order {_WITNESS_ORDER_LIMIT}")
-    product = build_product_graph(g1, g2, rel)
+    general = isinstance(g1, GeneralGraph) or isinstance(g2, GeneralGraph)
+    product = (general_product_graph if general else build_product_graph)(g1, g2, rel)
     for k in range(1, min(g1.n, g2.n) + 1):
         if len(enumerate_common_subgraphs(g1, g2, rel, k)) != count_cliques_of_size(product.graph, k):
             return False

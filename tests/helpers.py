@@ -24,6 +24,7 @@ from distlink.core import _great_circle_km
 from distlink.datasets import census_qi_distributions
 from distlink.evaluation import ID_ATTRIBUTE, SimulationConfig, generate_synthetic_pair
 from distlink.masking import GERMANY, band_from_table, calibrate
+from distlink.oracles import GeneralGraph
 from distlink.seeding import STREAM_GENDATA, derive_rng
 
 # Reference 4-city distance matrix in km (London, Paris, Madrid, Berlin).
@@ -55,19 +56,19 @@ def random_simple_graph(rng, n, p):
 
 def random_labeled_graph(rng, n, n_labels, complete=True, weight_scale=10.0):
     """Random weighted graph with single-attribute labels drawn from a
-    small alphabet.  With complete=False a random symmetric edge mask is
-    attached so the absent-absent compatibility branch gets exercised."""
+    small alphabet.  With complete=False it is a GeneralGraph with a
+    random symmetric edge mask, so the absent-absent compatibility branch
+    gets exercised."""
     labels = [(str(int(rng.integers(1, n_labels + 1))),) for _ in range(n)]
     w = rng.random((n, n)) * weight_scale
     w = np.triu(w, 1)
     w = w + w.T
-    edge_present = None
-    if not complete:
-        m = rng.random((n, n)) < 0.6
-        m = np.triu(m, 1)
-        edge_present = m | m.T
-    return LabeledWeightedGraph(tuple(labels), DistanceMatrix(w),
-                                tuple(range(n)), edge_present=edge_present)
+    g = LabeledWeightedGraph(tuple(labels), DistanceMatrix(w), tuple(range(n)))
+    if complete:
+        return g
+    m = rng.random((n, n)) < 0.6
+    m = np.triu(m, 1)
+    return GeneralGraph(g, m | m.T)
 
 
 def random_relation(rng):

@@ -15,6 +15,7 @@ from distlink import (
     build_graph,
     build_product_graph,
     distance_matrix,
+    enumerate_maximum_cliques,
     run_attack,
 )
 from distlink.datasets import (
@@ -25,8 +26,7 @@ from distlink.datasets import (
     poets_target_table,
 )
 from distlink.clique import _Search
-from distlink.graph import label_pairs
-from distlink.oracles import count_cliques_of_size, enumerate_common_subgraphs, theorem1_check
+from distlink.oracles import count_cliques_of_size, enumerate_common_subgraphs, label_pairs, theorem1_check
 from helpers import (
     POETS_PRODUCT_PAIRS_1BASED,
     POETS_TRUE_MATCHES_1BASED,
@@ -55,6 +55,12 @@ class TestRunAttack:
         report = poets_attack(enumerate_ties=True)
         assert report.maximum_clique_count == 1
         assert report.stable_core.one_based() == POETS_TRUE_MATCHES_1BASED
+
+    def test_report_keeps_the_clique_not_its_search(self):
+        report = poets_attack(enumerate_ties=True)
+        assert report.clique._search is None and report.clique.size == 4
+        with pytest.raises(InputFormatError, match="no search to resume"):
+            enumerate_maximum_cliques(report.product.graph, clique=report.clique)
 
     def test_gender_tie_enumeration(self):
         (tt, tm), (it, im) = gender_tie_pair(1)

@@ -26,8 +26,7 @@ from distlink import (
 )
 from distlink import clique, evaluation
 from distlink.datasets import census_qi_distributions
-from distlink.graph import label_pairs
-from distlink.oracles import product_vertex_count_check
+from distlink.oracles import label_pairs, product_vertex_count_check
 from distlink.evaluation import (
     ID_ATTRIBUTE,
     write_aggregate_csv,

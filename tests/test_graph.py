@@ -29,8 +29,15 @@ from distlink.datasets import (
     poets_target_table,
 )
 from distlink import graph as graph_module
-from distlink.graph import _product_edges_general, _product_edges_join, label_pairs
-from distlink.oracles import adjacency_rows, product_vertex_count_check
+from distlink.graph import _product_edges_join
+from distlink.oracles import (
+    GeneralGraph,
+    _product_edges_general,
+    adjacency_rows,
+    general_product_graph,
+    label_pairs,
+    product_vertex_count_check,
+)
 from helpers import (
     POETS_PRODUCT_PAIRS_1BASED,
     census_graphs,
@@ -268,9 +275,9 @@ class TestProductGraph:
         labels = (("a",), ("b",))
         w = DistanceMatrix(np.zeros((2, 2)))
         mask = np.zeros((2, 2), dtype=bool)
-        g1 = LabeledWeightedGraph(labels, w, (0, 1), edge_present=mask)
-        g2 = LabeledWeightedGraph(labels, w, (0, 1), edge_present=mask)
-        p = build_product_graph(g1, g2, Absolute(1.0))
+        g1 = GeneralGraph(LabeledWeightedGraph(labels, w, (0, 1)), mask)
+        g2 = GeneralGraph(LabeledWeightedGraph(labels, w, (0, 1)), mask)
+        p = general_product_graph(g1, g2, Absolute(1.0))
         assert p.vertices == ((0, 0), (1, 1))
         assert p.graph.has_edge(0, 1)
         assert max_clique(p.graph).size == 2
@@ -282,9 +289,9 @@ class TestProductGraph:
         w = DistanceMatrix(raw)
         present = np.array([[False, True], [True, False]])
         absent = np.zeros((2, 2), dtype=bool)
-        g1 = LabeledWeightedGraph(labels, w, (0, 1), edge_present=present)
-        g2 = LabeledWeightedGraph(labels, w, (0, 1), edge_present=absent)
-        p = build_product_graph(g1, g2, Absolute(10.0))
+        g1 = GeneralGraph(LabeledWeightedGraph(labels, w, (0, 1)), present)
+        g2 = GeneralGraph(LabeledWeightedGraph(labels, w, (0, 1)), absent)
+        p = general_product_graph(g1, g2, Absolute(10.0))
         assert p.n == 2
         assert not p.graph.has_edge(0, 1)
 
@@ -362,6 +369,8 @@ class TestSparseJoin:
         p = build_product_graph(g1, g2, rel)
         assert p.vertices == tuple(label_pairs(g1.labels, g2.labels))
         assert p.graph.edges() == _product_edges_general(g1, g2, rel, p.vertices)
+        general = general_product_graph(g1, g2, rel)
+        assert general.vertices == p.vertices and general.graph.edges() == p.graph.edges()
 
     def test_band_below_weight_resolution(self):
         # 1 - 5e-324 and 1 + 5e-324 both round to 1.0, so the join's
@@ -553,8 +562,7 @@ class TestLabeledWeightedGraph:
         w = DistanceMatrix(np.zeros((2, 2)))
         loop = np.array([[True, False], [False, False]])
         with pytest.raises(InputFormatError):
-            LabeledWeightedGraph((("a",), ("b",)), w, (0, 1),
-                                 edge_present=loop)
+            GeneralGraph(LabeledWeightedGraph((("a",), ("b",)), w, (0, 1)), loop)
 
     def test_complete_by_default(self):
         g = random_labeled_graph(np.random.default_rng(5), 4, 2)

@@ -34,7 +34,8 @@ PUBLIC_NAMES = (
 #: the names defined in distlink.oracles, and the two deleted functions
 ORACLE_NAMES = ("brute_force_max_clique", "count_cliques_of_size", "CommonSubgraphWitness",
                 "_WITNESS_ORDER_LIMIT", "_edge_compatible", "enumerate_common_subgraphs",
-                "theorem1_check", "product_vertex_count_check")
+                "theorem1_check", "product_vertex_count_check", "GeneralGraph", "label_pairs",
+                "_product_edges_general", "general_product_graph")
 DELETED_NAMES = ("classical_linkage", "greedy_coloring_bound")
 
 SRC = Path(distlink.__file__).parent
@@ -75,3 +76,15 @@ def test_production_modules_define_no_oracle():
                     for t in node.targets if isinstance(t, ast.Name)}
         assert not defined & {*ORACLE_NAMES, *DELETED_NAMES}, module
     assert all(hasattr(oracles, name) for name in ORACLE_NAMES)
+
+
+def test_graph_module_builds_complete_graphs_only():
+    tree = ast.parse((SRC / "graph.py").read_text())
+    mentions = {getattr(node, attr) for node in ast.walk(tree)
+                for attr in ("id", "attr", "arg") if isinstance(getattr(node, attr, None), str)}
+    assert "edge_present" not in mentions
+
+
+def test_absent_edge_references_are_exported():
+    assert distlink.GeneralGraph is oracles.GeneralGraph
+    assert distlink.general_product_graph is oracles.general_product_graph
