@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import __version__
 from .attack import run_attack
-from .clique import DEFAULT_NODE_BUDGET, fan_out
+from .clique import DEFAULT_NODE_BUDGET, forked, worker_cpus
 from .core import (DistanceMatrix, distance_matrix, file_digest, load_matrix, load_table,
                    save_matrix, save_table)
 from .errors import DistlinkError, InputFormatError, ResourceBudgetError
@@ -140,13 +140,26 @@ def cmd_distmat(args) -> int:
 
 
 def _load_matrices(target_path, ident_path) -> tuple:
-    """load_matrix on both files via fan_out, in two forked children when
-    both exceed PARALLEL_LOAD_BYTES.  A failed child's file is parsed again
-    here, so errors come in file order, the target's first."""
+    """load_matrix on both files, the target's first.  When both exceed
+    PARALLEL_LOAD_BYTES and a second CPU is free, a forked child parses
+    the target's while this process parses the ident's.  If the child
+    fails, the target is parsed again here, so its error comes first, as
+    in that order."""
     sizes = [os.path.getsize(p) if os.path.isfile(p) else 0 for p in (target_path, ident_path)]
-    most = 2 if min(sizes) > PARALLEL_LOAD_BYTES else 1
-    parsed = fan_out(lambda path: load_matrix(path).entries, [target_path, ident_path], most)
-    return tuple(DistanceMatrix(entries, validate=False) for entries in parsed)
+    if min(sizes) <= PARALLEL_LOAD_BYTES or worker_cpus() < 2:
+        return load_matrix(target_path), load_matrix(ident_path)
+    with forked(lambda path: load_matrix(path).entries, [[target_path]]) as (inbox,):
+        try:
+            ident = load_matrix(ident_path)
+        except Exception as exc:
+            ident = exc
+        try:
+            target = DistanceMatrix(inbox.recv(), validate=False)
+        except (EOFError, OSError):
+            target = load_matrix(target_path)
+    if isinstance(ident, Exception):
+        raise ident
+    return target, ident
 
 
 def cmd_attack(args) -> int:

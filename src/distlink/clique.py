@@ -601,13 +601,12 @@ def enumerate_maximum_cliques(g: SimpleGraph, node_budget: int = DEFAULT_NODE_BU
     with a colour bound equal to it, then adds the maximum cliques
     max_clique met.  The nodes count on from clique.nodes_explored: raises
     ResourceBudgetError once the total exceeds node_budget, and
-    InputFormatError for a clique with no search, or not found on g.
+    InputFormatError for a clique that max_clique did not find on g.
     """
     if clique is None:
         clique = max_clique(g, node_budget)
     if clique._search is None or clique._search.graph is not g:
-        raise InputFormatError("clique carries no search to resume" if clique._search is None
-                               else "clique is not max_clique's result on this graph")
+        raise InputFormatError("clique is not max_clique's result on this graph")
     search = clique._search.resumed(node_budget)
     cliques = sorted(search.vertices(mask) for mask in search.best_masks)
     for c in cliques:

@@ -105,10 +105,11 @@ class GeneralGraph:
     n, labels, has_edge and weight alone, so build_product_graph fails on it."""
 
     def __init__(self, graph: LabeledWeightedGraph, present: np.ndarray) -> None:
-        present = np.asarray(present, dtype=bool)
+        present = np.array(present, dtype=bool)  # a copy: the caller's array may change
         if (present.shape != (graph.n, graph.n) or not np.array_equal(present, present.T)
                 or np.any(np.diagonal(present))):
             raise InputFormatError("edge mask must be a symmetric n x n matrix with a False diagonal")
+        present.setflags(write=False)
         self.n, self.labels, self.weight = graph.n, graph.labels, graph.weight
         self._present = present
 

@@ -15,7 +15,6 @@ from distlink import (
     build_graph,
     build_product_graph,
     distance_matrix,
-    enumerate_maximum_cliques,
     run_attack,
 )
 from distlink.datasets import (
@@ -55,12 +54,6 @@ class TestRunAttack:
         report = poets_attack(enumerate_ties=True)
         assert report.maximum_clique_count == 1
         assert report.stable_core.one_based() == POETS_TRUE_MATCHES_1BASED
-
-    def test_report_keeps_the_clique_not_its_search(self):
-        report = poets_attack(enumerate_ties=True)
-        assert report.clique._search is None and report.clique.size == 4
-        with pytest.raises(InputFormatError, match="no search to resume"):
-            enumerate_maximum_cliques(report.product.graph, clique=report.clique)
 
     def test_gender_tie_enumeration(self):
         (tt, tm), (it, im) = gender_tie_pair(1)

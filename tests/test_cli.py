@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import distlink
-from distlink import DistanceMatrix, cli, clique, graph, load_calibration, load_matrix, save_matrix, save_table
+from distlink import DistanceMatrix, cli, graph, load_calibration, load_matrix, save_matrix, save_table
 from distlink.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, SEED_ENV_VAR, main
 from distlink.datasets import (
     census_qi_distributions,
@@ -241,7 +241,7 @@ def _attack_both_ways(monkeypatch, capsys, argv):
     monkeypatch.setattr(cli, "PARALLEL_LOAD_BYTES", 0)
     outcomes = []
     for cpus in (1, 2):
-        monkeypatch.setattr(clique, "worker_cpus", lambda: cpus)
+        monkeypatch.setattr(cli, "worker_cpus", lambda: cpus)
         out.unlink(missing_ok=True)
         code = main(argv)
         outcomes.append((code, capsys.readouterr().err, out.read_bytes() if out.exists() else None))
@@ -261,8 +261,8 @@ class TestParallelMatrixLoad:
 
     def test_success(self, poets_files, tmp_path, monkeypatch, capsys):
         children = []
-        real = clique.forked
-        monkeypatch.setattr(clique, "forked", lambda *args: children.append(args) or real(*args))
+        real = cli.forked
+        monkeypatch.setattr(cli, "forked", lambda *args: children.append(args) or real(*args))
         argv = attack_argv(poets_files, tmp_path / "m.csv", "--abs-eps", "5")
         assert _attack_both_ways(monkeypatch, capsys, argv)[0] == EXIT_OK
         assert len(children) == 1  # the second run only
@@ -295,7 +295,7 @@ class TestParallelMatrixLoad:
         argv = attack_argv(poets_files, tmp_path / "m.csv", "--abs-eps", "5")
         code, err, _ = _attack_both_ways(monkeypatch, capsys, argv)
         assert code == EXIT_INPUT and err == f"error: [Errno 13] Permission denied: '{poets_files[failing[0]]}'\n"
-        monkeypatch.setattr(clique, "worker_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "worker_cpus", lambda: 2)
         with pytest.raises(PermissionError, match=str(poets_files[failing[0]])):
             cli._load_matrices(poets_files["tm"], poets_files["im"])
 

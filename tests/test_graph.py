@@ -564,6 +564,15 @@ class TestLabeledWeightedGraph:
         with pytest.raises(InputFormatError):
             GeneralGraph(LabeledWeightedGraph((("a",), ("b",)), w, (0, 1)), loop)
 
+    def test_edge_mask_is_a_frozen_copy(self):
+        w = DistanceMatrix(np.zeros((2, 2)))
+        mask = np.zeros((2, 2), dtype=bool)
+        g = GeneralGraph(LabeledWeightedGraph((("a",), ("b",)), w, (0, 1)), mask)
+        mask[0, 1] = True
+        assert not g.has_edge(0, 1)
+        with pytest.raises(ValueError):
+            g._present[0, 1] = True
+
     def test_complete_by_default(self):
         g = random_labeled_graph(np.random.default_rng(5), 4, 2)
         assert all(g.has_edge(i, j) for i in range(4)
