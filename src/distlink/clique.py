@@ -23,17 +23,27 @@ cliques found are those of the unsplit search, which stays as the oracle
 and as the path for smaller graphs.  A branch whose candidates cannot
 hold a large enough clique by a degree bound is skipped before
 any rows are built, exactly where the unsplit search would have cut it.
-That bound and the branch's local edges never read the incumbent: with
-more than one usable CPU (worker_cpus), forked workers compute them
-ahead, CHUNK branches at a time in sweep order (fan_out, which also
-spreads the simulation grid), while the search, its incumbent and its
-node count stay in one process, so every result is the one-CPU result.
+That bound and the branch's local edges never read the incumbent: once
+the sweep has computed LAZY_CHUNKS chunks of CHUNK branches itself, with
+more than one usable CPU (worker_cpus), forked workers compute the rest
+ahead, a chunk at a time in sweep order (fan_out, which also spreads the
+simulation grid), while the search, its incumbent and its node count
+stay in one process, so every result is the one-CPU result.
+
+The root level's two loops, the first-fit colouring and each branch's
+bound and edges, run as C (_kernel.c), built with cc on the first split
+search into the package's __pycache__, once per source hash, and loaded
+with ctypes.  Without a compiler, or when the build or the load fails,
+the numpy code runs instead, with the same results; it stays as the
+kernels' oracle.
 """
 
 from __future__ import annotations
 
 import contextlib
 import copy
+import functools
+import hashlib
 import itertools
 import multiprocessing
 import operator
@@ -51,15 +61,24 @@ from .errors import InputFormatError, ResourceBudgetError
 
 DEFAULT_NODE_BUDGET = 10**8
 
-#: graphs with more vertices than this are searched split at the root; the
-#: per-branch gathers cost more than narrow big-int masks below it
-SPLIT_MIN_VERTICES = 4096
+#: graphs with more vertices than this are searched split at the root; below
+#: it the per-branch gathers in numpy cost more than narrow big-int masks
+SPLIT_MIN_VERTICES = 2048
 
 #: array entries the product join and the CSR builder handle at once
 BLOCK = 1 << 16
 
 #: root branches a sweep worker computes per message
 CHUNK = 128
+
+#: chunks of CHUNK root branches the sweep computes itself before it forks
+#: workers for the rest: a shorter sweep costs less than starting them
+LAZY_CHUNKS = 64
+
+#: the C source of the root level's compiled kernels, and the directory
+#: their library is built into, once per source hash
+KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
+KERNEL_CACHE = Path(__file__).with_name("__pycache__")
 
 
 class SimpleGraph:
@@ -249,21 +268,90 @@ def _gather(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> tuple:
     return indices[np.arange(lens.sum()) + np.repeat(starts - ends + lens, lens)], lens
 
 
+@functools.cache
+def _kernel():
+    """The compiled kernels of KERNEL_SOURCE, loaded with ctypes on first
+    use, or None where they cannot be built or loaded: the numpy code
+    they replace then runs, with the same results."""
+    import subprocess
+    try:
+        return _load_kernel(KERNEL_CACHE)
+    except (OSError, AttributeError, subprocess.SubprocessError):
+        return None
+
+
+def _load_kernel(cache: Path):
+    """KERNEL_SOURCE's library in cache, built there first unless a whole
+    copy is there.  A build goes through a temporary name and an atomic
+    rename, so racing processes each leave a whole library; each ends in
+    the SHA-256 of its other bytes, so a damaged copy, which the loader
+    could map and crash on, is found and rebuilt."""
+    import ctypes
+    import subprocess
+    lib = cache / f"_kernel.{hashlib.sha256(KERNEL_SOURCE.read_bytes()).hexdigest()}.so"
+    if not _intact(lib):
+        cache.mkdir(exist_ok=True)
+        tmp = lib.with_suffix(f".{os.getpid()}.tmp")
+        try:
+            subprocess.run(["cc", "-O2", "-shared", "-fPIC", "-o", str(tmp), str(KERNEL_SOURCE)],
+                           check=True, capture_output=True, timeout=120)
+            with tmp.open("ab") as fh:
+                fh.write(hashlib.sha256(tmp.read_bytes()).digest())
+            os.replace(tmp, lib)
+        finally:
+            tmp.unlink(missing_ok=True)
+        if not _intact(lib):
+            raise OSError(f"{lib}: damaged after its build")
+    kernel = ctypes.CDLL(str(lib))
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    kernel.branch.argtypes = [ptr, ptr, ptr, ptr, i64, ptr, ptr, ptr]
+    kernel.branch.restype = i64
+    kernel.root_colour.argtypes = [i64] + [ptr] * 7
+    kernel.root_colour.restype = None
+    return kernel
+
+
+def _intact(lib: Path) -> bool:
+    """Whether lib is there and ends in the SHA-256 of its other bytes."""
+    try:
+        data = lib.read_bytes()
+    except OSError:
+        return False
+    return len(data) > 32 and hashlib.sha256(data[:-32]).digest() == data[-32:]
+
+
 class _Branches:
     """branch(v), on _root_split's forward CSR, is the part of root branch
     v that never reads the incumbent, (bound, a, b): the edges among v's
     candidates, each once, as local ids (a[k], b[k]), from one gather of
     their forward lists, and 1 + the most lower neighbours a candidate has
-    among them, which bounds its greedy colour."""
+    among them, which bounds its greedy colour.  The compiled kernel
+    computes them where it loads; the numpy gather is its oracle."""
 
     def __init__(self, indptr: np.ndarray, adj: np.ndarray) -> None:
-        self.indptr, self.adj = indptr, adj
+        self.indptr = indptr = np.ascontiguousarray(indptr, np.int64)
+        self.adj = adj = np.ascontiguousarray(adj, np.int64)
         self.fdeg = np.diff(indptr)
-        self.mark = np.zeros(len(self.fdeg), np.int64)
-        top = int(self.fdeg.max(initial=0))  # a gather takes at most min(top**2, |adj|) entries
-        self.ramp = np.arange(min(top * top, len(adj)) + top + 1)
+        top = int(self.fdeg.max(initial=0))
+        self.kernel = _kernel()
+        if self.kernel is None:
+            self.mark = np.zeros(len(self.fdeg), np.int64)
+            # a gather takes at most min(top**2, |adj|) entries
+            self.ramp = np.arange(min(top * top, len(adj)) + top + 1)
+            return
+        self.mark = np.zeros(len(self.fdeg), np.int32)
+        self.lower = np.empty(top, np.int64)
+        # a branch has at most min(top * (top - 1) / 2, |adj|) edges
+        self.edges = np.empty((2, min(top * (top - 1) // 2, len(adj))), np.int64)
+        self.count = np.zeros(1, np.int64)
+        self.inputs = [a.ctypes.data for a in (indptr, adj, self.mark, self.lower)]
+        self.outputs = [a.ctypes.data for a in (self.edges[0], self.edges[1], self.count)]
 
     def __call__(self, v: int) -> tuple:
+        if self.kernel is not None:
+            bound = self.kernel.branch(*self.inputs, v, *self.outputs)
+            a, b = self.edges[:, :self.count[0]].copy()
+            return bound, a, b
         cand = self.adj[self.indptr[v]:self.indptr[v + 1]]
         lens = self.fdeg[cand]
         ends = np.cumsum(lens)
@@ -350,11 +438,14 @@ def fan_out(fn, items: Sequence, most: int):
 
 
 def _branch_stream(branch: _Branches, sweep: list):
-    """branch(v) for each v of sweep in turn: on demand, or, with more
-    than one worker CPU and chunk, fanned out CHUNK branches at a time."""
-    chunks = [sweep[start:start + CHUNK] for start in range(0, len(sweep), CHUNK)]
+    """branch(v) for each v of sweep in turn: on demand for the first
+    LAZY_CHUNKS * CHUNK, then, with more than one worker CPU and chunk
+    left, fanned out CHUNK branches at a time."""
+    lazy = LAZY_CHUNKS * CHUNK
+    yield from map(branch, sweep[:lazy])
+    chunks = [sweep[start:start + CHUNK] for start in range(lazy, len(sweep), CHUNK)]
     if min(worker_cpus(), len(chunks)) < 2:
-        yield from map(branch, sweep)
+        yield from map(branch, sweep[lazy:])
         return
     with contextlib.closing(fan_out(branch.chunk, chunks, len(chunks))) as done:
         for bounds, ends, a, b in done:
@@ -370,19 +461,37 @@ def _root_split(g: SimpleGraph, order: np.ndarray, pos: np.ndarray, block: int =
     starts with.  The indices are int64: the sweep indexes with them,
     int32 costs casts.
 
-    One pass over the relabelled rows, block vertices at a time, colours
-    first-fit and emits the CSR keys.  Each vertex takes the least colour
-    c >= 1 that no lower neighbour has: _colour_classes' colours on the
-    whole vertex set with kmin <= 0, since a class takes vertices in
-    ascending order and so refuses a vertex colour c exactly when a lower
-    neighbour holds c.  Lower neighbours in earlier blocks give one
-    forbidden-colour mask per vertex at once; those inside the block are
-    added edge by edge.  Each
-    edge is then met once, from its later end in degree order, with both
+    The compiled kernel, or else _first_fit, colours first-fit and emits
+    the CSR keys.  Each vertex takes the least colour c >= 1 that no
+    lower neighbour has: _colour_classes' colours on the whole vertex set
+    with kmin <= 0, since a class takes vertices in ascending order and
+    so refuses a vertex colour c exactly when a lower neighbour holds c.
+    Each edge is met once, from its later end in degree order, with both
     ends coloured: neighbours differ in colour, and the end with the
     higher colour is swept first, so it lists the other.  One sort of the
     |E| keys gives the CSR.
     """
+    kernel = _kernel()
+    if kernel is None:
+        colour, key = _first_fit(g, order, pos, block)
+    else:
+        colour, key = np.zeros(g.n, np.int64), np.empty(g.edge_count(), np.int64)
+        seen = np.zeros(g.n + 2, np.int64)
+        inputs = [np.ascontiguousarray(a, dtype) for a, dtype in
+                  ((g.indptr, np.int64), (g.indices, np.int32), (order, np.int64), (pos, np.int64))]
+        kernel.root_colour(g.n, *(a.ctypes.data for a in inputs + [seen, colour, key]))
+    key.sort()
+    indptr = np.searchsorted(key, np.arange(g.n + 1) * g.n)
+    sweep = np.lexsort((-np.arange(g.n), -colour))
+    return sweep.tolist(), colour[sweep].tolist(), indptr, np.remainder(key, g.n, out=key)
+
+
+def _first_fit(g: SimpleGraph, order: np.ndarray, pos: np.ndarray, block: int) -> tuple:
+    """_root_split's colours, by relabelled vertex, and its unsorted CSR
+    keys, in numpy: one pass over the relabelled rows, block vertices at a
+    time.  Lower neighbours in earlier blocks give one forbidden-colour
+    mask per vertex at once; those inside the block are added edge by
+    edge."""
     colour = np.zeros(g.n, np.int64)
     key = np.empty(g.edge_count(), np.int64)
     top = m = 0
@@ -412,10 +521,7 @@ def _root_split(g: SimpleGraph, order: np.ndarray, pos: np.ndarray, block: int =
         owner = np.where(colour[v] > colour[nbr], v, nbr)
         key[m:m + len(v)] = owner * g.n + (v + nbr - owner)
         m += len(v)
-    key.sort()
-    indptr = np.searchsorted(key, np.arange(g.n + 1) * g.n)
-    sweep = np.lexsort((-np.arange(g.n), -colour))
-    return sweep.tolist(), colour[sweep].tolist(), indptr, np.remainder(key, g.n, out=key)
+    return colour, key
 
 
 class _Search:

@@ -1,5 +1,6 @@
 """Shared builders and reference literals for the test suite."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -132,6 +133,24 @@ def on_both_paths(search, g):
             except ResourceBudgetError:
                 out.append(ResourceBudgetError)
     return out
+
+
+@contextlib.contextmanager
+def without_compiler(tmp_path):
+    """The clique search with no C compiler on PATH and an empty kernel
+    cache under tmp_path: its compiled kernels fail to build, so the numpy
+    code runs."""
+    empty = tmp_path / "no-compiler"
+    empty.mkdir()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PATH", str(empty))
+        mp.setattr(clique, "KERNEL_CACHE", tmp_path / "kernel-cache")
+        clique._kernel.cache_clear()
+        try:
+            assert clique._kernel() is None
+            yield
+        finally:
+            clique._kernel.cache_clear()
 
 
 def random_points(rng, n):

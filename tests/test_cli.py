@@ -1,5 +1,6 @@
 """End-to-end command line behaviour, exit codes, run manifests."""
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -25,7 +26,7 @@ from distlink.datasets import (
     poets_target_matrix,
     poets_target_table,
 )
-from helpers import EXAMPLE_CITY_MATRIX, POETS_TRUE_MATCHES_1BASED
+from helpers import EXAMPLE_CITY_MATRIX, POETS_TRUE_MATCHES_1BASED, without_compiler
 
 
 @pytest.fixture
@@ -231,6 +232,29 @@ class TestAttack:
         argv = attack_argv(poets_files, tmp_path / "m.csv", "--abs-eps", "5")
         assert main(argv + ["--node-budget", budget]) == EXIT_INPUT
         assert f"--node-budget must be an integer >= 1, got {budget}" in capsys.readouterr().err
+
+    def test_attack_byte_identical_without_a_compiler(self, tmp_path, capsys):
+        """A 300 x 300 census attack, its product over 4,096 vertices, with
+        its tie pass: the same output when the clique search's compiled
+        kernels cannot be built."""
+        cfg = small_sim_config(tmp_path, n_target=300, n_ident=300, n_common=60,
+                               sigma_grid=[0.025], qi_distributions="census", seed=1)
+        data = tmp_path / "gen"
+        assert main(["gendata", "--config", str(cfg), "--out-dir", str(data)]) == EXIT_OK
+        assert main(["calibrate", "--sigma", "0.025", "--out-dir", str(tmp_path / "cal")]) == EXIT_OK
+        capsys.readouterr()
+        outputs = []
+        for compiled in (True, False):
+            out = tmp_path / f"matches_{compiled}.csv"
+            argv = ["attack", "--qi", "gender,age_band", "--out", str(out), "--enumerate-ties",
+                    "--calibration", str(tmp_path / "cal" / "calibration_sigma0.025.json"),
+                    "--alpha", "0.5"] + [arg for role in ("target", "ident")
+                                         for kind in ("table", "matrix")
+                                         for arg in (f"--{role}-{kind}", str(data / f"{role}_{kind}.csv"))]
+            with contextlib.nullcontext() if compiled else without_compiler(tmp_path):
+                assert main(argv) == EXIT_OK
+            outputs.append((out.read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1] and "maximum cliques:" in outputs[0][1]
 
 
 def _attack_both_ways(monkeypatch, capsys, argv):

@@ -36,6 +36,7 @@ from helpers import (
     on_both_paths,
     random_simple_graph,
     symmetric_key_sort_csr,
+    without_compiler,
 )
 
 
@@ -584,9 +585,11 @@ class TestRootSplit:
             pos[order] = np.arange(g.n)
             want = edge_array_root_split(g)
             for block in (1, 5, 256):
-                sweep, colours, indptr, adj = clique._root_split(g, order, pos, block)
-                assert (sweep, colours) == want[:2]
-                assert indptr.tobytes() == want[2].tobytes() and adj.tobytes() == want[3].tobytes()
+                # the compiled kernel where it builds, then the numpy code
+                for sweep, colours, indptr, adj in (clique._root_split(g, order, pos, block),
+                                                    _numpy(clique._root_split, g, order, pos, block)):
+                    assert (sweep, colours) == want[:2]
+                    assert indptr.tobytes() == want[2].tobytes() and adj.tobytes() == want[3].tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(small_graphs())
@@ -603,23 +606,27 @@ class TestRootSplit:
         assert len(found) == count_cliques_of_size(g, r.size) and r.vertices in found
 
 
-def _with_workers(search, g, cpus, chunk=4):
+def _with_workers(search, g, cpus, chunk=4, lazy=0, forks=None):
     """search(g) split at the root, its branches' bounds and edges from
-    forked workers when cpus > 1 (chunks of chunk branches), computed in
-    this process when cpus == 1; an exhausted budget counts as an outcome."""
+    forked workers when cpus > 1 (chunks of chunk branches, after the
+    first lazy chunks), computed in this process when cpus == 1; an
+    exhausted budget counts as an outcome.  Unless the search exhausts its
+    budget, workers must have started exactly when forks says, by default
+    when cpus > 1 and the sweep has two chunks."""
     started = []
     real = clique.forked
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(clique, "SPLIT_MIN_VERTICES", -1)
         mp.setattr(clique, "CHUNK", chunk)
+        mp.setattr(clique, "LAZY_CHUNKS", lazy)
         mp.setattr(clique, "worker_cpus", lambda: cpus)
         mp.setattr(clique, "forked", lambda *args: started.append(args) or real(*args))
         try:
             out = search(g)
         except ResourceBudgetError:
             out = ResourceBudgetError
-    if out is not ResourceBudgetError:  # workers start with the first branch
-        assert bool(started) == (cpus > 1 and g.n > chunk)
+    if out is not ResourceBudgetError:  # without lazy chunks, workers start with the first branch
+        assert bool(started) == (cpus > 1 and g.n > chunk if forks is None else forks)
     assert multiprocessing.active_children() == []
     return out
 
@@ -719,6 +726,23 @@ class TestParallelSweep:
         assert not child.is_alive()
         assert got == (1, max_clique(g).vertices)
 
+    def test_sweep_shorter_than_lazy_chunks_starts_no_worker(self):
+        rng = np.random.default_rng(39)
+        for g in [random_simple_graph(rng, n, p) for n, p in ((40, 0.1), (70, 0.4), (90, 0.8))]:
+            lazy = -(-g.n // 4)  # the whole sweep fits in the parent's chunks
+            assert _with_workers(_solve, g, 2, lazy=lazy, forks=False) == _with_workers(_solve, g, 1)
+        g = build_product_graph(*census_graphs(300)).graph
+        assert g.n < clique.LAZY_CHUNKS * clique.CHUNK
+        assert _with_workers(_solve, g, 2, clique.CHUNK, clique.LAZY_CHUNKS, forks=False) \
+            == _with_workers(_solve, g, 1)
+
+    def test_longer_sweep_forks_for_the_rest(self):
+        rng = np.random.default_rng(40)
+        # their sweeps take 17, 34 and 57 root branches, past 2 chunks of 4
+        for g in [random_simple_graph(rng, n, p) for n, p in ((60, 0.1), (80, 0.3), (150, 0.1))]:
+            for lazy in (1, 2):
+                assert _with_workers(_solve, g, 2, lazy=lazy, forks=True) == _with_workers(_solve, g, 1)
+
     def test_no_worker_beside_other_threads(self):
         done = threading.Event()
         thread = threading.Thread(target=done.wait)
@@ -729,6 +753,129 @@ class TestParallelSweep:
             done.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
+
+
+def _numpy(fn, *args):
+    """fn(*args) with the compiled kernels refused: the numpy code."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clique, "_kernel", lambda: None)
+        return fn(*args)
+
+
+def _require_compiled():
+    if clique._kernel() is None:
+        pytest.skip("no C compiler: the compiled kernels cannot be built")
+
+
+class TestCompiledKernel:
+    """The compiled branch kernel against the numpy code, which stays as
+    its oracle and as the path without a compiler."""
+
+    def test_branches_equal_numpy_on_every_branch(self):
+        _require_compiled()
+        rng = np.random.default_rng(41)
+        graphs = [SimpleGraph.from_edges(0, []), SimpleGraph.from_edges(6, []), complete_graph(9)]
+        graphs += [random_simple_graph(rng, int(rng.integers(1, 90)), float(rng.uniform(0.02, 0.95)))
+                   for _ in range(40)]
+        graphs += [gender_tie_product(seed) for seed, *_ in TIE_PRODUCT_RESULTS]
+        products = (build_product_graph(*census_graphs(n)).graph for n in (100, 200, 300, 600))
+        empty = 0
+        for g in itertools.chain(graphs, products):
+            order = np.argsort(-np.diff(g.indptr), kind="stable")
+            pos = np.empty(g.n, np.int64)
+            pos[order] = np.arange(g.n)
+            sweep, _, indptr, adj = clique._root_split(g, order, pos)
+            compiled = clique._Branches(indptr, adj)
+            oracle = _numpy(clique._Branches, indptr, adj)
+            assert compiled.kernel is not None and oracle.kernel is None
+            for v in sweep:
+                bound, a, b = compiled(v)
+                want = oracle(v)
+                assert bound == want[0]
+                assert np.array_equal(a, want[1]) and np.array_equal(b, want[2])
+                empty += indptr[v] == indptr[v + 1]
+        assert empty > len(graphs)  # branches without candidates included
+
+
+def _exit_code(fn, *args):
+    """The exit code of a forked child running fn(*args): 0 when it returns
+    true, 1 when it returns false or raises, or minus the number of the
+    signal that killed it."""
+    child = multiprocessing.get_context("fork").Process(target=lambda: os._exit(0 if fn(*args) else 1))
+    child.start()
+    child.join(timeout=120)
+    assert not child.is_alive()
+    return child.exitcode
+
+
+def _works(kernel):
+    """Whether the search with kernel finds what the numpy code finds."""
+    g = random_simple_graph(np.random.default_rng(43), 60, 0.4)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clique, "_kernel", lambda: kernel)
+        return kernel is not None and on_both_paths(_solve, g) == _numpy(on_both_paths, _solve, g)
+
+
+class TestKernelBuild:
+    """Building, caching and loading the compiled kernels, and the numpy
+    fallback when that fails."""
+
+    def test_failed_build_changes_no_result(self, tmp_path):
+        _require_compiled()
+        graphs = [build_product_graph(*census_graphs(300)).graph, gender_tie_product(1),
+                  random_simple_graph(np.random.default_rng(44), 70, 0.5)]
+        want = [on_both_paths(_solve, g) for g in graphs]
+        forked_want = _with_workers(_solve, graphs[-1], 1)
+        with without_compiler(tmp_path):
+            assert [on_both_paths(_solve, g) for g in graphs] == want
+            assert _with_workers(_solve, graphs[-1], 2) == forked_want
+        assert not any((tmp_path / "kernel-cache").iterdir())  # the failed build left no file
+
+    def test_racing_builds_leave_one_library(self, tmp_path):
+        _require_compiled()
+        fork = multiprocessing.get_context("fork")
+        barrier = fork.Barrier(2)
+
+        def build():
+            barrier.wait(60)
+            return clique._load_kernel(tmp_path) is not None
+
+        children = [fork.Process(target=lambda: os._exit(0 if build() else 1)) for _ in range(2)]
+        for child in children:
+            child.start()
+        for child in children:
+            child.join(timeout=120)
+        assert [child.exitcode for child in children] == [0, 0]
+        libs = list(tmp_path.iterdir())
+        assert len(libs) == 1 and libs[0].suffix == ".so" and clique._intact(libs[0])
+        assert _works(clique._load_kernel(tmp_path))
+
+    @pytest.mark.parametrize("keep", [0, 64, 0.5, -1])
+    def test_damaged_library_is_rebuilt(self, tmp_path, keep):
+        _require_compiled()
+        # built and damaged where this process never maps it: a damaged
+        # library mapped by the loader can crash the process
+        assert _exit_code(clique._load_kernel, tmp_path) == 0
+        lib, = tmp_path.iterdir()
+        data = lib.read_bytes()
+        lib.write_bytes(data[:int(len(data) * keep) if isinstance(keep, float) else keep])
+        assert _exit_code(lambda: _works(clique._load_kernel(tmp_path))) == 0
+        assert lib.read_bytes() == data
+
+    def test_damaged_library_without_compiler_falls_back(self, tmp_path):
+        _require_compiled()
+        cache = tmp_path / "kernel-cache"
+        assert _exit_code(clique._load_kernel, cache) == 0
+        lib, = cache.iterdir()
+        lib.write_bytes(lib.read_bytes()[:5000])
+        g = random_simple_graph(np.random.default_rng(45), 60, 0.4)
+        want = on_both_paths(_solve, g)
+
+        def fall_back():
+            with without_compiler(tmp_path):  # finds the damaged library, cannot rebuild it
+                return on_both_paths(_solve, g) == want
+
+        assert _exit_code(fall_back) == 0
 
 
 class TestBruteForce:
