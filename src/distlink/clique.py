@@ -31,9 +31,9 @@ simulation grid), while the search, its incumbent and its node count
 stay in one process, so every result is the one-CPU result.
 
 The root level's two loops, the first-fit colouring and each branch's
-bound and edges, run as C (_kernel.c), built with cc on the first split
-search into the package's __pycache__, once per source hash, and loaded
-with ctypes.  Without a compiler, or when the build or the load fails,
+bound and edges, run as C (_kernel.c, through distlink.native), built on
+the first split search unless the product build or the matrix reader
+has built it.  Without a compiler, or when the build or the load fails,
 the numpy code runs instead, with the same results; it stays as the
 kernels' oracle.
 """
@@ -42,8 +42,6 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import functools
-import hashlib
 import itertools
 import multiprocessing
 import operator
@@ -57,6 +55,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import native
 from .errors import InputFormatError, ResourceBudgetError
 
 DEFAULT_NODE_BUDGET = 10**8
@@ -74,12 +73,6 @@ CHUNK = 128
 #: chunks of CHUNK root branches the sweep computes itself before it forks
 #: workers for the rest: a shorter sweep costs less than starting them
 LAZY_CHUNKS = 64
-
-#: the C source of the root level's compiled kernels, and the directory
-#: their library is built into, once per source hash
-KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
-KERNEL_CACHE = Path(__file__).with_name("__pycache__")
-
 
 class SimpleGraph:
     """Undirected graph in symmetric CSR form: the neighbours of vertex v
@@ -268,58 +261,6 @@ def _gather(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> tuple:
     return indices[np.arange(lens.sum()) + np.repeat(starts - ends + lens, lens)], lens
 
 
-@functools.cache
-def _kernel():
-    """The compiled kernels of KERNEL_SOURCE, loaded with ctypes on first
-    use, or None where they cannot be built or loaded: the numpy code
-    they replace then runs, with the same results."""
-    import subprocess
-    try:
-        return _load_kernel(KERNEL_CACHE)
-    except (OSError, AttributeError, subprocess.SubprocessError):
-        return None
-
-
-def _load_kernel(cache: Path):
-    """KERNEL_SOURCE's library in cache, built there first unless a whole
-    copy is there.  A build goes through a temporary name and an atomic
-    rename, so racing processes each leave a whole library; each ends in
-    the SHA-256 of its other bytes, so a damaged copy, which the loader
-    could map and crash on, is found and rebuilt."""
-    import ctypes
-    import subprocess
-    lib = cache / f"_kernel.{hashlib.sha256(KERNEL_SOURCE.read_bytes()).hexdigest()}.so"
-    if not _intact(lib):
-        cache.mkdir(exist_ok=True)
-        tmp = lib.with_suffix(f".{os.getpid()}.tmp")
-        try:
-            subprocess.run(["cc", "-O2", "-shared", "-fPIC", "-o", str(tmp), str(KERNEL_SOURCE)],
-                           check=True, capture_output=True, timeout=120)
-            with tmp.open("ab") as fh:
-                fh.write(hashlib.sha256(tmp.read_bytes()).digest())
-            os.replace(tmp, lib)
-        finally:
-            tmp.unlink(missing_ok=True)
-        if not _intact(lib):
-            raise OSError(f"{lib}: damaged after its build")
-    kernel = ctypes.CDLL(str(lib))
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    kernel.branch.argtypes = [ptr, ptr, ptr, ptr, i64, ptr, ptr, ptr]
-    kernel.branch.restype = i64
-    kernel.root_colour.argtypes = [i64] + [ptr] * 7
-    kernel.root_colour.restype = None
-    return kernel
-
-
-def _intact(lib: Path) -> bool:
-    """Whether lib is there and ends in the SHA-256 of its other bytes."""
-    try:
-        data = lib.read_bytes()
-    except OSError:
-        return False
-    return len(data) > 32 and hashlib.sha256(data[:-32]).digest() == data[-32:]
-
-
 class _Branches:
     """branch(v), on _root_split's forward CSR, is the part of root branch
     v that never reads the incumbent, (bound, a, b): the edges among v's
@@ -333,7 +274,7 @@ class _Branches:
         self.adj = adj = np.ascontiguousarray(adj, np.int64)
         self.fdeg = np.diff(indptr)
         top = int(self.fdeg.max(initial=0))
-        self.kernel = _kernel()
+        self.kernel = native.kernel()
         if self.kernel is None:
             self.mark = np.zeros(len(self.fdeg), np.int64)
             # a gather takes at most min(top**2, |adj|) entries
@@ -471,7 +412,7 @@ def _root_split(g: SimpleGraph, order: np.ndarray, pos: np.ndarray, block: int =
     higher colour is swept first, so it lists the other.  One sort of the
     |E| keys gives the CSR.
     """
-    kernel = _kernel()
+    kernel = native.kernel()
     if kernel is None:
         colour, key = _first_fit(g, order, pos, block)
     else:

@@ -8,21 +8,29 @@ and its edges connect pairs whose distances agree up to the one
 approximate-equality relation, an open band on the signed deviation
 (QuantileBand; Absolute(eps) is its symmetric case).  The product comes
 out of one sorted interval join as a CSR SimpleGraph, after a guard has
-checked that the join's candidate edges fit in physical memory.  The join
-expands them a block at a time into the int64 edge keys that csr_graph
-sorts in place, so those keys and the CSR's int32 indices are the peak.
-Graphs with absent edges are test references, in distlink.oracles.
+checked that the join's candidate edges fit in physical memory.  Above
+SPLIT_MIN_VERTICES vertices the compiled kernels (distlink.native) run
+the join on record pairs grouped by label pair and sorted by weight,
+write each row's upper neighbours straight into the CSR and order the
+rows by transposing in place, so the CSR's int32 indices are the peak.
+Smaller products, and every product without a compiler, take the numpy
+join, the compiled build's oracle: it expands the candidates a block at
+a time into the int64 edge keys that csr_graph sorts in place, so those
+keys and the CSR's indices are its peak.  Graphs with absent edges are
+test references, in distlink.oracles.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .clique import BLOCK, SimpleGraph, csr_graph
+from . import native
+from .clique import BLOCK, SPLIT_MIN_VERTICES, SimpleGraph, csr_graph
 from .core import DistanceMatrix, MicrodataTable
 from .errors import InputFormatError, SizeLimitError
 
@@ -156,11 +164,12 @@ def _product_edges_join(
     target: LabeledWeightedGraph,
     ident: LabeledWeightedGraph,
     rel: QuantileBand,
+    columns: Optional[tuple] = None,
 ) -> tuple:
     """The product of two complete graphs as (pv, pw, key): its vertices
-    as _pair_columns gives them, and its edges, by one sorted interval
-    join over all label pairs at once, as the int64 keys x * len(pv) + y,
-    x < y, that csr_graph takes.
+    as _pair_columns gives them (or columns, its result), and its edges,
+    by one sorted interval join over all label pairs at once, as the int64
+    keys x * len(pv) + y, x < y, that csr_graph takes.
 
     A target pair v1 < v2 with weight t meets the ordered identification
     pairs w1 != w2 of the same label pair whose weight s lies in the
@@ -174,7 +183,7 @@ def _product_edges_join(
     once.  Candidates are expanded about BLOCK at a time into one key
     array sized for all of them.
     """
-    pv, pw, t_lab, i_lab, n_common = _pair_columns(target.labels, ident.labels)
+    pv, pw, t_lab, i_lab, n_common = columns or _pair_columns(target.labels, ident.labels)
     # int32 ids: |V| <= n_target * n_ident, far below 2**31 at any size that fits
     tv, iw = (np.flatnonzero(lab >= 0).astype(np.int32) for lab in (t_lab, i_lab))
     base = np.searchsorted(pv, np.arange(len(t_lab))).astype(np.int32)
@@ -249,10 +258,12 @@ def _physical_memory_bytes() -> Optional[int]:
         return None
 
 
-#: bytes per candidate edge at the attack's peak: the CSR build (the join's
-#: int64 edge keys, sorted in place, and the int32 indices) or the solver's
-#: set-up (the CSR and one int64 key per edge); peak RSS grew by 26.5 and
-#: 18.1 per candidate over the 600x600 and 1000x1000 census attacks
+#: bytes per candidate edge at the attack's peak: the numpy CSR build (the
+#: join's int64 edge keys, sorted in place, and the int32 indices) or the
+#: solver's set-up (the CSR and one int64 key per edge); peak RSS grew by
+#: 26.5 and 18.1 per candidate over the 600x600 and 1000x1000 census
+#: attacks.  The compiled build needs less (8 an edge and the pairs), but a
+#: product must fit the numpy build it falls back to without a compiler.
 BYTES_PER_CANDIDATE = 34
 
 
@@ -266,14 +277,71 @@ def _check_edge_memory(n_vertices: int, n_candidates: int) -> None:
             f"about {need} bytes, more than the {have} bytes of physical memory")
 
 
+def _label_pair_groups(kernel, lab: np.ndarray, entries: np.ndarray, offset: np.ndarray,
+                       k: int) -> list:
+    """[start, w, a, b]: the pairs of records a < b whose labels are among
+    the k shared ones, grouped by label pair lab[a] * k + lab[b], group g
+    at start[g]:start[g + 1], each in ascending weight w = entries[a, b],
+    with the records as offset[a] and offset[b]; no other array of the
+    pairs' size is made."""
+    ids = np.flatnonzero(lab >= 0)
+    size = len(ids) * (len(ids) - 1) // 2
+    out = [np.zeros(k * k + 1, np.int64), np.empty(size), np.empty(size, np.int32),
+           np.empty(size, np.int32)]
+    entries = np.ascontiguousarray(entries, np.float64)
+    kernel.group_pairs(len(ids), ids.ctypes.data, lab.ctypes.data, k, entries.ctypes.data,
+                       len(entries), offset.ctypes.data, *(x.ctypes.data for x in out))
+    return out
+
+
+def _product_csr(kernel, target: LabeledWeightedGraph, ident: LabeledWeightedGraph,
+                 rel: QuantileBand, columns: tuple) -> SimpleGraph:
+    """csr_graph(_product_edges_join(...)) by the compiled kernels: the
+    same CSR.  The join meets each target pair's candidates in a weight
+    window of the identification pairs of its label pair, by two pointers,
+    twice: to count them, for the memory guard, and each vertex's lower
+    and upper neighbours, then to write each row's upper neighbours,
+    unsorted, into the CSR.  csr_order then sorts the rows by transposing
+    in place.  Only the CSR and the pairs, about 8 bytes an edge and 16 a
+    pair, are live at the peak."""
+    pv, pw, t_lab, i_lab, k = columns
+    n = len(pv)
+    base = np.searchsorted(pv, np.arange(len(t_lab))).astype(np.int32)
+    rank = np.zeros(len(i_lab), np.int32)
+    rank[pw] = np.arange(n) - base[pv]
+    pairs = (_label_pair_groups(kernel, t_lab, target.weights.entries, base, k)
+             + _label_pair_groups(kernel, i_lab, ident.weights.entries, rank, k))
+    join = functools.partial(kernel.join, k, *(x.ctypes.data for x in pairs),
+                             float(rel.lo), float(rel.hi))
+    low, up = np.zeros(n, np.int64), np.zeros(n, np.int64)
+    _check_edge_memory(n, join(low.ctypes.data, up.ctypes.data, None))
+    indptr = np.zeros(n + 1, np.int64)
+    np.cumsum(low + up, out=indptr[1:])
+    indices = np.empty(indptr[-1], np.int32)
+    np.add(indptr[:-1], low, out=up)  # where each row's upper neighbours start
+    join(low.ctypes.data, up.ctypes.data, indices.ctypes.data)
+    del pairs, join
+    kernel.csr_order(n, indptr.ctypes.data, low.ctypes.data, up.ctypes.data, indices.ctypes.data)
+    return SimpleGraph(n, indptr, indices, validate=False)
+
+
 def build_product_graph(
     target: LabeledWeightedGraph,
     ident: LabeledWeightedGraph,
     rel,
 ) -> ProductGraph:
-    """Construct the product graph of two complete labelled weighted graphs."""
+    """Construct the product graph of two complete labelled weighted graphs:
+    above SPLIT_MIN_VERTICES vertices, where the clique search compiles its
+    kernels anyway, with the compiled build, else (or without a compiler)
+    with _product_edges_join and csr_graph, its oracle."""
     if target.label_arity != ident.label_arity:
         raise InputFormatError("graphs were built with different qi schemas")
-    pv, pw, key = _product_edges_join(target, ident, rel)
-    graph = csr_graph(len(pv), key)  # first: the vertex tuples would raise the build's peak
+    columns = _pair_columns(target.labels, ident.labels)
+    pv, pw = columns[:2]
+    kernel = native.kernel() if len(pv) > SPLIT_MIN_VERTICES else None
+    # the graph first: the vertex tuples would raise the build's peak
+    if kernel is not None:
+        graph = _product_csr(kernel, target, ident, rel, columns)
+    else:
+        graph = csr_graph(len(pv), _product_edges_join(target, ident, rel, columns)[2])
     return ProductGraph(list(zip(pv.tolist(), pw.tolist())), graph)

@@ -19,7 +19,7 @@ from distlink import (
     ResourceBudgetError,
     SimpleGraph,
 )
-from distlink import build_graph, build_product_graph, clique
+from distlink import build_graph, build_product_graph, clique, native
 from distlink.clique import _gather
 from distlink.core import _great_circle_km
 from distlink.datasets import census_qi_distributions
@@ -135,22 +135,28 @@ def on_both_paths(search, g):
     return out
 
 
+def require_compiled():
+    """Skip the calling test where the compiled kernels cannot be built."""
+    if native.kernel() is None:
+        pytest.skip("no C compiler: the compiled kernels cannot be built")
+
+
 @contextlib.contextmanager
 def without_compiler(tmp_path):
-    """The clique search with no C compiler on PATH and an empty kernel
-    cache under tmp_path: its compiled kernels fail to build, so the numpy
-    code runs."""
+    """The package with no C compiler on PATH and an empty kernel cache
+    under tmp_path: its compiled kernels fail to build, so the numpy code
+    runs."""
     empty = tmp_path / "no-compiler"
     empty.mkdir()
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("PATH", str(empty))
-        mp.setattr(clique, "KERNEL_CACHE", tmp_path / "kernel-cache")
-        clique._kernel.cache_clear()
+        mp.setattr(native, "KERNEL_CACHE", tmp_path / "kernel-cache")
+        native.kernel.cache_clear()
         try:
-            assert clique._kernel() is None
+            assert native.kernel() is None
             yield
         finally:
-            clique._kernel.cache_clear()
+            native.kernel.cache_clear()
 
 
 def random_points(rng, n):

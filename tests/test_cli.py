@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 import distlink
-from distlink import DistanceMatrix, cli, graph, load_calibration, load_matrix, save_matrix, save_table
+from distlink import (DistanceMatrix, cli, core, graph, load_calibration, load_matrix, native,
+                      save_matrix, save_table)
 from distlink.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, SEED_ENV_VAR, main
 from distlink.datasets import (
     census_qi_distributions,
@@ -234,15 +235,17 @@ class TestAttack:
         assert f"--node-budget must be an integer >= 1, got {budget}" in capsys.readouterr().err
 
     def test_attack_byte_identical_without_a_compiler(self, tmp_path, capsys):
-        """A 300 x 300 census attack, its product over 4,096 vertices, with
-        its tie pass: the same output when the clique search's compiled
-        kernels cannot be built."""
-        cfg = small_sim_config(tmp_path, n_target=300, n_ident=300, n_common=60,
+        """A 600 x 600 census attack with its tie pass: its matrix files go
+        to the compiled reader (side by side on two CPUs), its product of
+        21,762 vertices to the compiled build and the split search.  The
+        same output when the kernels cannot be built."""
+        cfg = small_sim_config(tmp_path, n_target=600, n_ident=600, n_common=120,
                                sigma_grid=[0.025], qi_distributions="census", seed=1)
         data = tmp_path / "gen"
         assert main(["gendata", "--config", str(cfg), "--out-dir", str(data)]) == EXIT_OK
         assert main(["calibrate", "--sigma", "0.025", "--out-dir", str(tmp_path / "cal")]) == EXIT_OK
         capsys.readouterr()
+        assert (data / "target_matrix.csv").stat().st_size > core.COMPILED_MATRIX_BYTES
         outputs = []
         for compiled in (True, False):
             out = tmp_path / f"matches_{compiled}.csv"
@@ -255,6 +258,37 @@ class TestAttack:
                 assert main(argv) == EXIT_OK
             outputs.append((out.read_bytes(), capsys.readouterr().out))
         assert outputs[0] == outputs[1] and "maximum cliques:" in outputs[0][1]
+
+    def test_small_runs_never_build_the_kernels(self, tmp_path, capsys):
+        """An attack the size of the benchmark's ties-small one (40 x 40,
+        gender only, --abs-eps 25, its tie pass) and a desk-grid simulate
+        (100/100 records, 3 x 3 cells) stay on numpy: neither asks for the
+        compiled kernels, so neither starts the compiler."""
+        cache = tmp_path / "kernel-cache"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(native, "KERNEL_CACHE", cache)
+            native.kernel.cache_clear()
+            try:
+                small, desk = tmp_path / "small", tmp_path / "desk"
+                small.mkdir()
+                desk.mkdir()
+                cfg = small_sim_config(small, n_target=40, n_ident=40, n_common=8,
+                                       sigma_grid=[0.1], qi_distributions="census", seed=1)
+                assert main(["gendata", "--config", str(cfg), "--out-dir", str(small)]) == EXIT_OK
+                argv = ["attack", "--qi", "gender", "--abs-eps", "25", "--enumerate-ties",
+                        "--out", str(small / "matches.csv")]
+                argv += [arg for role in ("target", "ident") for kind in ("table", "matrix")
+                         for arg in (f"--{role}-{kind}", str(small / f"{role}_{kind}.csv"))]
+                assert main(argv) == EXIT_OK
+                cfg = small_sim_config(desk, n_target=100, n_ident=100, n_common=20,
+                                       sigma_grid=[0.005, 0.025, 0.05], alpha_grid=[0.3, 0.5, 0.9],
+                                       repetitions=1, qi_distributions="census", seed=3)
+                assert main(["simulate", "--config", str(cfg), "--out-dir", str(desk / "run"),
+                             "--threads", "1"]) == EXIT_OK
+                assert native.kernel.cache_info().misses == 0
+                assert not cache.exists()
+            finally:
+                native.kernel.cache_clear()
 
 
 def _attack_both_ways(monkeypatch, capsys, argv):

@@ -5,7 +5,9 @@ import hashlib
 import itertools
 import multiprocessing
 import os
+import shutil
 import signal
+import subprocess
 import threading
 import tracemalloc
 
@@ -24,7 +26,7 @@ from distlink import (
     read_dimacs,
     write_dimacs,
 )
-from distlink import build_product_graph, clique
+from distlink import build_product_graph, clique, native
 from distlink.clique import _Search, _colour_classes, _complements
 from distlink.oracles import adjacency_rows, brute_force_max_clique, count_cliques_of_size
 from helpers import (
@@ -35,6 +37,7 @@ from helpers import (
     inverted_row_colour_classes,
     on_both_paths,
     random_simple_graph,
+    require_compiled,
     symmetric_key_sort_csr,
     without_compiler,
 )
@@ -758,13 +761,8 @@ class TestParallelSweep:
 def _numpy(fn, *args):
     """fn(*args) with the compiled kernels refused: the numpy code."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(clique, "_kernel", lambda: None)
+        mp.setattr(native, "kernel", lambda: None)
         return fn(*args)
-
-
-def _require_compiled():
-    if clique._kernel() is None:
-        pytest.skip("no C compiler: the compiled kernels cannot be built")
 
 
 class TestCompiledKernel:
@@ -772,7 +770,7 @@ class TestCompiledKernel:
     its oracle and as the path without a compiler."""
 
     def test_branches_equal_numpy_on_every_branch(self):
-        _require_compiled()
+        require_compiled()
         rng = np.random.default_rng(41)
         graphs = [SimpleGraph.from_edges(0, []), SimpleGraph.from_edges(6, []), complete_graph(9)]
         graphs += [random_simple_graph(rng, int(rng.integers(1, 90)), float(rng.uniform(0.02, 0.95)))
@@ -812,7 +810,7 @@ def _works(kernel):
     """Whether the search with kernel finds what the numpy code finds."""
     g = random_simple_graph(np.random.default_rng(43), 60, 0.4)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(clique, "_kernel", lambda: kernel)
+        mp.setattr(native, "kernel", lambda: kernel)
         return kernel is not None and on_both_paths(_solve, g) == _numpy(on_both_paths, _solve, g)
 
 
@@ -821,24 +819,31 @@ class TestKernelBuild:
     fallback when that fails."""
 
     def test_failed_build_changes_no_result(self, tmp_path):
-        _require_compiled()
-        graphs = [build_product_graph(*census_graphs(300)).graph, gender_tie_product(1),
+        # the compiled product build and search against the numpy ones they
+        # fall back to; a 600 x 600 CLI attack, its matrix files read by
+        # the compiled reader, is test_cli's test_attack_byte_identical_without_a_compiler
+        require_compiled()
+        census = census_graphs(300)
+        graphs = [build_product_graph(*census).graph, gender_tie_product(1),
                   random_simple_graph(np.random.default_rng(44), 70, 0.5)]
         want = [on_both_paths(_solve, g) for g in graphs]
         forked_want = _with_workers(_solve, graphs[-1], 1)
         with without_compiler(tmp_path):
+            fallback = build_product_graph(*census).graph
+            assert np.array_equal(fallback.indptr, graphs[0].indptr)
+            assert np.array_equal(fallback.indices, graphs[0].indices)
             assert [on_both_paths(_solve, g) for g in graphs] == want
             assert _with_workers(_solve, graphs[-1], 2) == forked_want
         assert not any((tmp_path / "kernel-cache").iterdir())  # the failed build left no file
 
     def test_racing_builds_leave_one_library(self, tmp_path):
-        _require_compiled()
+        require_compiled()
         fork = multiprocessing.get_context("fork")
         barrier = fork.Barrier(2)
 
         def build():
             barrier.wait(60)
-            return clique._load_kernel(tmp_path) is not None
+            return native.load_kernel(tmp_path) is not None
 
         children = [fork.Process(target=lambda: os._exit(0 if build() else 1)) for _ in range(2)]
         for child in children:
@@ -847,25 +852,25 @@ class TestKernelBuild:
             child.join(timeout=120)
         assert [child.exitcode for child in children] == [0, 0]
         libs = list(tmp_path.iterdir())
-        assert len(libs) == 1 and libs[0].suffix == ".so" and clique._intact(libs[0])
-        assert _works(clique._load_kernel(tmp_path))
+        assert len(libs) == 1 and libs[0].suffix == ".so" and native.intact(libs[0])
+        assert _works(native.load_kernel(tmp_path))
 
     @pytest.mark.parametrize("keep", [0, 64, 0.5, -1])
     def test_damaged_library_is_rebuilt(self, tmp_path, keep):
-        _require_compiled()
+        require_compiled()
         # built and damaged where this process never maps it: a damaged
         # library mapped by the loader can crash the process
-        assert _exit_code(clique._load_kernel, tmp_path) == 0
+        assert _exit_code(native.load_kernel, tmp_path) == 0
         lib, = tmp_path.iterdir()
         data = lib.read_bytes()
         lib.write_bytes(data[:int(len(data) * keep) if isinstance(keep, float) else keep])
-        assert _exit_code(lambda: _works(clique._load_kernel(tmp_path))) == 0
+        assert _exit_code(lambda: _works(native.load_kernel(tmp_path))) == 0
         assert lib.read_bytes() == data
 
     def test_damaged_library_without_compiler_falls_back(self, tmp_path):
-        _require_compiled()
+        require_compiled()
         cache = tmp_path / "kernel-cache"
-        assert _exit_code(clique._load_kernel, cache) == 0
+        assert _exit_code(native.load_kernel, cache) == 0
         lib, = cache.iterdir()
         lib.write_bytes(lib.read_bytes()[:5000])
         g = random_simple_graph(np.random.default_rng(45), 60, 0.4)
@@ -876,6 +881,26 @@ class TestKernelBuild:
                 return on_both_paths(_solve, g) == want
 
         assert _exit_code(fall_back) == 0
+
+
+    def test_compile_command_is_part_of_the_library_name(self, tmp_path, monkeypatch):
+        # a change to the flags alone must not load a library built without them
+        require_compiled()
+        assert _exit_code(native.load_kernel, tmp_path) == 0
+        first, = tmp_path.iterdir()
+        monkeypatch.setattr(native, "COMPILE", native.COMPILE + ("-DNDEBUG",))
+        assert _exit_code(native.load_kernel, tmp_path) == 0
+        assert len(list(tmp_path.iterdir())) == 2 and first.exists()
+
+    def test_source_compiles_without_warnings(self, tmp_path):
+        # a warning can hide a wrong result: an implicitly declared function
+        # compiles with one under GCC 12 and returns garbage
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler")
+        run = subprocess.run([*native.COMPILE, "-Wall", "-Wextra", "-Werror", "-o",
+                              str(tmp_path / "kernel.so"), str(native.KERNEL_SOURCE)],
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
 
 
 class TestBruteForce:

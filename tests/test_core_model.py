@@ -1,8 +1,12 @@
 """Distance computation, table and matrix containers, file round trips."""
 
+import csv
 import io
 import json
+import locale
 import math
+import shutil
+import subprocess
 
 import numpy as np
 import pytest
@@ -39,6 +43,7 @@ from distlink.evaluation import SimulationConfig
 from helpers import (
     EXAMPLE_CITY_MATRIX,
     random_points,
+    require_compiled,
     row_loop_distance_matrix,
     scalar_great_circle_km,
 )
@@ -568,6 +573,12 @@ def _outcome(load, path):
         return str(exc)
 
 
+def _equal_outcomes(new, old) -> bool:
+    """Whether two _outcome results are the same entries or message."""
+    return type(new) is type(old) and (new == old if isinstance(old, str)
+                                       else np.array_equal(new, old))
+
+
 class TestMatrixLoaderAgainstCsvPath:
     """load_matrix against _load_matrix_csv, the csv.reader + float() body
     it falls back to: the same entries bit for bit, or the same message.
@@ -591,9 +602,7 @@ class TestMatrixLoaderAgainstCsvPath:
     def test_same_entries_or_message(self, tmp_path, data):
         path = tmp_path / "m.csv"
         path.write_bytes(data)
-        new, old = _outcome(load_matrix, path), _outcome(core._load_matrix_csv, path)
-        assert type(new) is type(old)
-        assert new == old if isinstance(old, str) else np.array_equal(new, old)
+        assert _equal_outcomes(_outcome(load_matrix, path), _outcome(core._load_matrix_csv, path))
 
     @pytest.mark.filterwarnings("error::UserWarning")
     @pytest.mark.parametrize("data", [b"", b"\n", b"\n\r\n\r\r"])
@@ -613,6 +622,123 @@ class TestMatrixLoaderAgainstCsvPath:
         path.write_text(path.read_text().replace("\n", newline), newline="")
         monkeypatch.setattr(core, "_load_matrix_csv", refuse)
         assert np.array_equal(load_matrix(path).entries, poets_target_matrix().entries)
+
+
+_DECIMAL_STYLES = (repr, "%.17g".__mod__, "%g".__mod__, "%e".__mod__)
+
+
+@st.composite
+def _decimal_files(draw):
+    """Square matrices in the compiled reader's syntax: entries written by
+    repr, %.17g, %g or %e, now and then with a '+', leading zeros, -0, a
+    subnormal or 1e999, rows ending in LF or CRLF, the last one maybe in
+    neither."""
+    n = draw(st.integers(1, 5))
+    special = st.sampled_from(["-0", "1e999", "-1e999", "5e-324", "2.2250738585072014e-308",
+                               "00012.5", "+7", "+.5e-3", "1.", ".25", "1E+05"])
+    number = st.floats(allow_nan=False, allow_infinity=False)
+    cells = []
+    for _ in range(n * n):
+        if draw(st.integers(0, 5)) == 0:
+            cells.append(draw(special))
+            continue
+        text = draw(st.sampled_from(_DECIMAL_STYLES))(draw(number))
+        if draw(st.integers(0, 3)) == 0:
+            sign = text[0] if text[0] == "-" else draw(st.sampled_from(["", "+"]))
+            text = sign + "0" * draw(st.integers(1, 3)) + text.lstrip("-")
+        cells.append(text)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    rows = [",".join(cells[r * n:(r + 1) * n]) for r in range(n)]
+    return (newline.join(rows) + newline * draw(st.integers(0, 1))).encode()
+
+
+def _compiled_outcome(path, monkeypatch):
+    """_outcome(load_matrix, path) with every file sent to the compiled reader."""
+    monkeypatch.setattr(core, "COMPILED_MATRIX_BYTES", -1)
+    return _outcome(load_matrix, path)
+
+
+class TestCompiledMatrixReader:
+    """The compiled reader against numpy's reader and the csv path, which
+    stay as its oracles and as the path without a compiler: it takes only
+    plain decimal rows, with the entries they give bit for bit, and hands
+    any other file on, so every message stays the same."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=_decimal_files())
+    def test_same_entries_as_loadtxt(self, tmp_path, monkeypatch, data):
+        require_compiled()
+        entries = core._read_compiled(data)
+        assert entries is not None
+        want = np.loadtxt(io.BytesIO(data), delimiter=",", comments=None, ndmin=2)
+        assert np.array_equal(entries.view(np.int64), want.view(np.int64))
+        path = tmp_path / "m.csv"
+        path.write_bytes(data)
+        assert _equal_outcomes(_compiled_outcome(path, monkeypatch),
+                               _outcome(core._load_matrix_csv, path))
+
+    @pytest.mark.parametrize("data", [
+        b"0,1\n\n1,0\n", b"0,1\n1,0\n\n", b"0,1,\n1,0,\n", b"0,1\n1\n", b"0,1,2\n1,0,3\n",
+        b"0,1e\n1e,0\n", b"0,nan\nnan,0\n", b"0,inf\ninf,0\n", b"0,1_5\n1_5,0\n",
+        b"\xef\xbb\xbf0,1\n1,0\n", b"0, 1\n1,0\n", b"0,1\r1,0\r", b"0,1\r\r\n1,0\n",
+        b"0,1\n1,0\r", b"0,0x1p3\n0x1p3,0\n", b"0,.\n.,0\n", b"0,-\n-,0\n", b'"0",1\n1,0\n',
+        b"0,1\n1,0\n2,0\n", b"0,\xd9\xa1\n\xd9\xa1,0\n", b"", b"0,1,2,3",
+    ])
+    def test_refusals_fall_back_with_todays_outcome(self, tmp_path, monkeypatch, data):
+        require_compiled()
+        path = tmp_path / "m.csv"
+        path.write_bytes(data)
+        assert core._read_compiled(data) is None
+        assert _equal_outcomes(_compiled_outcome(path, monkeypatch),
+                               _outcome(core._load_matrix_csv, path))
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_field_at_and_past_the_csv_limit(self, tmp_path, monkeypatch, extra):
+        require_compiled()
+        field = "0" * (csv.field_size_limit() + extra)
+        data = f"{field},1\n1,0\n".encode()
+        path = tmp_path / "m.csv"
+        path.write_bytes(data)
+        assert (core._read_compiled(data) is None) == bool(extra)
+        old = _outcome(core._load_matrix_csv, path)
+        assert _equal_outcomes(_compiled_outcome(path, monkeypatch), old)
+        assert isinstance(old, str) == bool(extra)
+
+    def test_locale_with_a_decimal_comma(self, tmp_path, monkeypatch):
+        require_compiled()
+        if shutil.which("localedef") is None:
+            pytest.skip("localedef is not installed")
+        made = subprocess.run(["localedef", "-i", "de_DE", "-f", "UTF-8", str(tmp_path / "de_DE.UTF-8")],
+                              capture_output=True)
+        if made.returncode != 0:
+            pytest.skip("the de_DE locale cannot be compiled here")
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"0,1.5,2\n1.5,0,25\n2,25,0\n")
+        want = _compiled_outcome(path, monkeypatch)
+        monkeypatch.setenv("LOCPATH", str(tmp_path))
+        old = locale.setlocale(locale.LC_NUMERIC)
+        try:
+            locale.setlocale(locale.LC_NUMERIC, "de_DE.UTF-8")
+            assert locale.localeconv()["decimal_point"] == ","
+            assert core._read_compiled(b"0,2\n2,0\n") is None
+            assert _equal_outcomes(_compiled_outcome(path, monkeypatch), want)
+        finally:
+            locale.setlocale(locale.LC_NUMERIC, old)
+
+    def test_large_plain_file_takes_the_compiled_reader(self, tmp_path, monkeypatch):
+        require_compiled()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a numpy or csv reader ran")
+
+        m = distance_matrix(random_points(np.random.default_rng(4), 300))
+        path = tmp_path / "m.csv"
+        save_matrix(m, path)
+        assert path.stat().st_size > core.COMPILED_MATRIX_BYTES
+        monkeypatch.setattr(core, "_load_matrix_csv", refuse)
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        assert np.array_equal(load_matrix(path).entries, m.entries)
 
 
 class TestBundledFixtures:

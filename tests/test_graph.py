@@ -20,6 +20,7 @@ from distlink import (
     max_clique,
 )
 from distlink import clique as clique_module
+from distlink import native
 from distlink.clique import csr_graph
 from distlink.datasets import (
     example1_table,
@@ -42,9 +43,11 @@ from helpers import (
     POETS_PRODUCT_PAIRS_1BASED,
     census_graphs,
     dict_label_pairs,
+    gender_tie_pair,
     one_shot_product_edges_join,
     random_labeled_graph,
     random_relation,
+    require_compiled,
 )
 from distlink import distance_matrix
 
@@ -466,6 +469,91 @@ class TestBlockedJoin:
         assert 0 < seen[0] <= graph_module.BLOCK
 
 
+def _builds(g1, g2, rel):
+    """build_product_graph forced onto the compiled build, then onto numpy,
+    each as its vertices, CSR and the candidate count its memory guard saw."""
+    out = []
+    for compiled in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            seen = _spy_candidates(mp)
+            if compiled:
+                mp.setattr(graph_module, "SPLIT_MIN_VERTICES", -1)
+            else:
+                mp.setattr(native, "kernel", lambda: None)
+            p = build_product_graph(g1, g2, rel)
+        assert p.graph.indices.dtype == np.int32
+        out.append((p.vertices, p.graph.indptr.tolist(), p.graph.indices.tolist(), seen))
+    return out
+
+
+def _assert_builds_agree(g1, g2, rel):
+    compiled, numpy = _builds(g1, g2, rel)
+    assert compiled == numpy
+    return compiled
+
+
+class TestCompiledBuild:
+    """The compiled product build against _product_edges_join + csr_graph,
+    its oracle and the path without a compiler: the same vertices and CSR,
+    array for array, and the same candidate count for the memory guard."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_join_instances())
+    @example((*_REPEATED, QuantileBand(-1.5, 0.5)))
+    @example((*_REPEATED, QuantileBand(-100.0, -50.0)))
+    @example((_complete("aaa", [1.0, 2.5, 4.0]), _complete("aaaa", [1.5, 2.0, 3.0, 2.5, 4.5, 0.5]),
+              QuantileBand(-1.0, 1.0)))
+    def test_equals_numpy_on_drawn_instances(self, case):
+        require_compiled()
+        _assert_builds_agree(*case)
+
+    @pytest.mark.parametrize("n", [100, 200, 300, 450, 600])
+    def test_census_products(self, n):
+        require_compiled()
+        vertices, indptr, _, _ = _assert_builds_agree(*census_graphs(n))
+        assert len(vertices) > 0 and indptr[-1] > 0
+
+    @pytest.mark.parametrize("seed", [1, 3, 4])
+    def test_tie_products(self, seed):
+        require_compiled()
+        (tt, tm), (it, im) = gender_tie_pair(seed)
+        _assert_builds_agree(build_graph(tt, tm), build_graph(it, im), Absolute(25.0))
+
+    def test_random_labels_and_bands(self):
+        # symmetric and lopsided bands on one to five labels; integer
+        # weights and bands, whose deviations hit the band's edges, make
+        # candidates the open band then rejects
+        require_compiled()
+        rng = np.random.default_rng(9)
+        rejected = 0
+        for _ in range(30):
+            n_labels = int(rng.integers(1, 6))
+            g1, g2 = (random_labeled_graph(rng, int(rng.integers(2, 40)), n_labels)
+                      for _ in range(2))
+            for rel in (random_relation(rng), Absolute(float(rng.integers(1, 4))),
+                        QuantileBand(float(rng.integers(-4, 0)), float(rng.integers(1, 3)))):
+                _assert_builds_agree(g1, g2, rel)
+            w1, w2 = (LabeledWeightedGraph(g.labels, DistanceMatrix(np.round(g.weights.entries)))
+                      for g in (g1, g2))
+            _, indptr, _, seen = _assert_builds_agree(w1, w2, QuantileBand(-2.0, 1.0))
+            rejected += seen[0] > indptr[-1] // 2
+        assert rejected > 0
+
+    def test_one_shared_label_and_none(self):
+        require_compiled()
+        rng = np.random.default_rng(10)
+        g1 = random_labeled_graph(rng, 30, 1)
+        g2 = random_labeled_graph(rng, 25, 1)
+        assert len(_assert_builds_agree(g1, g2, Absolute(3.0))[0]) == 30 * 25
+        other = LabeledWeightedGraph([("x",)] * 25, g2.weights)
+        assert _assert_builds_agree(g1, other, Absolute(3.0))[0] == ()
+
+    def test_only_large_products_take_the_compiled_build(self, monkeypatch):
+        # poets: 11 vertices, so numpy builds it and the compiler never starts
+        monkeypatch.setattr(native, "kernel", lambda: pytest.fail("the kernels were loaded"))
+        assert build_product_graph(*poets_graphs(), Absolute(5.0)).n == 11
+
+
 class TestMemoryGuard:
     """build_product_graph refuses a product whose candidate edges, at
     BYTES_PER_CANDIDATE bytes each, exceed physical memory; the poets
@@ -510,30 +598,34 @@ class TestMemoryGuard:
     def test_estimate_covers_build_and_solver_set_up(self, monkeypatch):
         # one label on 70 records a side: 4,900 product vertices, above the
         # root split's threshold, and about 580,000 candidates, so the
-        # candidate arrays dwarf everything of size |V| or of the pairs
+        # candidate arrays dwarf everything of size |V| or of the pairs;
+        # on the compiled build and on the numpy one it falls back to
         rng = np.random.default_rng(8)
         g1, g2 = random_labeled_graph(rng, 70, 1), random_labeled_graph(rng, 70, 1)
-        seen = _spy_candidates(monkeypatch)
-        tracemalloc.start()
-        try:
-            p = build_product_graph(g1, g2, Absolute(0.25))
-            assert p.n > clique_module.SPLIT_MIN_VERTICES
-            with pytest.raises(ResourceBudgetError):
-                max_clique(p.graph, node_budget=2)  # the split set-up, then two nodes
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert seen[0] > 500_000
-        assert peak <= graph_module.BYTES_PER_CANDIDATE * seen[0]
+        for kernel in (native.kernel(), None):
+            seen = _spy_candidates(monkeypatch)
+            monkeypatch.setattr(native, "kernel", lambda: kernel)
+            tracemalloc.start()
+            try:
+                p = build_product_graph(g1, g2, Absolute(0.25))
+                assert p.n > clique_module.SPLIT_MIN_VERTICES
+                with pytest.raises(ResourceBudgetError):
+                    max_clique(p.graph, node_budget=2)  # the split set-up, then two nodes
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert seen[0] > 500_000
+            assert peak <= graph_module.BYTES_PER_CANDIDATE * seen[0]
 
     def test_build_peaks_at_the_key_sort(self, monkeypatch):
-        # the instance above: the join hands csr_graph its int64 keys and
-        # keeps no edge arrays of its own, so the build's traced peak is
-        # the keys (8 bytes a candidate), the int32 indices (8 an edge)
-        # and the CSR builder's block-sized temporaries
+        # the instance above on the numpy build: the join hands csr_graph
+        # its int64 keys and keeps no edge arrays of its own, so the build's
+        # traced peak is the keys (8 bytes a candidate), the int32 indices
+        # (8 an edge) and the CSR builder's block-sized temporaries
         rng = np.random.default_rng(8)
         g1, g2 = random_labeled_graph(rng, 70, 1), random_labeled_graph(rng, 70, 1)
         seen = _spy_candidates(monkeypatch)
+        monkeypatch.setattr(native, "kernel", lambda: None)
         tracemalloc.start()
         try:
             build_product_graph(g1, g2, Absolute(0.25))
@@ -542,6 +634,23 @@ class TestMemoryGuard:
             tracemalloc.stop()
         assert seen[0] > 500_000
         assert peak <= 24 * seen[0]
+
+    def test_compiled_build_peaks_at_the_csr(self, monkeypatch):
+        # the instance above on the compiled build, where every candidate
+        # is an edge: its traced peak is the int32 indices (8 bytes an
+        # edge), the label-pair groups (16 bytes a pair) and arrays of |V|
+        require_compiled()
+        rng = np.random.default_rng(8)
+        g1, g2 = random_labeled_graph(rng, 70, 1), random_labeled_graph(rng, 70, 1)
+        seen = _spy_candidates(monkeypatch)
+        tracemalloc.start()
+        try:
+            p = build_product_graph(g1, g2, Absolute(0.25))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seen[0] == p.graph.edge_count() > 500_000
+        assert peak <= 8 * seen[0] + 16 * 2 * 70 * 69 // 2 + 128 * p.n
 
     def test_unknown_memory_size_is_not_checked(self, monkeypatch):
         gt, gi = poets_graphs()
