@@ -9,13 +9,83 @@
 #include <stdlib.h>
 #include <string.h>
 
+#ifdef __SIZEOF_INT128__
+/* 5^k for 0 <= k <= 27, each below 2^63 */
+static const uint64_t pow5[28] = {
+    1, 5, 25, 125, 625, 3125, 15625, 78125, 390625, 1953125, 9765625, 48828125,
+    244140625, 1220703125, 6103515625, 30517578125, 152587890625, 762939453125,
+    3814697265625, 19073486328125, 95367431640625, 476837158203125, 2384185791015625,
+    11920928955078125, 59604644775390625, 298023223876953125, 1490116119384765625,
+    7450580596923828125};
+
+/* The bit length of x > 0. */
+static int bits(unsigned __int128 x)
+{
+    uint64_t hi = (uint64_t)(x >> 64);
+    return hi ? 128 - __builtin_clzll(hi) : 64 - __builtin_clzll((uint64_t)x);
+}
+
+/* q * 2^e for q < 2^63, rounded once to nearest, ties to even, by the
+   signed 64-bit conversion, then scaled exactly through the bits of 2^e
+   (-1022 <= e <= 1023): the result must be a normal double. */
+static double scaled(uint64_t q, int e)
+{
+    union { uint64_t bits; double value; } power = {(uint64_t)(1023 + e) << 52};
+    return (double)(int64_t)q * power.value;
+}
+
+/* Whether m * 10^e, for m of figures significant digits, converts
+   exactly here: then *x is that value rounded to nearest, ties to even,
+   as strtod and float() round it (Clinger, "How to read floating point
+   numbers accurately", PLDI 1990).  Only 0 to 19 figures and |e| <= 27
+   do, where m * 5^|e| or m scaled over 5^|e| fits in 128 bits: the exact
+   value, scaled by a power of two so that its integer part q has 63 bits
+   (or fewer and no fraction), is q plus a fraction, and q with its lowest
+   bit set when that fraction is nonzero rounds to 53 bits as the exact
+   value does. */
+static int exact(uint64_t m, int64_t figures, int64_t e, double *x)
+{
+    if (figures == 0) {
+        *x = 0.0;
+        return 1;
+    }
+    if (figures > 19 || e < -27 || e > 27)
+        return 0;
+    if (e >= 0) {  /* m * 5^e * 2^e, an integer */
+        unsigned __int128 v = (unsigned __int128)m * pow5[e];
+        int drop = bits(v) > 63 ? bits(v) - 63 : 0;
+        uint64_t q = (uint64_t)(v >> drop);
+        *x = scaled(q | ((v & (((unsigned __int128)1 << drop) - 1)) != 0), (int)e + drop);
+        return 1;
+    }
+    uint64_t den = pow5[-e];  /* m / 5^-e * 2^e */
+    int shift = 63 + bits(den) - bits(m);  /* v / den lies in (2^62, 2^64) */
+    unsigned __int128 v = (unsigned __int128)m << shift;
+    uint64_t q = (uint64_t)(v / den), sticky = (unsigned __int128)q * den != v;
+    if (q >> 63) {  /* the bit lost is 0 unless sticky is 1: q = m / 5^-e * 2^shift if exact */
+        q >>= 1;
+        shift--;
+    }
+    *x = scaled(q | sticky, (int)e - shift);
+    return 1;
+}
+#else
+static int exact(uint64_t m, int64_t figures, int64_t e, double *x)
+{
+    (void)m, (void)figures, (void)e, (void)x;
+    return 0;
+}
+#endif
+
 /* The n x n matrix in data[0:len], rows of n comma-separated plain
    decimals, [+-]digits[.digits][(e|E)[+-]digits] with digits on at least
    one side of the point, each row ending in LF or CRLF, the last row
-   maybe in neither, converted by strtod into out row by row.  Returns 0,
-   or -1 for any other input, a field longer than field_max bytes, or a
-   locale whose decimal point is not '.'.  data[len] must be readable and
-   no digit, point or sign (a NUL, as Python's bytes end in). */
+   maybe in neither, converted into out row by row: exactly in integer
+   arithmetic where exact() can, by strtod otherwise, correctly rounded
+   either way.  Returns 0, or -1 for any other input, a field longer than
+   field_max bytes, or a locale whose decimal point is not '.'.  data[len]
+   must be readable and no digit, point or sign (a NUL, as Python's bytes
+   end in). */
 int64_t read_matrix(const char *data, int64_t len, int64_t n, int64_t field_max, double *out)
 {
     const char *p = data, *end = data + len;
@@ -23,32 +93,43 @@ int64_t read_matrix(const char *data, int64_t len, int64_t n, int64_t field_max,
         return -1;
     for (int64_t r = 0; r < n; r++) {
         for (int64_t c = 0; c < n; c++) {
-            const char *field = p, *digits;
+            const char *field = p, *number, *digits;
             char *stop;
-            int64_t mantissa;
+            int negative = 0;
+            uint64_t m = 0;  /* the first 19 significant digits */
+            int64_t figures = 0, mantissa, power = 0;
+            double x;
             if (p < end && (*p == '+' || *p == '-'))
-                p++;
+                negative = *p++ == '-';
+            number = p;
             for (digits = p; p < end && *p >= '0' && *p <= '9'; p++)
-                ;
+                if ((m || *p != '0') && ++figures <= 19)
+                    m = m * 10 + (uint64_t)(*p - '0');
             mantissa = p - digits;
-            if (p < end && *p == '.')
+            if (p < end && *p == '.') {
                 for (digits = ++p; p < end && *p >= '0' && *p <= '9'; p++)
-                    ;
+                    if ((m || *p != '0') && ++figures <= 19)
+                        m = m * 10 + (uint64_t)(*p - '0');
+                power = -(p - digits);
+            }
             if (mantissa + (p - digits) == 0)
                 return -1;
             if (p < end && (*p == 'e' || *p == 'E')) {
+                int64_t written = 0, sign = 1;
                 if (++p < end && (*p == '+' || *p == '-'))
-                    p++;
+                    sign = *p++ == '-' ? -1 : 1;
                 for (digits = p; p < end && *p >= '0' && *p <= '9'; p++)
-                    ;
+                    if (written < 100000)  /* past any double's range */
+                        written = written * 10 + (*p - '0');
                 if (p == digits)
                     return -1;
+                power += sign * written;
             }
             if (p - field > field_max)
                 return -1;
-            out[r * n + c] = strtod(field, &stop);
-            if (stop != p)
+            if (!exact(m, figures, power, &x) && (x = strtod(number, &stop), stop != p))
                 return -1;
+            out[r * n + c] = negative ? -x : x;
             if (c + 1 < n && (p == end || *p++ != ','))
                 return -1;
         }

@@ -25,11 +25,11 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__, native
+from . import __version__
 from .attack import run_attack
-from .clique import DEFAULT_NODE_BUDGET, forked, worker_cpus
-from .core import (DistanceMatrix, distance_matrix, file_digest, load_matrix, load_table,
-                   save_matrix, save_table)
+from .clique import DEFAULT_NODE_BUDGET
+from .core import (distance_matrix, file_digest, load_matrix, load_table, save_matrix,
+                   save_table)
 from .errors import DistlinkError, InputFormatError, ResourceBudgetError
 from .evaluation import (
     SimulationConfig,
@@ -57,11 +57,6 @@ SEED_ENV_VAR = "DISTLINK_SEED"
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
-
-#: matrix files an attack parses side by side when both are larger; with the
-#: compiled reader, two 600 x 600 files loaded in 0.11-0.14 s side by side
-#: against 0.17-0.22 s in turn on a 2-CPU host
-PARALLEL_LOAD_BYTES = 1 << 20
 
 
 def _default_seed() -> int:
@@ -141,31 +136,6 @@ def cmd_distmat(args) -> int:
     return EXIT_OK
 
 
-def _load_matrices(target_path, ident_path) -> tuple:
-    """load_matrix on both files, the target's first.  When both exceed
-    PARALLEL_LOAD_BYTES and a second CPU is free, a forked child parses
-    the target's while this process parses the ident's; the compiled
-    kernels are loaded first, so the child inherits them.  If the child
-    fails, the target is parsed again here, so its error comes first, as
-    in that order."""
-    sizes = [os.path.getsize(p) if os.path.isfile(p) else 0 for p in (target_path, ident_path)]
-    if min(sizes) <= PARALLEL_LOAD_BYTES or worker_cpus() < 2:
-        return load_matrix(target_path), load_matrix(ident_path)
-    native.kernel()
-    with forked(lambda path: load_matrix(path).entries, [[target_path]]) as (inbox,):
-        try:
-            ident = load_matrix(ident_path)
-        except Exception as exc:
-            ident = exc
-        try:
-            target = DistanceMatrix(inbox.recv(), validate=False)
-        except (EOFError, OSError):
-            target = load_matrix(target_path)
-    if isinstance(ident, Exception):
-        raise ident
-    return target, ident
-
-
 def cmd_attack(args) -> int:
     started = _utcnow()
     if args.node_budget < 1:
@@ -176,7 +146,8 @@ def cmd_attack(args) -> int:
     rel = _relation_from_args(args)
     target_table = load_table(args.target_table, qi_attributes=qi)
     ident_table = load_table(args.ident_table, qi_attributes=qi)
-    target_matrix, ident_matrix = _load_matrices(args.target_matrix, args.ident_matrix)
+    target_matrix = load_matrix(args.target_matrix)
+    ident_matrix = load_matrix(args.ident_matrix)
     report = run_attack(target_table, target_matrix, ident_table, ident_matrix,
                         rel, node_budget=args.node_budget,
                         enumerate_ties=args.enumerate_ties)

@@ -7,9 +7,10 @@ location) and the triangle inequality is never checked (published
 matrices may have been perturbed).
 
 A matrix file over COMPILED_MATRIX_BYTES is parsed by the compiled reader
-(distlink.native), which takes only plain decimal rows and hands any
-other file to numpy's reader and the csv path, with the same entries
-and every error message unchanged.
+(distlink.native), which takes only plain decimal rows, converts almost
+every field exactly in integer arithmetic and the rest with strtod, and
+hands any other file to numpy's reader and the csv path, with the same
+entries and every error message unchanged.
 
 All great-circle geometry goes through one array kernel, _great_circle_km.
 Its arccos stays math.acos, applied over a plain list of the clamped
@@ -207,7 +208,9 @@ class DistanceMatrix:
                 raise InputFormatError("matrix diagonal must be zero")
             if np.any(entries < 0.0):
                 raise InputFormatError("matrix entries must be nonnegative")
-            if not np.allclose(entries, entries.T, rtol=self.SYMMETRY_RTOL, atol=1e-12):
+            # an exactly symmetric matrix, the usual one, skips the costlier closeness test
+            if not (np.array_equal(entries, entries.T)
+                    or np.allclose(entries, entries.T, rtol=self.SYMMETRY_RTOL, atol=1e-12)):
                 raise InputFormatError("matrix is not symmetric within tolerance")
         entries.setflags(write=False)
         self.entries = entries
@@ -318,9 +321,12 @@ def _read_compiled(data: bytes) -> Optional[np.ndarray]:
     """The square matrix in data by the compiled reader, or None where it
     cannot be built or refuses the bytes.  It takes only n rows of n
     comma-separated plain decimals, each field within the csv field
-    limit, ending in LF or CRLF, in a locale whose decimal point is '.',
-    and converts each field with strtod, correctly rounded as float() is:
-    its entries are csv.reader's and float()'s."""
+    limit, ending in LF or CRLF, in a locale whose decimal point is '.'.
+    A field of at most 19 significant digits and a decimal exponent
+    within +-27 is converted exactly in integer arithmetic, any other
+    with strtod, each correctly rounded as float() is: its entries are
+    csv.reader's and float()'s.  data must be bytes, whose trailing NUL
+    stops the reader's scan."""
     kernel = native.kernel()
     if kernel is None:
         return None

@@ -1,5 +1,7 @@
-"""The package's compiled kernels (_kernel.c): the matrix reader, the
-product build and the root level of the split clique search.
+"""The package's compiled kernels (_kernel.c): the matrix reader, which
+converts decimal fields exactly in 128-bit integer arithmetic where the
+compiler has it and with strtod otherwise, the product build and the
+root level of the split clique search.
 
 kernel() builds the library with cc on first use into the package's
 __pycache__ and loads it with ctypes.  The library is named by the SHA-256

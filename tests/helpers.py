@@ -2,6 +2,8 @@
 
 import contextlib
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -139,6 +141,17 @@ def require_compiled():
     """Skip the calling test where the compiled kernels cannot be built."""
     if native.kernel() is None:
         pytest.skip("no C compiler: the compiled kernels cannot be built")
+
+
+def exit_code(fn, *args):
+    """The exit code of a forked child running fn(*args): 0 when it returns
+    true, 1 when it returns false or raises, or minus the number of the
+    signal that killed it."""
+    child = multiprocessing.get_context("fork").Process(target=lambda: os._exit(0 if fn(*args) else 1))
+    child.start()
+    child.join(timeout=120)
+    assert not child.is_alive()
+    return child.exitcode
 
 
 @contextlib.contextmanager

@@ -4,9 +4,7 @@ import contextlib
 import csv
 import hashlib
 import json
-import multiprocessing
 import os
-import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -236,7 +234,7 @@ class TestAttack:
 
     def test_attack_byte_identical_without_a_compiler(self, tmp_path, capsys):
         """A 600 x 600 census attack with its tie pass: its matrix files go
-        to the compiled reader (side by side on two CPUs), its product of
+        to the compiled reader, its product of
         21,762 vertices to the compiled build and the split search.  The
         same output when the kernels cannot be built."""
         cfg = small_sim_config(tmp_path, n_target=600, n_ident=600, n_common=120,
@@ -291,20 +289,12 @@ class TestAttack:
                 native.kernel.cache_clear()
 
 
-def _attack_both_ways(monkeypatch, capsys, argv):
-    """(exit code, stderr, matches bytes or None) of main(argv) with the
-    matrices parsed one after the other, then side by side; the two must
-    agree."""
+def _attack(capsys, argv):
+    """(exit code, stderr, matches bytes or None) of main(argv)."""
     out = Path(argv[argv.index("--out") + 1])
-    monkeypatch.setattr(cli, "PARALLEL_LOAD_BYTES", 0)
-    outcomes = []
-    for cpus in (1, 2):
-        monkeypatch.setattr(cli, "worker_cpus", lambda: cpus)
-        out.unlink(missing_ok=True)
-        code = main(argv)
-        outcomes.append((code, capsys.readouterr().err, out.read_bytes() if out.exists() else None))
-    assert outcomes[0] == outcomes[1]
-    return outcomes[0]
+    out.unlink(missing_ok=True)
+    code = main(argv)
+    return code, capsys.readouterr().err, out.read_bytes() if out.exists() else None
 
 
 def _pinned_attack(argv, cpus):
@@ -315,29 +305,31 @@ def _pinned_attack(argv, cpus):
 
 
 class TestParallelMatrixLoad:
-    """Matrices parsed side by side give what parsing them in turn gives."""
+    """The attack's two matrix loads, the target's and then the
+    identification file's, in one process: the target's error comes
+    first, and an OSError keeps its type."""
 
     def test_success(self, poets_files, tmp_path, monkeypatch, capsys):
-        children = []
-        real = cli.forked
-        monkeypatch.setattr(cli, "forked", lambda *args: children.append(args) or real(*args))
+        loaded = []
+        real = cli.load_matrix
+        monkeypatch.setattr(cli, "load_matrix", lambda path: loaded.append(path) or real(path))
         argv = attack_argv(poets_files, tmp_path / "m.csv", "--abs-eps", "5")
-        assert _attack_both_ways(monkeypatch, capsys, argv)[0] == EXIT_OK
-        assert len(children) == 1  # the second run only
+        assert _attack(capsys, argv)[0] == EXIT_OK
+        assert loaded == [str(poets_files["tm"]), str(poets_files["im"])]
 
     @pytest.mark.parametrize("broken", [("tm",), ("im",), ("tm", "im")])
-    def test_malformed_matrix(self, poets_files, tmp_path, monkeypatch, capsys, broken):
+    def test_malformed_matrix(self, poets_files, tmp_path, capsys, broken):
         for key in broken:
             poets_files[key].write_text(f"0,1\n1,{key}\n")
         argv = attack_argv(poets_files, tmp_path / "m.csv", "--abs-eps", "5")
-        code, err, _ = _attack_both_ways(monkeypatch, capsys, argv)
+        code, err, _ = _attack(capsys, argv)
         assert code == EXIT_INPUT and f"{poets_files[broken[0]]}:2: malformed number" in err
 
     @pytest.mark.parametrize("key", ["tm", "im"])
-    def test_missing_matrix(self, poets_files, tmp_path, monkeypatch, capsys, key):
+    def test_missing_matrix(self, poets_files, tmp_path, capsys, key):
         poets_files[key].unlink()
         argv = attack_argv(poets_files, tmp_path / "m.csv", "--abs-eps", "5")
-        code, err, _ = _attack_both_ways(monkeypatch, capsys, argv)
+        code, err, _ = _attack(capsys, argv)
         assert code == EXIT_INPUT and "No such file" in err
 
     @pytest.mark.parametrize("failing", [("tm",), ("im",), ("tm", "im")])
@@ -351,41 +343,28 @@ class TestParallelMatrixLoad:
 
         monkeypatch.setattr(cli, "load_matrix", load)
         argv = attack_argv(poets_files, tmp_path / "m.csv", "--abs-eps", "5")
-        code, err, _ = _attack_both_ways(monkeypatch, capsys, argv)
+        code, err, _ = _attack(capsys, argv)
         assert code == EXIT_INPUT and err == f"error: [Errno 13] Permission denied: '{poets_files[failing[0]]}'\n"
-        monkeypatch.setattr(cli, "worker_cpus", lambda: 2)
         with pytest.raises(PermissionError, match=str(poets_files[failing[0]])):
-            cli._load_matrices(poets_files["tm"], poets_files["im"])
+            cli.cmd_attack(cli.build_parser().parse_args(argv))
 
-    def test_killed_child_changes_nothing(self, poets_files, tmp_path, monkeypatch, capsys):
-        real = cli.load_matrix
-
-        def load(path):
-            if multiprocessing.parent_process() is not None:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return real(path)
-
-        monkeypatch.setattr(cli, "load_matrix", load)
-        argv = attack_argv(poets_files, tmp_path / "m.csv", "--abs-eps", "5")
-        assert _attack_both_ways(monkeypatch, capsys, argv)[0] == EXIT_OK
-        assert multiprocessing.active_children() == []
-
-    def test_mismatched_sizes(self, poets_files, tmp_path, monkeypatch, capsys):
+    def test_mismatched_sizes(self, poets_files, tmp_path, capsys):
         save_matrix(DistanceMatrix(np.zeros((2, 2))), poets_files["im"])
         argv = attack_argv(poets_files, tmp_path / "m.csv", "--abs-eps", "5")
-        code, err, _ = _attack_both_ways(monkeypatch, capsys, argv)
+        code, err, _ = _attack(capsys, argv)
         assert code == EXIT_INPUT and "2x2" in err
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
                         reason="needs two usable CPUs")
     def test_matches_byte_identical_on_one_and_two_cpus(self, tmp_path):
-        """A 300 x 300 census pair: matrix files over 1 MiB and a product
-        over 4,096 vertices, so two CPUs take both forked paths."""
+        """A 300 x 300 census pair, its matrix files over 1 MiB for the
+        compiled reader and its product over 4,096 vertices for the split
+        search: the same matches on one CPU and on two."""
         cfg = small_sim_config(tmp_path, n_target=300, n_ident=300, n_common=60,
                                sigma_grid=[0.025], qi_distributions="census", seed=1)
         data = tmp_path / "gen"
         assert main(["gendata", "--config", str(cfg), "--out-dir", str(data)]) == EXIT_OK
-        assert (data / "target_matrix.csv").stat().st_size > cli.PARALLEL_LOAD_BYTES
+        assert (data / "target_matrix.csv").stat().st_size > core.COMPILED_MATRIX_BYTES
         assert main(["calibrate", "--sigma", "0.025", "--out-dir", str(tmp_path / "cal")]) == EXIT_OK
         outputs = []
         usable = sorted(os.sched_getaffinity(0))

@@ -32,6 +32,7 @@ from distlink.oracles import adjacency_rows, brute_force_max_clique, count_cliqu
 from helpers import (
     census_graphs,
     edge_array_root_split,
+    exit_code,
     gather_branch_edges,
     gender_tie_product,
     inverted_row_colour_classes,
@@ -795,17 +796,6 @@ class TestCompiledKernel:
         assert empty > len(graphs)  # branches without candidates included
 
 
-def _exit_code(fn, *args):
-    """The exit code of a forked child running fn(*args): 0 when it returns
-    true, 1 when it returns false or raises, or minus the number of the
-    signal that killed it."""
-    child = multiprocessing.get_context("fork").Process(target=lambda: os._exit(0 if fn(*args) else 1))
-    child.start()
-    child.join(timeout=120)
-    assert not child.is_alive()
-    return child.exitcode
-
-
 def _works(kernel):
     """Whether the search with kernel finds what the numpy code finds."""
     g = random_simple_graph(np.random.default_rng(43), 60, 0.4)
@@ -860,17 +850,17 @@ class TestKernelBuild:
         require_compiled()
         # built and damaged where this process never maps it: a damaged
         # library mapped by the loader can crash the process
-        assert _exit_code(native.load_kernel, tmp_path) == 0
+        assert exit_code(native.load_kernel, tmp_path) == 0
         lib, = tmp_path.iterdir()
         data = lib.read_bytes()
         lib.write_bytes(data[:int(len(data) * keep) if isinstance(keep, float) else keep])
-        assert _exit_code(lambda: _works(native.load_kernel(tmp_path))) == 0
+        assert exit_code(lambda: _works(native.load_kernel(tmp_path))) == 0
         assert lib.read_bytes() == data
 
     def test_damaged_library_without_compiler_falls_back(self, tmp_path):
         require_compiled()
         cache = tmp_path / "kernel-cache"
-        assert _exit_code(native.load_kernel, cache) == 0
+        assert exit_code(native.load_kernel, cache) == 0
         lib, = cache.iterdir()
         lib.write_bytes(lib.read_bytes()[:5000])
         g = random_simple_graph(np.random.default_rng(45), 60, 0.4)
@@ -880,16 +870,16 @@ class TestKernelBuild:
             with without_compiler(tmp_path):  # finds the damaged library, cannot rebuild it
                 return on_both_paths(_solve, g) == want
 
-        assert _exit_code(fall_back) == 0
+        assert exit_code(fall_back) == 0
 
 
     def test_compile_command_is_part_of_the_library_name(self, tmp_path, monkeypatch):
         # a change to the flags alone must not load a library built without them
         require_compiled()
-        assert _exit_code(native.load_kernel, tmp_path) == 0
+        assert exit_code(native.load_kernel, tmp_path) == 0
         first, = tmp_path.iterdir()
         monkeypatch.setattr(native, "COMPILE", native.COMPILE + ("-DNDEBUG",))
-        assert _exit_code(native.load_kernel, tmp_path) == 0
+        assert exit_code(native.load_kernel, tmp_path) == 0
         assert len(list(tmp_path.iterdir())) == 2 and first.exists()
 
     def test_source_compiles_without_warnings(self, tmp_path):

@@ -1,6 +1,7 @@
 """Distance computation, table and matrix containers, file round trips."""
 
 import csv
+import decimal
 import io
 import json
 import locale
@@ -36,12 +37,13 @@ from distlink.datasets import (
     poets_target_matrix,
     poets_target_table,
 )
-from distlink import core
+from distlink import core, native
 from distlink.cli import _config_from_file
 from distlink.errors import DistlinkError
 from distlink.evaluation import SimulationConfig
 from helpers import (
     EXAMPLE_CITY_MATRIX,
+    exit_code,
     random_points,
     require_compiled,
     row_loop_distance_matrix,
@@ -468,6 +470,27 @@ class TestMatrixIO:
         with pytest.raises(InputFormatError):
             load_matrix(path)
 
+    def test_asymmetry_within_tolerance_loads_as_printed(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("0,1000\n1000.0000001,0\n")
+        assert load_matrix(path).entries.tolist() == [[0.0, 1000.0], [1000.0000001, 0.0]]
+
+    def test_asymmetry_past_tolerance_rejected(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("0,1000\n1000.00001,0\n")
+        with pytest.raises(InputFormatError, match="matrix is not symmetric within tolerance"):
+            load_matrix(path)
+
+    def test_exactly_symmetric_file_skips_the_closeness_test(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.allclose ran")
+
+        m = distance_matrix(random_points(np.random.default_rng(5), 8))
+        path = tmp_path / "m.csv"
+        save_matrix(m, path)
+        monkeypatch.setattr(np, "allclose", refuse)
+        assert np.array_equal(load_matrix(path).entries, m.entries)
+
     @pytest.mark.parametrize("bad", ["inf", "nan", "-inf"])
     def test_rejects_non_finite_entries(self, tmp_path, bad):
         path = tmp_path / "m.csv"
@@ -624,15 +647,16 @@ class TestMatrixLoaderAgainstCsvPath:
         assert np.array_equal(load_matrix(path).entries, poets_target_matrix().entries)
 
 
-_DECIMAL_STYLES = (repr, "%.17g".__mod__, "%g".__mod__, "%e".__mod__)
+_DECIMAL_STYLES = (repr, "%.17g".__mod__, "%g".__mod__, "%e".__mod__, "%.19g".__mod__,
+                   "%.20g".__mod__)
 
 
 @st.composite
 def _decimal_files(draw):
     """Square matrices in the compiled reader's syntax: entries written by
-    repr, %.17g, %g or %e, now and then with a '+', leading zeros, -0, a
-    subnormal or 1e999, rows ending in LF or CRLF, the last one maybe in
-    neither."""
+    repr, %.17g, %g, %e, %.19g or %.20g, now and then with a '+', leading
+    zeros, -0, a subnormal or 1e999, rows ending in LF or CRLF, the last
+    one maybe in neither."""
     n = draw(st.integers(1, 5))
     special = st.sampled_from(["-0", "1e999", "-1e999", "5e-324", "2.2250738585072014e-308",
                                "00012.5", "+7", "+.5e-3", "1.", ".25", "1E+05"])
@@ -650,6 +674,91 @@ def _decimal_files(draw):
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     rows = [",".join(cells[r * n:(r + 1) * n]) for r in range(n)]
     return (newline.join(rows) + newline * draw(st.integers(0, 1))).encode()
+
+
+def _last_digit_steps(text):
+    """text, a plain decimal, one up and one down in its last digit."""
+    d = decimal.Decimal(text)
+    step = decimal.Decimal((0, (1,), d.as_tuple().exponent))
+    return [format(d + step, "f"), format(d - step, "f")]
+
+
+def _adversarial_fields():
+    """Decimal fields on the edges of the compiled reader's exact
+    conversion, each with the one up and the one down in its last digit:
+    exact midpoints between adjacent doubles, written in full and cut to
+    17, 18 and 19 significant digits up and down, and short ones that
+    round to even; 19 against 20 significant digits; the decimal
+    exponents around its limits; significands at 2^52, 2^53, 2^63 and
+    2^64 - 1; subnormals, zeros and underflow; leading zeros and signs."""
+    fields = []
+    with decimal.localcontext() as ctx:
+        ctx.prec = 2000
+        for x in (5e-324, 1e-310, 2.2250738585072014e-308, 1e-27, 1e-5, 0.1, 1.0, 123.456,
+                  116.05801260300478, 573.5033861120603, 4503599627370495.5, 2.0 ** 52,
+                  2.0 ** 53, 2.0 ** 63, 2.0 ** 64, 1e22, 1e23):
+            mid = (decimal.Decimal(x) + decimal.Decimal(math.nextafter(x, math.inf))) / 2
+            fields += [format(mid, "f")] + _last_digit_steps(format(mid, "f"))
+            fields += [format(decimal.Context(prec=digits, rounding=rounding).plus(mid), "e")
+                       for digits in (17, 18, 19)
+                       for rounding in (decimal.ROUND_CEILING, decimal.ROUND_FLOOR)]
+        short = ["9007199254740993", "9007199254740995", "4503599627370496.5",
+                 "4503599627370497.5", "45035996273704965e-1", "9223372036854776832",
+                 "9223372036854777856", "18014398509481986",
+                 "1234567890123456789", "12345678901234567891", "0.1234567890123456789",
+                 "0.12345678901234567891", "9999999999999999999", "99999999999999999999",
+                 "1.000000000000000000", "1.0000000000000000000",
+                 "4503599627370496", "9007199254740992", "9223372036854775807",
+                 "9223372036854775808", "18446744073709551615", "18446744073709551616"]
+        for text in short:
+            fields += [text] + _last_digit_steps(text)
+    for k in (0, 1, 19, 21, 22, 23, 27, 28):
+        for m in ("1", "9007199254740993", "4503599627370496", "1234567890123456789",
+                  "18446744073709551615"):
+            fields += [f"{m}e-{k}", f"{m}e{k}", f"{m}E+{k:03d}"]
+    fields += ["5e-324", "4.9406564584124654e-324", "2.4703282292062327e-324",
+               "2.4703282292062328e-324", "2.2250738585072011e-308", "2.2250738585072014e-308",
+               "1e-400", "0e-400", "-0", "0", "-0.0e+999", "0.000", "1e999999999999999999999",
+               "0.000000000000000000000000001", "0.0000000000000000000001234567890123456789",
+               "000000000000000000000000000000123.5", "+00.5", "-.5e-3", "+5.", "-7", "+0"]
+    return fields
+
+
+def _field_file(fields):
+    """fields as the smallest square matrix file that holds them, row by
+    row and padded with zeros, and its entries by float()."""
+    n = math.isqrt(len(fields) - 1) + 1
+    fields = fields + ["0"] * (n * n - len(fields))
+    rows = [",".join(fields[r * n:(r + 1) * n]) for r in range(n)]
+    return "\n".join(rows).encode(), np.array([float(f) for f in fields]).reshape(n, n)
+
+
+def _symmetric_file(fields):
+    """The symmetric matrix file with the fields, above and mirrored below
+    a zero diagonal, and its entries by float()."""
+    n = math.isqrt(2 * len(fields)) + 2
+    cells = [["0"] * n for _ in range(n)]
+    for (i, j), text in zip(zip(*np.triu_indices(n, 1)), fields + ["0"] * n * n):
+        cells[i][j] = cells[j][i] = text
+    return ("\n".join(map(",".join, cells)) + "\n").encode(), np.array(
+        [[float(f) for f in row] for row in cells])
+
+
+def _adversarial_exit_code(tmp_path, monkeypatch, flags):
+    """exit_code of a forked child that builds the kernels with flags
+    added to the compile command and reads the adversarial fields: 0 when
+    it converts them all as float() does."""
+    monkeypatch.setattr(native, "COMPILE", native.COMPILE + flags)
+    data, want = _field_file(_adversarial_fields())
+
+    def convert():
+        kernel = native.load_kernel(tmp_path / "cache")
+        entries = np.empty(want.shape)
+        return (kernel.read_matrix(data, len(data), len(want), csv.field_size_limit(),
+                                   entries.ctypes.data) == 0
+                and np.array_equal(entries.view(np.int64), want.view(np.int64)))
+
+    return exit_code(convert)
 
 
 def _compiled_outcome(path, monkeypatch):
@@ -725,6 +834,42 @@ class TestCompiledMatrixReader:
             assert _equal_outcomes(_compiled_outcome(path, monkeypatch), want)
         finally:
             locale.setlocale(locale.LC_NUMERIC, old)
+
+    def test_adversarial_fields_convert_as_float_does(self):
+        require_compiled()
+        data, want = _field_file(_adversarial_fields())
+        entries = core._read_compiled(data)
+        assert entries is not None
+        assert np.array_equal(entries.view(np.int64), want.view(np.int64))
+
+    def test_adversarial_fields_load_as_float_does(self, tmp_path, monkeypatch):
+        require_compiled()
+        fields = [f for f in _adversarial_fields() if 0 <= float(f) < math.inf]
+        data, want = _symmetric_file(fields)
+        path = tmp_path / "m.csv"
+        path.write_bytes(data)
+        assert np.array_equal(_compiled_outcome(path, monkeypatch), want.view(np.int64))
+        monkeypatch.undo()
+        assert np.array_equal(_outcome(load_matrix, path), want.view(np.int64))
+
+    def test_reader_has_no_undefined_behaviour(self, tmp_path, monkeypatch):
+        """The kernels built with the undefined-behaviour sanitizer, which
+        stops at its first finding, convert the adversarial fields as
+        float() does, in a forked child, so that a finding fails this test
+        and not the test run."""
+        flags = ("-fsanitize=undefined", "-fno-sanitize-recover=all")
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler")
+        probe = subprocess.run([*native.COMPILE, *flags, "-o", str(tmp_path / "probe.so"), "-x", "c", "-"],
+                               input="int probe(void) { return 0; }\n", capture_output=True, text=True)
+        if probe.returncode != 0:
+            pytest.skip("no undefined-behaviour sanitizer library")
+        assert _adversarial_exit_code(tmp_path, monkeypatch, flags) == 0
+
+    def test_reader_without_128_bit_integers(self, tmp_path, monkeypatch):
+        # where the compiler has no 128-bit integers, strtod converts every field
+        require_compiled()
+        assert _adversarial_exit_code(tmp_path, monkeypatch, ("-U__SIZEOF_INT128__",)) == 0
 
     def test_large_plain_file_takes_the_compiled_reader(self, tmp_path, monkeypatch):
         require_compiled()
