@@ -267,8 +267,8 @@ void csr_order(int64_t n, const int64_t *indptr, const int64_t *low, int64_t *cu
    count in *m; returns 1 + the most lower neighbours a candidate has among
    them, or 0 without candidates.  mark holds one zero per vertex and is
    left zero; lower holds one entry per candidate. */
-int64_t branch(const int64_t *indptr, const int64_t *adj, int32_t *mark, int64_t *lower,
-               int64_t v, int64_t *a, int64_t *b, int64_t *m)
+static int64_t branch(const int64_t *indptr, const int64_t *adj, int32_t *mark, int64_t *lower,
+                      int64_t v, int32_t *a, int32_t *b, int64_t *m)
 {
     const int64_t *cand = adj + indptr[v];
     int64_t s = indptr[v + 1] - indptr[v], k = 0, top = 0;
@@ -278,9 +278,9 @@ int64_t branch(const int64_t *indptr, const int64_t *adj, int32_t *mark, int64_t
     }
     for (int64_t i = 0; i < s; i++)
         for (int64_t p = indptr[cand[i]]; p < indptr[cand[i] + 1]; p++) {
-            int64_t j = mark[adj[p]] - 1;
+            int32_t j = mark[adj[p]] - 1;
             if (j >= 0) {
-                a[k] = i;
+                a[k] = (int32_t)i;
                 b[k++] = j;
                 lower[i > j ? i : j]++;
             }
@@ -293,29 +293,97 @@ int64_t branch(const int64_t *indptr, const int64_t *adj, int32_t *mark, int64_t
     return s ? top + 1 : 0;
 }
 
+/* branch() for the root branches vs[0:count] in turn, while their edges
+   surely fit in a and b, which hold capacity entries: the j-th branch's
+   bound in bounds[j], its edges appended to a and b, ending at ends[j].
+   A branch with s candidates has at most s * (s - 1) / 2 edges, and a
+   branch after the first stops the call when that many could overflow,
+   so capacity must hold any one branch's edges.  Returns the number of
+   branches done. */
+int64_t branches(const int64_t *indptr, const int64_t *adj, int32_t *mark, int64_t *lower,
+                 const int64_t *vs, int64_t count, int64_t capacity,
+                 int64_t *bounds, int64_t *ends, int32_t *a, int32_t *b)
+{
+    int64_t j, m = 0;
+    for (j = 0; j < count; j++) {
+        int64_t s = indptr[vs[j] + 1] - indptr[vs[j]], k;
+        if (j && m + s * (s - 1) / 2 > capacity)
+            break;
+        bounds[j] = branch(indptr, adj, mark, lower, vs[j], a + m, b + m, &k);
+        m += k;
+        ends[j] = m;
+    }
+    return j;
+}
+
+/* The colour classes of the s vertices with the m edges (a[k], b[k]), as
+   _colour_classes(_complements(rows), all s vertices, kmin) lists them:
+   each class takes in ascending order the vertices left that none in it
+   is adjacent to, and the pairs (vertex[j], colour[j]) with colour above
+   kmin come by ascending colour, then vertex.  Returns their number.
+   rows holds (s + 2) * ceil(s / 64) words: the adjacency rows, then the
+   vertices left and those the class can still take. */
+int64_t local_colour(int64_t s, const int32_t *a, const int32_t *b, int64_t m, int64_t kmin,
+                     uint64_t *rows, int32_t *vertex, int32_t *colour)
+{
+    int64_t words = (s + 63) / 64, listed = 0, left = s, first = 0;
+    uint64_t *rest = rows + s * words, *avail = rest + words;
+    memset(rows, 0, (size_t)(s + 1) * (size_t)words * sizeof *rows);
+    for (int64_t k = 0; k < m; k++) {
+        rows[a[k] * words + b[k] / 64] |= (uint64_t)1 << (b[k] % 64);
+        rows[b[k] * words + a[k] / 64] |= (uint64_t)1 << (a[k] % 64);
+    }
+    for (int64_t i = 0; i < s; i++)
+        rest[i / 64] |= (uint64_t)1 << (i % 64);
+    for (int32_t c = 1; left; c++) {
+        while (!rest[first])
+            first++;
+        memcpy(avail + first, rest + first, (size_t)(words - first) * sizeof *avail);
+        for (int64_t w = first; w < words; ) {
+            if (!avail[w]) {
+                w++;
+                continue;
+            }
+            int64_t v = w * 64 + __builtin_ctzll(avail[w]);
+            const uint64_t *row = rows + v * words;
+            if (c > kmin) {
+                vertex[listed] = (int32_t)v;
+                colour[listed++] = c;
+            }
+            avail[w] &= avail[w] - 1;
+            rest[w] ^= (uint64_t)1 << (v % 64);
+            left--;
+            for (int64_t u = w; u < words; u++)
+                avail[u] &= ~row[u];
+        }
+    }
+    return listed;
+}
+
 /* First-fit colours of the graph (indptr, indices) relabelled so that
    vertex i is order[i] (pos inverts order): each vertex takes the least
    colour c >= 1 that no lower neighbour holds.  Each edge gives one key
-   x * n + y, x the end with the higher colour, in key.  seen holds n + 2
-   zeros. */
+   x * n + y, x the end with the higher colour, in key.  One scan of each
+   row writes every neighbour's label to lower, branch-free, keeping the
+   lower ones; lower holds the most neighbours a vertex has, and seen
+   n + 2 zeros. */
 void root_colour(int64_t n, const int64_t *indptr, const int32_t *indices, const int64_t *order,
-                 const int64_t *pos, int64_t *seen, int64_t *colour, int64_t *key)
+                 const int64_t *pos, int64_t *lower, int64_t *seen, int64_t *colour, int64_t *key)
 {
     int64_t m = 0;
     for (int64_t i = 0; i < n; i++) {
-        int64_t c = 1, lo = indptr[order[i]], hi = indptr[order[i] + 1];
-        for (int64_t p = lo; p < hi; p++) {
+        int64_t c = 1, k = 0;
+        for (int64_t p = indptr[order[i]]; p < indptr[order[i] + 1]; p++) {
             int64_t w = pos[indices[p]];
-            if (w < i)
-                seen[colour[w]] = i + 1;
+            lower[k] = w;
+            k += w < i;
         }
+        for (int64_t j = 0; j < k; j++)
+            seen[colour[lower[j]]] = i + 1;
         while (seen[c] == i + 1)
             c++;
         colour[i] = c;
-        for (int64_t p = lo; p < hi; p++) {
-            int64_t w = pos[indices[p]];
-            if (w < i)
-                key[m++] = c > colour[w] ? i * n + w : w * n + i;
-        }
+        for (int64_t j = 0; j < k; j++)
+            key[m++] = c > colour[lower[j]] ? i * n + lower[j] : lower[j] * n + i;
     }
 }

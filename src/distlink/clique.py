@@ -30,10 +30,15 @@ ahead, a chunk at a time in sweep order (fan_out, which also spreads the
 simulation grid), while the search, its incumbent and its node count
 stay in one process, so every result is the one-CPU result.
 
-The root level's two loops, the first-fit colouring and each branch's
-bound and edges, run as C (_kernel.c, through distlink.native), built on
+The root level runs as C (_kernel.c, through distlink.native), built on
 the first split search unless the product build or the matrix reader
-has built it.  Without a compiler, or when the build or the load fails,
+has built it: the first-fit colouring, one scan of each row; the
+branches' bounds and edges, up to CHUNK branches per call, whose bounds
+the sweep walks as Python ints, so that a branch its bound cuts costs
+only that test; and each searched branch's first colouring, class by
+class on 64-bit words, which most branches end at with a tie cut, so
+that their bitset rows are built only where that colouring lets them
+spend a node.  Without a compiler, or when the build or the load fails,
 the numpy code runs instead, with the same results; it stays as the
 kernels' oracle.
 """
@@ -67,7 +72,7 @@ SPLIT_MIN_VERTICES = 2048
 #: array entries the product join and the CSR builder handle at once
 BLOCK = 1 << 16
 
-#: root branches a sweep worker computes per message
+#: root branches per chunk, which the sweep or a worker computes whole
 CHUNK = 128
 
 #: chunks of CHUNK root branches the sweep computes itself before it forks
@@ -262,12 +267,14 @@ def _gather(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> tuple:
 
 
 class _Branches:
-    """branch(v), on _root_split's forward CSR, is the part of root branch
-    v that never reads the incumbent, (bound, a, b): the edges among v's
+    """On _root_split's forward CSR, the part of each root branch v that
+    never reads the incumbent, (bound, a, b): the edges among v's
     candidates, each once, as local ids (a[k], b[k]), from one gather of
     their forward lists, and 1 + the most lower neighbours a candidate has
-    among them, which bounds its greedy colour.  The compiled kernel
-    computes them where it loads; the numpy gather is its oracle."""
+    among them, which bounds its greedy colour.  chunk gives them for a run
+    of branches in one format, for the sweep and its workers alike, and
+    colour a searched branch's first colouring.  The compiled kernels
+    compute them where they load; the numpy code is their oracle."""
 
     def __init__(self, indptr: np.ndarray, adj: np.ndarray) -> None:
         self.indptr = indptr = np.ascontiguousarray(indptr, np.int64)
@@ -283,15 +290,15 @@ class _Branches:
         self.mark = np.zeros(len(self.fdeg), np.int32)
         self.lower = np.empty(top, np.int64)
         # a branch has at most min(top * (top - 1) / 2, |adj|) edges
-        self.edges = np.empty((2, min(top * (top - 1) // 2, len(adj))), np.int64)
-        self.count = np.zeros(1, np.int64)
+        self.edges = np.empty((2, max(min(top * (top - 1) // 2, len(adj)), BLOCK)), np.int32)
+        self.rows = np.empty((top + 2) * ((top + 63) // 64), np.uint64)
+        self.pairs = np.empty((2, top), np.int32)
         self.inputs = [a.ctypes.data for a in (indptr, adj, self.mark, self.lower)]
-        self.outputs = [a.ctypes.data for a in (self.edges[0], self.edges[1], self.count)]
+        self.outputs = [a.ctypes.data for a in self.edges]
 
     def __call__(self, v: int) -> tuple:
         if self.kernel is not None:
-            bound = self.kernel.branch(*self.inputs, v, *self.outputs)
-            a, b = self.edges[:, :self.count[0]].copy()
+            (bound,), _, a, b = self.chunk([v])
             return bound, a, b
         cand = self.adj[self.indptr[v]:self.indptr[v + 1]]
         lens = self.fdeg[cand]
@@ -309,10 +316,38 @@ class _Branches:
         return 1 + int(np.bincount(np.maximum(a, b, out=hit), minlength=1).max()), a, b
 
     def chunk(self, vs: list) -> tuple:
-        """The branches of vs for a pipe: bounds, edge-list ends, concatenated a and b."""
-        bounds, a, b = zip(*map(self, vs))
-        return (bounds, np.cumsum([len(x) for x in a]).tolist(),
-                np.concatenate(a, dtype=np.int32), np.concatenate(b, dtype=np.int32))
+        """The branches of vs: their bounds and the running ends of their
+        edge lists, as lists, and their a and b concatenated, int32.  The
+        kernel takes as many branches per call as its edge buffer surely
+        holds, all of vs unless they are dense."""
+        if self.kernel is None:
+            bounds, a, b = zip(*map(self, vs))
+            return (list(bounds), np.cumsum([len(x) for x in a]).tolist(),
+                    np.concatenate(a, dtype=np.int32), np.concatenate(b, dtype=np.int32))
+        vs = np.array(vs, np.int64)
+        bounds, ends = np.empty((2, len(vs)), np.int64)
+        parts = []
+        done = 0
+        while done < len(vs):
+            count = self.kernel.branches(*self.inputs, vs[done:].ctypes.data, len(vs) - done,
+                                         self.edges.shape[1], bounds[done:].ctypes.data,
+                                         ends[done:].ctypes.data, *self.outputs)
+            parts.append(self.edges[:, :ends[done + count - 1]].copy())
+            if done:
+                ends[done:done + count] += ends[done - 1]
+            done += count
+        a, b = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        return bounds.tolist(), ends.tolist(), a, b
+
+    def colour(self, s: int, a: np.ndarray, b: np.ndarray, kmin: int) -> list:
+        """_colour_classes(outs, all, kmin) for the s local vertices of a
+        branch with the edges (a, b), outs their _complements."""
+        if self.kernel is None:
+            return _colour_classes(_complements(bitset_rows(s, a, b)), (1 << s) - 1, kmin)
+        a, b = (np.ascontiguousarray(x, np.int32) for x in (a, b))
+        listed = self.kernel.local_colour(s, a.ctypes.data, b.ctypes.data, len(a), kmin,
+                                          self.rows.ctypes.data, *(x.ctypes.data for x in self.pairs))
+        return list(zip(*self.pairs[:, :listed].tolist()))
 
 
 def worker_cpus() -> int:
@@ -379,18 +414,12 @@ def fan_out(fn, items: Sequence, most: int):
 
 
 def _branch_stream(branch: _Branches, sweep: list):
-    """branch(v) for each v of sweep in turn: on demand for the first
-    LAZY_CHUNKS * CHUNK, then, with more than one worker CPU and chunk
-    left, fanned out CHUNK branches at a time."""
-    lazy = LAZY_CHUNKS * CHUNK
-    yield from map(branch, sweep[:lazy])
-    chunks = [sweep[start:start + CHUNK] for start in range(lazy, len(sweep), CHUNK)]
-    if min(worker_cpus(), len(chunks)) < 2:
-        yield from map(branch, sweep[lazy:])
-        return
-    with contextlib.closing(fan_out(branch.chunk, chunks, len(chunks))) as done:
-        for bounds, ends, a, b in done:
-            yield from ((bound, a[lo:hi], b[lo:hi]) for bound, lo, hi in zip(bounds, [0] + ends, ends))
+    """branch.chunk of each run of CHUNK vertices of sweep in turn: on
+    demand for the first LAZY_CHUNKS runs, then, with more than one worker
+    CPU and run left, fanned out."""
+    chunks = [sweep[start:start + CHUNK] for start in range(0, len(sweep), CHUNK)]
+    yield from map(branch.chunk, chunks[:LAZY_CHUNKS])
+    yield from fan_out(branch.chunk, chunks[LAZY_CHUNKS:], len(chunks))
 
 
 def _root_split(g: SimpleGraph, order: np.ndarray, pos: np.ndarray, block: int = 256) -> tuple:
@@ -417,10 +446,11 @@ def _root_split(g: SimpleGraph, order: np.ndarray, pos: np.ndarray, block: int =
         colour, key = _first_fit(g, order, pos, block)
     else:
         colour, key = np.zeros(g.n, np.int64), np.empty(g.edge_count(), np.int64)
+        lower = np.empty(np.diff(g.indptr).max(initial=0), np.int64)
         seen = np.zeros(g.n + 2, np.int64)
         inputs = [np.ascontiguousarray(a, dtype) for a, dtype in
                   ((g.indptr, np.int64), (g.indices, np.int32), (order, np.int64), (pos, np.int64))]
-        kernel.root_colour(g.n, *(a.ctypes.data for a in inputs + [seen, colour, key]))
+        kernel.root_colour(g.n, *(a.ctypes.data for a in inputs + [lower, seen, colour, key]))
     key.sort()
     indptr = np.searchsorted(key, np.arange(g.n + 1) * g.n)
     sweep = np.lexsort((-np.arange(g.n), -colour))
@@ -548,24 +578,36 @@ class _Search:
         """expand(rows, outs, 0, 0, all) on _root_split's arrays, kept for
         resumed(): each root branch v is searched on local rows of its
         candidates, the vertices adj lists for v.  The branches' skip
-        bounds and local edges come from _branch_stream, in sweep order;
-        the incumbent, the cuts and the node count stay here."""
+        bounds and local edges come from _branch_stream, a chunk at a time
+        in sweep order; the incumbent, the cuts and the node count stay
+        here, and a branch its bound cuts costs no more than that test."""
         self.indptr, self.adj = indptr, adj
         roots = zip(sweep, colours)
-        with contextlib.closing(_branch_stream(_Branches(indptr, adj), sweep)) as branches:
-            for v, colour in roots:
-                if colour + self.keep_ties <= self.best_size:
-                    if colour == self.best_size:
-                        rest = itertools.takewhile(lambda p: p[1] == colour, roots)
-                        self.ties += [(v, True)] + [(u, True) for u, _ in rest]
-                    return
-                self._spend()
-                self._root_branch(v, *next(branches))
+        branch = _Branches(indptr, adj)
+        with contextlib.closing(_branch_stream(branch, sweep)) as chunks:
+            for bounds, ends, a, b in chunks:
+                for bound, start, end in zip(bounds, [0] + ends, ends):
+                    v, colour = next(roots)
+                    if colour + self.keep_ties <= self.best_size:
+                        if colour == self.best_size:
+                            rest = itertools.takewhile(lambda p: p[1] == colour, roots)
+                            self.ties += [(v, True)] + [(u, True) for u, _ in rest]
+                        return
+                    self._spend()
+                    # _root_branch's bound cut, without its call
+                    if bound and 1 + bound + self.keep_ties <= self.best_size:
+                        if 1 + bound == self.best_size:
+                            self.ties.append((v, False))
+                    else:
+                        self._root_branch(branch, v, bound, a[start:end], b[start:end])
 
-    def _root_branch(self, v: int, bound: int, a: np.ndarray, b: np.ndarray, ties=None) -> None:
+    def _root_branch(self, branch: _Branches, v: int, bound: int, a: np.ndarray, b: np.ndarray,
+                     ties=None) -> None:
         """Root branch v, its node spent, on its skip bound and its local
         edges (a[k], b[k]): local id i is the candidate adj lists i-th.
-        Searched whole, or only at the tie cuts recorded in it."""
+        Searched whole, from branch.colour's first colouring, or only at
+        the tie cuts recorded in it; its rows are built only where a node
+        in it is spent."""
         cand = self.adj[self.indptr[v]:self.indptr[v + 1]]
         s = len(cand)
         if not s:
@@ -582,10 +624,15 @@ class _Search:
         # back: they replace the outer ones if the branch grew
         outer, size = self.best_masks, self.best_size
         self.best_masks, self.root = [], v
-        rows = bitset_rows(s, a, b)
-        outs = _complements(rows)
-        if ties is None:
-            self.expand(rows, outs, 1, 0, (1 << s) - 1)
+        coloured = None if ties else branch.colour(s, a, b, self.best_size - 2)
+        rows = outs = None
+        # a first colour the incumbent cuts ends the branch at a tie cut,
+        # which needs only the candidates
+        if ties or coloured and 1 + coloured[-1][1] + self.keep_ties > self.best_size:
+            rows = bitset_rows(s, a, b)
+            outs = _complements(rows)
+        if coloured is not None:
+            self.expand(rows, outs, 1, 0, (1 << s) - 1, reversed(coloured))
         for _, at, mask, sub, top in ties or ():
             self.expand(rows, outs, at, mask, sub, iter(top))
         ids = cand.tolist()
@@ -611,7 +658,7 @@ class _Search:
                 if len(group[0]) == 2:  # a root branch to search whole
                     tie._spend(group[0][1])
                     group = None
-                tie._root_branch(v, *branch(v), group)
+                tie._root_branch(branch, v, *branch(v), group)
         return tie
 
     def vertices(self, mask: int) -> tuple:

@@ -71,8 +71,9 @@ def load_kernel(cache: Path):
             (kernels.group_pairs, None, [i64, ptr, ptr, i64, ptr, i64] + [ptr] * 5),
             (kernels.join, i64, [i64] + [ptr] * 8 + [f64, f64] + [ptr] * 3),
             (kernels.csr_order, None, [i64] + [ptr] * 4),
-            (kernels.branch, i64, [ptr] * 4 + [i64] + [ptr] * 3),
-            (kernels.root_colour, None, [i64] + [ptr] * 7)):
+            (kernels.branches, i64, [ptr] * 5 + [i64, i64] + [ptr] * 4),
+            (kernels.local_colour, i64, [i64, ptr, ptr, i64, i64] + [ptr] * 3),
+            (kernels.root_colour, None, [i64] + [ptr] * 8)):
         fn.restype, fn.argtypes = restype, argtypes
     return kernels
 

@@ -8,8 +8,10 @@ import os
 import shutil
 import signal
 import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from distlink import (
     write_dimacs,
 )
 from distlink import build_product_graph, clique, native
-from distlink.clique import _Search, _colour_classes, _complements
+from distlink.clique import _Search, _colour_classes, _complements, bitset_rows
 from distlink.oracles import adjacency_rows, brute_force_max_clique, count_cliques_of_size
 from helpers import (
     census_graphs,
@@ -581,6 +583,7 @@ class TestRootSplit:
         rng = np.random.default_rng(29)
         graphs = [random_simple_graph(rng, int(rng.integers(0, 80)), float(rng.uniform(0.02, 0.95)))
                   for _ in range(30)]
+        graphs += [_with_isolated_tail(g) for g in graphs[:5]]
         graphs.append(build_product_graph(*census_graphs(300)).graph)
         assert graphs[-1].n > clique.SPLIT_MIN_VERTICES
         for g in graphs:
@@ -636,18 +639,18 @@ def _with_workers(search, g, cpus, chunk=4, lazy=0, forks=None):
 
 
 def _killed_after(calls):
-    """A _Branches.__call__ that kills the worker process calling it on
-    that process's calls-th call."""
-    real = clique._Branches.__call__
+    """A _Branches.chunk, the call sweep workers make, that kills the
+    worker process calling it on that process's calls-th call."""
+    real = clique._Branches.chunk
     counts = collections.Counter()
 
-    def call(self, v):
+    def chunk(self, vs):
         counts[os.getpid()] += 1
         if multiprocessing.parent_process() is not None and counts[os.getpid()] == calls:
             os.kill(os.getpid(), signal.SIGKILL)
-        return real(self, v)
+        return real(self, vs)
 
-    return call
+    return chunk
 
 
 def _search_in_child(g, outbox):
@@ -712,8 +715,8 @@ class TestParallelSweep:
     def test_killed_worker_changes_nothing(self, monkeypatch):
         g = random_simple_graph(np.random.default_rng(34), 70, 0.4)
         want = _with_workers(_solve, g, 1)
-        for calls in (1, 6):
-            monkeypatch.setattr(clique._Branches, "__call__", _killed_after(calls))
+        for calls in (1, 2):
+            monkeypatch.setattr(clique._Branches, "chunk", _killed_after(calls))
             assert _with_workers(_solve, g, 2) == want
 
     def test_no_worker_inside_a_child_process(self, monkeypatch):
@@ -766,34 +769,104 @@ def _numpy(fn, *args):
         return fn(*args)
 
 
-class TestCompiledKernel:
-    """The compiled branch kernel against the numpy code, which stays as
-    its oracle and as the path without a compiler."""
+def _with_isolated_tail(g, k=3):
+    """g with k isolated vertices added: the last k in degree order."""
+    return SimpleGraph.from_edges(g.n + k, np.stack(g.edge_array(), 1))
 
-    def test_branches_equal_numpy_on_every_branch(self):
+
+def _kernel_graphs(rng):
+    """Graphs for the clique kernels' differential tests, with their
+    maximum clique sizes: empty, edgeless, complete and random graphs, the
+    tie products, census products at n = 100 to 600, and graphs whose last
+    vertices in degree order are isolated."""
+    graphs = [SimpleGraph.from_edges(0, []), SimpleGraph.from_edges(6, []), complete_graph(9)]
+    graphs += [random_simple_graph(rng, int(rng.integers(1, 90)), float(rng.uniform(0.02, 0.95)))
+               for _ in range(40)]
+    graphs += [gender_tie_product(seed) for seed, *_ in TIE_PRODUCT_RESULTS]
+    graphs += [_with_isolated_tail(g) for g in graphs[2:8]]
+    products = [build_product_graph(*census_graphs(n)).graph for n in (100, 200, 300, 600)]
+    graphs += products + [_with_isolated_tail(products[0])]
+    return [(g, max_clique(g).size) for g in graphs]
+
+
+def _root_split(g):
+    """clique._root_split of g in the search's degree order."""
+    order = np.argsort(-np.diff(g.indptr), kind="stable")
+    pos = np.empty(g.n, np.int64)
+    pos[order] = np.arange(g.n)
+    return clique._root_split(g, order, pos)
+
+
+class _CountingKernel:
+    """A kernel library that counts its branches calls."""
+
+    def __init__(self, kernel):
+        self.kernel, self.calls = kernel, 0
+
+    def branches(self, *args):
+        self.calls += 1
+        return self.kernel.branches(*args)
+
+
+class TestCompiledKernel:
+    """The compiled clique kernels against the numpy code, which stays as
+    their oracle and as the path without a compiler."""
+
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        return _kernel_graphs(np.random.default_rng(41))
+
+    def test_branches_equal_numpy_on_every_branch(self, graphs, monkeypatch):
         require_compiled()
-        rng = np.random.default_rng(41)
-        graphs = [SimpleGraph.from_edges(0, []), SimpleGraph.from_edges(6, []), complete_graph(9)]
-        graphs += [random_simple_graph(rng, int(rng.integers(1, 90)), float(rng.uniform(0.02, 0.95)))
-                   for _ in range(40)]
-        graphs += [gender_tie_product(seed) for seed, *_ in TIE_PRODUCT_RESULTS]
-        products = (build_product_graph(*census_graphs(n)).graph for n in (100, 200, 300, 600))
-        empty = 0
-        for g in itertools.chain(graphs, products):
-            order = np.argsort(-np.diff(g.indptr), kind="stable")
-            pos = np.empty(g.n, np.int64)
-            pos[order] = np.arange(g.n)
-            sweep, _, indptr, adj = clique._root_split(g, order, pos)
+        # the least edge buffers, so that chunks of dense branches take
+        # several kernel calls
+        monkeypatch.setattr(clique, "BLOCK", 1)
+        chunks = calls = empty = 0
+        for g, _ in graphs:
+            sweep, _, indptr, adj = _root_split(g)
             compiled = clique._Branches(indptr, adj)
             oracle = _numpy(clique._Branches, indptr, adj)
             assert compiled.kernel is not None and oracle.kernel is None
-            for v in sweep:
-                bound, a, b = compiled(v)
-                want = oracle(v)
-                assert bound == want[0]
-                assert np.array_equal(a, want[1]) and np.array_equal(b, want[2])
+            want = [oracle(v) for v in sweep]
+            for v, (bound, a, b) in zip(sweep, want):
+                got = compiled(v)
+                assert got[0] == bound and np.array_equal(got[1], a) and np.array_equal(got[2], b)
                 empty += indptr[v] == indptr[v + 1]
+            compiled.kernel = counting = _CountingKernel(compiled.kernel)
+            for size in (7, 128):
+                for start in range(0, len(sweep), size):
+                    part = want[start:start + size]
+                    bounds, ends, a, b = compiled.chunk(sweep[start:start + size])
+                    assert bounds == [bound for bound, _, _ in part]
+                    assert ends == np.cumsum([len(a) for _, a, _ in part]).tolist()
+                    assert a.dtype == b.dtype == np.int32
+                    assert np.array_equal(a, np.concatenate([a for _, a, _ in part]))
+                    assert np.array_equal(b, np.concatenate([b for _, _, b in part]))
+                    chunks += 1
+            calls += counting.calls
         assert empty > len(graphs)  # branches without candidates included
+        assert calls > chunks  # and chunks split over several calls
+
+    def test_local_colour_equals_colour_classes(self, graphs):
+        require_compiled()
+        for g, omega in graphs:
+            sweep, _, indptr, adj = _root_split(g)
+            compiled = clique._Branches(indptr, adj)
+            for v in sweep:
+                s = int(indptr[v + 1] - indptr[v])
+                if not s:
+                    continue
+                _, a, b = compiled(v)
+                outs = _complements(bitset_rows(s, a, b))
+                for kmin in {-1, 0, omega - 2, s}:
+                    assert compiled.colour(s, a, b, kmin) == _colour_classes(outs, (1 << s) - 1, kmin)
+
+    def test_root_colour_equals_first_fit(self, graphs):
+        require_compiled()
+        for g, _ in graphs:
+            compiled, oracle = _root_split(g), _numpy(_root_split, g)
+            assert compiled[:2] == oracle[:2]
+            assert np.array_equal(compiled[2], oracle[2]) and np.array_equal(compiled[3], oracle[3])
 
 
 def _works(kernel):
@@ -891,6 +964,67 @@ class TestKernelBuild:
                               str(tmp_path / "kernel.so"), str(native.KERNEL_SOURCE)],
                              capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
+
+    def test_clique_kernels_under_address_sanitizer(self, tmp_path):
+        """branches, local_colour and root_colour built with
+        AddressSanitizer run, in a fresh interpreter with its runtime
+        preloaded, on graphs whose last vertices in degree order are
+        isolated among others: an access out of a buffer's bounds fails
+        this test."""
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler")
+        runtime = subprocess.run(["cc", "-print-file-name=libasan.so"], capture_output=True,
+                                 text=True).stdout.strip()
+        if not os.path.isabs(runtime):
+            pytest.skip("no AddressSanitizer runtime")
+        paths = [str(Path(clique.__file__).parents[1]), str(Path(__file__).parent)]
+        env = dict(os.environ, LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0",
+                   PYTHONPATH=os.pathsep.join(paths))
+        run = subprocess.run([sys.executable, "-c", ASAN_SCRIPT, str(tmp_path)], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0 and "checked 14" in run.stdout, run.stderr[-4000:]
+
+
+#: test_clique_kernels_under_address_sanitizer's script: the clique kernels
+#: built with AddressSanitizer into the cache argv[1], through the search's
+#: own calls, on the least buffers
+ASAN_SCRIPT = """
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from distlink import SimpleGraph, build_product_graph, clique, native
+from helpers import census_graphs, gender_tie_product, random_simple_graph
+
+native.COMPILE += ("-fsanitize=address", "-fno-omit-frame-pointer")
+kernel = native.load_kernel(Path(sys.argv[1]))
+native.kernel = lambda: kernel
+clique.BLOCK = 1  # the least edge buffers
+rng = np.random.default_rng(46)
+graphs = [SimpleGraph.from_edges(0, []), SimpleGraph.from_edges(4, []),
+          SimpleGraph.from_edges(7, [(0, 1), (0, 2), (1, 2), (4, 5)]), gender_tie_product(1),
+          build_product_graph(*census_graphs(100)).graph]
+graphs += [random_simple_graph(rng, n, p) for n, p in ((1, 0.5), (40, 0.3), (130, 0.6))]
+for g in list(graphs[2:]):
+    graphs.append(SimpleGraph.from_edges(g.n + 3, np.stack(g.edge_array(), 1)))
+for g in graphs:
+    order = np.argsort(-np.diff(g.indptr), kind="stable")
+    pos = np.empty(g.n, np.int64)
+    pos[order] = np.arange(g.n)
+    sweep, _, indptr, adj = clique._root_split(g, order, pos)
+    branch = clique._Branches(indptr, adj)
+    for start in range(0, len(sweep), 16):
+        bounds, ends, a, b = branch.chunk(sweep[start:start + 16])
+        for v, lo, hi in zip(sweep[start:], [0] + ends, ends):
+            s = int(indptr[v + 1] - indptr[v])
+            for kmin in (-1, s):
+                branch.colour(s, a[lo:hi].copy(), b[lo:hi].copy(), kmin)
+clique.SPLIT_MIN_VERTICES = -1
+for g in graphs:
+    clique.enumerate_maximum_cliques(g)
+print("checked", len(graphs))
+"""
 
 
 class TestBruteForce:
