@@ -11,7 +11,9 @@ there, keeping ties, and so enumerates every maximum clique without
 searching again from the empty clique.  A node budget turns runaway
 instances into an explicit error instead of a silent heuristic answer.
 
-Graphs with more than SPLIT_MIN_VERTICES vertices are split at the root
+Graphs with more than KERNEL_MIN_VERTICES vertices are split at the
+root where the compiled kernels load, and without them only above
+SPLIT_MIN_VERTICES, below which the numpy split costs more than it saves
 (the ego-network reduction of Chang, KDD 2019).  One pass over the CSR
 rows, a block at a time, colours the root first-fit, which gives the
 colours of the class-by-class colouring and so the same root order, and
@@ -20,8 +22,8 @@ searches only the candidates it would have had (v's neighbours not yet
 swept) on local bitsets |S| bits wide instead of |V|, with ids in
 ascending global order, so colourings, pruning, node counts and the
 cliques found are those of the unsplit search, which stays as the oracle
-and as the path for smaller graphs.  A branch whose candidates cannot
-hold a large enough clique by a degree bound is skipped before
+and as the path for graphs below the floor.  A branch whose candidates
+cannot hold a large enough clique by a degree bound is skipped before
 any rows are built, exactly where the unsplit search would have cut it.
 That bound and the branch's local edges never read the incumbent: once
 the sweep has computed LAZY_CHUNKS chunks of CHUNK branches itself, with
@@ -31,16 +33,17 @@ simulation grid), while the search, its incumbent and its node count
 stay in one process, so every result is the one-CPU result.
 
 The root level runs as C (_kernel.c, through distlink.native), built on
-the first split search unless the product build or the matrix reader
-has built it: the first-fit colouring, one scan of each row; the
-branches' bounds and edges, up to CHUNK branches per call, whose bounds
-the sweep walks as Python ints, so that a branch its bound cuts costs
-only that test; and each searched branch's first colouring, class by
-class on 64-bit words, which most branches end at with a tie cut, so
-that their bitset rows are built only where that colouring lets them
-spend a node.  Without a compiler, or when the build or the load fails,
-the numpy code runs instead, with the same results; it stays as the
-kernels' oracle.
+the first graph above KERNEL_MIN_VERTICES unless the matrix reader has
+built it; the floor only spares a graph of a few records the one-time
+compile.  The kernels give the first-fit colouring, one scan of each
+row; the branches' bounds and edges, up to CHUNK branches per call,
+whose bounds the sweep walks as Python ints, so that a branch its bound
+cuts costs only that test, and which the tie pass takes a chunk at a
+time too; and each searched branch's first colouring, class by class on
+64-bit words, which most branches end at with a tie cut, so that their
+bitset rows are built only where that colouring lets them spend a node.
+Without a compiler, or when the build or the load fails, the numpy code
+runs instead, with the same results; it stays as the kernels' oracle.
 """
 
 from __future__ import annotations
@@ -65,8 +68,15 @@ from .errors import InputFormatError, ResourceBudgetError
 
 DEFAULT_NODE_BUDGET = 10**8
 
-#: graphs with more vertices than this are searched split at the root; below
-#: it the per-branch gathers in numpy cost more than narrow big-int masks
+#: graphs with more vertices than this take the compiled kernels, for the
+#: product build and the search alike, and with them are searched split at
+#: the root: the kernels are faster at every size, but the first use
+#: compiles them, which a handful of records must not pay for
+KERNEL_MIN_VERTICES = 256
+
+#: without the kernels, graphs with more vertices than this are searched
+#: split at the root; below it the per-branch gathers in numpy cost more
+#: than narrow big-int masks
 SPLIT_MIN_VERTICES = 2048
 
 #: array entries the product join and the CSR builder handle at once
@@ -78,6 +88,13 @@ CHUNK = 128
 #: chunks of CHUNK root branches the sweep computes itself before it forks
 #: workers for the rest: a shorter sweep costs less than starting them
 LAZY_CHUNKS = 64
+
+
+def kernel_for(n: int):
+    """native.kernel() for a graph of n vertices above KERNEL_MIN_VERTICES,
+    else None: the one choice of the product build and the search."""
+    return native.kernel() if n > KERNEL_MIN_VERTICES else None
+
 
 class SimpleGraph:
     """Undirected graph in symmetric CSR form: the neighbours of vertex v
@@ -295,6 +312,7 @@ class _Branches:
         self.pairs = np.empty((2, top), np.int32)
         self.inputs = [a.ctypes.data for a in (indptr, adj, self.mark, self.lower)]
         self.outputs = [a.ctypes.data for a in self.edges]
+        self.scratch = [a.ctypes.data for a in (self.rows, *self.pairs)]
 
     def __call__(self, v: int) -> tuple:
         if self.kernel is not None:
@@ -346,7 +364,7 @@ class _Branches:
             return _colour_classes(_complements(bitset_rows(s, a, b)), (1 << s) - 1, kmin)
         a, b = (np.ascontiguousarray(x, np.int32) for x in (a, b))
         listed = self.kernel.local_colour(s, a.ctypes.data, b.ctypes.data, len(a), kmin,
-                                          self.rows.ctypes.data, *(x.ctypes.data for x in self.pairs))
+                                          *self.scratch)
         return list(zip(*self.pairs[:, :listed].tolist()))
 
 
@@ -497,7 +515,8 @@ def _first_fit(g: SimpleGraph, order: np.ndarray, pos: np.ndarray, block: int) -
 
 class _Search:
     """Branch-and-bound over a degree-sorted copy of the graph, run on
-    construction; split at the root above SPLIT_MIN_VERTICES vertices.
+    construction; split at the root where kernel_for gives the compiled
+    kernels, and without them above SPLIT_MIN_VERTICES vertices.
 
     best_masks holds the cliques of size best_size the search met, starting
     from the empty clique, the first one found first; with keep_ties they
@@ -523,7 +542,7 @@ class _Search:
         #: its root node is still to spend) for a root branch to search whole
         self.ties = []
         self.root = self.adj = None
-        if g.n > SPLIT_MIN_VERTICES:
+        if g.n > SPLIT_MIN_VERTICES or kernel_for(g.n) is not None:
             self._sweep(*_root_split(g, order, pos))
         else:
             x, y = g.edge_array()
@@ -653,12 +672,17 @@ class _Search:
                 tie.expand(self.rows, self.outs, size, mask, cand, iter(top))
         elif self.ties:
             branch = _Branches(self.indptr, self.adj)
-            for v, group in itertools.groupby(self.ties, operator.itemgetter(0)):
-                group = list(group)
-                if len(group[0]) == 2:  # a root branch to search whole
-                    tie._spend(group[0][1])
-                    group = None
-                tie._root_branch(branch, v, *branch(v), group)
+            groups = [(v, list(group))
+                      for v, group in itertools.groupby(self.ties, operator.itemgetter(0))]
+            # the roots' bounds and edges a chunk of CHUNK roots at a time, as _sweep takes them
+            for start in range(0, len(groups), CHUNK):
+                run = groups[start:start + CHUNK]
+                bounds, ends, a, b = branch.chunk([v for v, _ in run])
+                for (v, group), bound, lo, hi in zip(run, bounds, [0] + ends, ends):
+                    if len(group[0]) == 2:  # a root branch to search whole
+                        tie._spend(group[0][1])
+                        group = None
+                    tie._root_branch(branch, v, bound, a[lo:hi], b[lo:hi], group)
         return tie
 
     def vertices(self, mask: int) -> tuple:

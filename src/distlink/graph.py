@@ -9,15 +9,17 @@ approximate-equality relation, an open band on the signed deviation
 (QuantileBand; Absolute(eps) is its symmetric case).  The product comes
 out of one sorted interval join as a CSR SimpleGraph, after a guard has
 checked that the join's candidate edges fit in physical memory.  Above
-SPLIT_MIN_VERTICES vertices the compiled kernels (distlink.native) run
-the join on record pairs grouped by label pair and sorted by weight,
-write each row's upper neighbours straight into the CSR and order the
-rows by transposing in place, so the CSR's int32 indices are the peak.
-Smaller products, and every product without a compiler, take the numpy
-join, the compiled build's oracle: it expands the candidates a block at
-a time into the int64 edge keys that csr_graph sorts in place, so those
-keys and the CSR's indices are its peak.  Graphs with absent edges are
-test references, in distlink.oracles.
+KERNEL_MIN_VERTICES vertices (clique.kernel_for, the search's choice
+too) the compiled kernels (distlink.native) run the join on record pairs
+grouped by label pair and sorted by weight, write each row's upper
+neighbours straight into the CSR and order the rows by transposing in
+place, so the CSR's int32 indices are the peak.  The floor only spares a
+product of a few records the kernels' one-time compile.  Smaller
+products, and every product without a compiler, take the numpy join, the
+compiled build's oracle: it expands the candidates a block at a time
+into the int64 edge keys that csr_graph sorts in place, so those keys
+and the CSR's indices are its peak.  Graphs with absent edges are test
+references, in distlink.oracles.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import native
-from .clique import BLOCK, SPLIT_MIN_VERTICES, SimpleGraph, csr_graph
+from .clique import BLOCK, SimpleGraph, csr_graph, kernel_for
 from .core import DistanceMatrix, MicrodataTable
 from .errors import InputFormatError, SizeLimitError
 
@@ -331,14 +332,14 @@ def build_product_graph(
     rel,
 ) -> ProductGraph:
     """Construct the product graph of two complete labelled weighted graphs:
-    above SPLIT_MIN_VERTICES vertices, where the clique search compiles its
-    kernels anyway, with the compiled build, else (or without a compiler)
-    with _product_edges_join and csr_graph, its oracle."""
+    above KERNEL_MIN_VERTICES vertices, where the clique search takes the
+    compiled kernels too, with the compiled build, else (or without a
+    compiler) with _product_edges_join and csr_graph, its oracle."""
     if target.label_arity != ident.label_arity:
         raise InputFormatError("graphs were built with different qi schemas")
     columns = _pair_columns(target.labels, ident.labels)
     pv, pw = columns[:2]
-    kernel = native.kernel() if len(pv) > SPLIT_MIN_VERTICES else None
+    kernel = kernel_for(len(pv))
     # the graph first: the vertex tuples would raise the build's peak
     if kernel is not None:
         graph = _product_csr(kernel, target, ident, rel, columns)

@@ -12,8 +12,10 @@ ends in the SHA-256 of its other bytes, so a damaged copy, which the
 loader could map and crash on, is found and rebuilt.  Without a compiler,
 or when the build or the load fails, kernel() is None and every caller
 runs its numpy code, with the same results; that code stays as the
-kernels' oracle.  Callers reach the kernels only on inputs too large for
-numpy to handle quickly, so small inputs never start the compiler.
+kernels' oracle.  The kernels are faster than numpy at every size
+measured; callers reach them only above a floor (matrix files over
+core.COMPILED_MATRIX_BYTES, graphs over clique.KERNEL_MIN_VERTICES), so
+that an input of a few records never pays the one-time compile.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import contextlib
 import math
 import multiprocessing
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -124,11 +125,13 @@ def gender_tie_product(shuffle_seed):
 
 
 def on_both_paths(search, g):
-    """search(g) with the clique search's root split forced on, then off;
-    an exhausted node budget counts as an outcome."""
+    """search(g) with the compiled kernels (where they load) and the
+    clique search's root split forced on, then with numpy and the unsplit
+    search, at any size; an exhausted node budget counts as an outcome."""
     out = []
     for threshold in (-1, 10**9):
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(clique, "KERNEL_MIN_VERTICES", threshold)
             mp.setattr(clique, "SPLIT_MIN_VERTICES", threshold)
             try:
                 out.append(search(g))
@@ -141,6 +144,14 @@ def require_compiled():
     """Skip the calling test where the compiled kernels cannot be built."""
     if native.kernel() is None:
         pytest.skip("no C compiler: the compiled kernels cannot be built")
+
+
+def require_cc():
+    """Skip the calling test, which builds a kernel library of its own,
+    where no cc is on PATH; require_compiled passes there whenever a
+    library is already in the cache."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
 
 
 def exit_code(fn, *args):

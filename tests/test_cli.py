@@ -1,5 +1,6 @@
 """End-to-end command line behaviour, exit codes, run manifests."""
 
+import collections
 import contextlib
 import csv
 import hashlib
@@ -13,8 +14,8 @@ import numpy as np
 import pytest
 
 import distlink
-from distlink import (DistanceMatrix, cli, core, graph, load_calibration, load_matrix, native,
-                      save_matrix, save_table)
+from distlink import (DistanceMatrix, cli, clique, core, graph, load_calibration, load_matrix,
+                      native, save_matrix, save_table)
 from distlink.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, SEED_ENV_VAR, main
 from distlink.datasets import (
     census_qi_distributions,
@@ -25,7 +26,7 @@ from distlink.datasets import (
     poets_target_matrix,
     poets_target_table,
 )
-from helpers import EXAMPLE_CITY_MATRIX, POETS_TRUE_MATCHES_1BASED, without_compiler
+from helpers import EXAMPLE_CITY_MATRIX, POETS_TRUE_MATCHES_1BASED, require_compiled, without_compiler
 
 
 @pytest.fixture
@@ -249,44 +250,81 @@ class TestAttack:
             out = tmp_path / f"matches_{compiled}.csv"
             argv = ["attack", "--qi", "gender,age_band", "--out", str(out), "--enumerate-ties",
                     "--calibration", str(tmp_path / "cal" / "calibration_sigma0.025.json"),
-                    "--alpha", "0.5"] + [arg for role in ("target", "ident")
-                                         for kind in ("table", "matrix")
-                                         for arg in (f"--{role}-{kind}", str(data / f"{role}_{kind}.csv"))]
+                    "--alpha", "0.5"] + _input_args(data)
             with contextlib.nullcontext() if compiled else without_compiler(tmp_path):
                 assert main(argv) == EXIT_OK
             outputs.append((out.read_bytes(), capsys.readouterr().out))
         assert outputs[0] == outputs[1] and "maximum cliques:" in outputs[0][1]
 
-    def test_small_runs_never_build_the_kernels(self, tmp_path, capsys):
-        """An attack the size of the benchmark's ties-small one (40 x 40,
-        gender only, --abs-eps 25, its tie pass) and a desk-grid simulate
-        (100/100 records, 3 x 3 cells) stay on numpy: neither asks for the
-        compiled kernels, so neither starts the compiler."""
+    def test_warm_up_attack_never_builds_the_kernels(self, tmp_path, capsys):
+        """An attack the size of the benchmark's warm-up (10 x 10 census
+        records, a product of 8 vertices) stays below
+        clique.KERNEL_MIN_VERTICES: it never asks for the compiled kernels,
+        so it never starts the compiler."""
         cache = tmp_path / "kernel-cache"
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(native, "KERNEL_CACHE", cache)
             native.kernel.cache_clear()
             try:
-                small, desk = tmp_path / "small", tmp_path / "desk"
-                small.mkdir()
-                desk.mkdir()
-                cfg = small_sim_config(small, n_target=40, n_ident=40, n_common=8,
-                                       sigma_grid=[0.1], qi_distributions="census", seed=1)
-                assert main(["gendata", "--config", str(cfg), "--out-dir", str(small)]) == EXIT_OK
-                argv = ["attack", "--qi", "gender", "--abs-eps", "25", "--enumerate-ties",
-                        "--out", str(small / "matches.csv")]
-                argv += [arg for role in ("target", "ident") for kind in ("table", "matrix")
-                         for arg in (f"--{role}-{kind}", str(small / f"{role}_{kind}.csv"))]
+                cfg = small_sim_config(tmp_path, n_target=10, n_ident=10, n_common=2,
+                                       sigma_grid=[0.025], qi_distributions="census", seed=1)
+                assert main(["gendata", "--config", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_OK
+                argv = ["attack", "--qi", "gender,age_band", "--abs-eps", "25",
+                        "--out", str(tmp_path / "matches.csv")] + _input_args(tmp_path)
                 assert main(argv) == EXIT_OK
-                cfg = small_sim_config(desk, n_target=100, n_ident=100, n_common=20,
-                                       sigma_grid=[0.005, 0.025, 0.05], alpha_grid=[0.3, 0.5, 0.9],
-                                       repetitions=1, qi_distributions="census", seed=3)
-                assert main(["simulate", "--config", str(cfg), "--out-dir", str(desk / "run"),
-                             "--threads", "1"]) == EXIT_OK
+                assert "product vertices: 8\n" in capsys.readouterr().out
                 assert native.kernel.cache_info().misses == 0
                 assert not cache.exists()
             finally:
                 native.kernel.cache_clear()
+
+    def test_small_runs_byte_identical_without_a_compiler(self, tmp_path, capsys):
+        """An attack the size of the benchmark's ties-small one (40 x 40,
+        gender only, --abs-eps 25, its tie pass; 810 product vertices) and
+        a desk-grid simulate (100/100 records, 3 x 3 cells, products of
+        about 500 to 760 vertices) take the compiled build and the split
+        search, being above clique.KERNEL_MIN_VERTICES; without a compiler
+        they take numpy and the unsplit search, with the same output bytes."""
+        require_compiled()
+        small = tmp_path / "small"
+        small.mkdir()
+        cfg = small_sim_config(small, n_target=40, n_ident=40, n_common=8,
+                               sigma_grid=[0.1], qi_distributions="census", seed=1)
+        assert main(["gendata", "--config", str(cfg), "--out-dir", str(small)]) == EXIT_OK
+        desk = small_sim_config(tmp_path, n_target=100, n_ident=100, n_common=20,
+                                sigma_grid=[0.005, 0.025, 0.05], alpha_grid=[0.3, 0.5, 0.9],
+                                repetitions=1, qi_distributions="census", seed=3)
+        capsys.readouterr()
+        outputs, taken = [], []
+        for compiled in (True, False):
+            out, run = tmp_path / f"matches_{compiled}.csv", tmp_path / f"run_{compiled}"
+            attack = ["attack", "--qi", "gender", "--abs-eps", "25", "--enumerate-ties",
+                      "--out", str(out)] + _input_args(small)
+            simulate = ["simulate", "--config", str(desk), "--out-dir", str(run), "--threads", "1"]
+            calls = collections.Counter()
+            with pytest.MonkeyPatch.context() as mp, \
+                    contextlib.nullcontext() if compiled else without_compiler(tmp_path):
+                for module, name in ((graph, "_product_csr"), (clique, "_root_split")):
+                    real = getattr(module, name)
+                    mp.setattr(module, name, lambda *args, name=name, real=real:
+                               calls.update([name]) or real(*args))
+                assert main(attack) == EXIT_OK
+                assert "product vertices: 810\n" in capsys.readouterr().out
+                assert main(simulate) == EXIT_OK
+            taken.append(dict(calls))
+            # the manifest records when the run started and finished
+            files = {f.name: f.read_bytes() for f in sorted(run.iterdir()) if f.name != "manifest.json"}
+            outputs.append((out.read_bytes(), files, capsys.readouterr().out.replace(str(run), "")))
+        # one attack and nine repetitions, each on the compiled path, then none
+        assert taken == [{"_product_csr": 10, "_root_split": 10}, {}]
+        assert outputs[0] == outputs[1] and "results.csv" in outputs[0][1]
+
+
+def _input_args(directory):
+    """The attack's --target-table ... --ident-matrix arguments for the
+    files gendata wrote to directory."""
+    return [arg for role in ("target", "ident") for kind in ("table", "matrix")
+            for arg in (f"--{role}-{kind}", str(directory / f"{role}_{kind}.csv"))]
 
 
 def _attack(capsys, argv):
@@ -372,10 +410,7 @@ class TestParallelMatrixLoad:
             out = tmp_path / f"matches{len(cpus)}.csv"
             _pinned_attack(["attack", "--qi", "gender,age_band", "--out", str(out),
                             "--calibration", str(tmp_path / "cal" / "calibration_sigma0.025.json"),
-                            "--alpha", "0.5"]
-                           + [arg for role in ("target", "ident") for kind in ("table", "matrix")
-                              for arg in (f"--{role}-{kind}", str(data / f"{role}_{kind}.csv"))],
-                           cpus)
+                            "--alpha", "0.5"] + _input_args(data), cpus)
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] and outputs[0].count(b"\n") > 10
 

@@ -5,7 +5,6 @@ import hashlib
 import itertools
 import multiprocessing
 import os
-import shutil
 import signal
 import subprocess
 import sys
@@ -40,6 +39,7 @@ from helpers import (
     inverted_row_colour_classes,
     on_both_paths,
     random_simple_graph,
+    require_cc,
     require_compiled,
     symmetric_key_sort_csr,
     without_compiler,
@@ -449,6 +449,31 @@ def _planted_clique_graph():
     return SimpleGraph.from_edges(n, edges), tuple(planted.tolist())
 
 
+#: the nodes max_clique and the tie pass resumed from it spend together,
+#: and the stable core (the vertices every maximum clique shares), on
+#: _tie_pass_graphs, as the tie pass with one branch call per root gave them
+TIE_PASS_RESULTS = [
+    (470, ()), (459, ()), (474, ()), (67, ()), (65, ()),
+    (460, (6, 8, 16, 20, 24, 35, 38, 55, 70, 71, 73)), (53, (9, 11, 14, 15, 16, 19, 20)),
+    (79, ()), (419, (29, 50, 66)),
+]
+
+
+def _tie_pass_graphs():
+    """The three tie products, then SEARCH_RESULTS' graphs."""
+    return ([gender_tie_product(seed) for seed, *_ in TIE_PRODUCT_RESULTS]
+            + [random_simple_graph(np.random.default_rng(seed), n, p) for seed, n, p, *_ in SEARCH_RESULTS])
+
+
+def _recorded_searches():
+    """(vertices, nodes, number of maximum cliques, first one) recorded
+    for each of _tie_pass_graphs."""
+    return ([(vertices, nodes, n_maximum, first)
+             for _, _, _, _, vertices, nodes, n_maximum, first, _ in TIE_PRODUCT_RESULTS]
+            + [(vertices, nodes, n_maximum, first)
+               for _, _, _, vertices, nodes, n_maximum, first in SEARCH_RESULTS])
+
+
 class TestResumedTiePass:
     """The tie pass resumed from max_clique's search against the keep-ties
     search from the empty clique, which stays as its oracle."""
@@ -506,6 +531,52 @@ class TestResumedTiePass:
             with pytest.raises(ResourceBudgetError):
                 enumerate_maximum_cliques(g, budget, r)
 
+    @pytest.mark.parametrize("chunk", [3, 128])
+    def test_batched_tie_pass_on_both_paths(self, monkeypatch, chunk):
+        # the split tie pass takes its roots chunk at a time: the same
+        # cliques, stable core and node counts as the unsplit numpy search
+        monkeypatch.setattr(clique, "CHUNK", chunk)
+
+        def outcome(g):
+            r = max_clique(g)
+            found = enumerate_maximum_cliques(g, clique=r)
+            core = tuple(sorted(set.intersection(*map(set, found))))
+            return r.vertices, r.nodes_explored, found, core, r._search.resumed(10**8).nodes
+
+        for g, (vertices, nodes, n_maximum, first), (total, core) in zip(
+                _tie_pass_graphs(), _recorded_searches(), TIE_PASS_RESULTS):
+            split, unsplit = on_both_paths(outcome, g)
+            assert split == unsplit
+            assert split[:2] == (vertices, nodes) and (len(split[2]), split[2][0]) == (n_maximum, first)
+            assert split[3:] == (core, total)
+
+    def test_budget_below_the_tie_pass_total_on_both_paths(self, monkeypatch):
+        # chunks of 3 roots, so that a budget runs out inside a chunk
+        # whose bounds and edges are already computed
+        monkeypatch.setattr(clique, "CHUNK", 3)
+        for g, (total, _) in zip(_tie_pass_graphs(), TIE_PASS_RESULTS):
+            nodes = max_clique(g).nodes_explored
+            for budget in sorted({total, total - 1, total - 2, total - 5, (nodes + total) // 2,
+                                  nodes + 1, nodes}):
+                outcomes = on_both_paths(lambda g: enumerate_maximum_cliques(g, budget), g)
+                assert outcomes == [outcomes[0]] * 2
+                assert (outcomes[0] is ResourceBudgetError) == (budget < total)
+
+    def test_tie_pass_calls_branches_once_per_chunk(self, monkeypatch):
+        require_compiled()
+        kernel = native.kernel()
+        monkeypatch.setattr(clique, "KERNEL_MIN_VERTICES", -1)
+        for g in _tie_pass_graphs()[:3]:
+            search = _Search(g, 10**8)
+            assert search.adj is not None  # split
+            roots = len(list(itertools.groupby(t[0] for t in search.ties)))
+            for chunk in (7, 128):
+                monkeypatch.setattr(clique, "CHUNK", chunk)
+                counting = _CountingKernel(kernel)
+                monkeypatch.setattr(native, "kernel", lambda: counting)
+                search.resumed(10**8)
+                assert counting.calls == -(-roots // chunk) < roots
+
 
 def _special_graphs():
     yield SimpleGraph.from_edges(0, [])
@@ -546,6 +617,22 @@ class TestRootSplit:
             assert (r.vertices, r.nodes_explored) == (vertices, nodes)
             found = enumerate_maximum_cliques(g)
             assert (len(found), found[0]) == (n_maximum, first)
+
+    def test_split_follows_the_kernel_floor(self, monkeypatch, tmp_path):
+        # with the kernels, split above KERNEL_MIN_VERTICES, the floor the
+        # product build shares; without them, above SPLIT_MIN_VERTICES only
+        require_compiled()
+        g = gender_tie_product(1)
+        assert clique.KERNEL_MIN_VERTICES < g.n <= clique.SPLIT_MIN_VERTICES
+        assert _Search(g, 10**8).adj is not None
+        for floor, split in ((g.n, False), (g.n - 1, True)):
+            monkeypatch.setattr(clique, "KERNEL_MIN_VERTICES", floor)
+            assert (_Search(g, 10**8).adj is not None) == split
+        monkeypatch.undo()
+        with without_compiler(tmp_path):
+            assert _Search(g, 10**8).adj is None
+            monkeypatch.setattr(clique, "SPLIT_MIN_VERTICES", g.n - 1)
+            assert _Search(g, 10**8).adj is not None
 
     def test_wide_sparse_graph_with_planted_clique(self):
         g, planted = _planted_clique_graph()
@@ -803,6 +890,9 @@ class _CountingKernel:
     def __init__(self, kernel):
         self.kernel, self.calls = kernel, 0
 
+    def __getattr__(self, name):
+        return getattr(self.kernel, name)
+
     def branches(self, *args):
         self.calls += 1
         return self.kernel.branches(*args)
@@ -900,7 +990,7 @@ class TestKernelBuild:
         assert not any((tmp_path / "kernel-cache").iterdir())  # the failed build left no file
 
     def test_racing_builds_leave_one_library(self, tmp_path):
-        require_compiled()
+        require_cc()
         fork = multiprocessing.get_context("fork")
         barrier = fork.Barrier(2)
 
@@ -920,7 +1010,7 @@ class TestKernelBuild:
 
     @pytest.mark.parametrize("keep", [0, 64, 0.5, -1])
     def test_damaged_library_is_rebuilt(self, tmp_path, keep):
-        require_compiled()
+        require_cc()
         # built and damaged where this process never maps it: a damaged
         # library mapped by the loader can crash the process
         assert exit_code(native.load_kernel, tmp_path) == 0
@@ -931,7 +1021,7 @@ class TestKernelBuild:
         assert lib.read_bytes() == data
 
     def test_damaged_library_without_compiler_falls_back(self, tmp_path):
-        require_compiled()
+        require_cc()
         cache = tmp_path / "kernel-cache"
         assert exit_code(native.load_kernel, cache) == 0
         lib, = cache.iterdir()
@@ -948,7 +1038,7 @@ class TestKernelBuild:
 
     def test_compile_command_is_part_of_the_library_name(self, tmp_path, monkeypatch):
         # a change to the flags alone must not load a library built without them
-        require_compiled()
+        require_cc()
         assert exit_code(native.load_kernel, tmp_path) == 0
         first, = tmp_path.iterdir()
         monkeypatch.setattr(native, "COMPILE", native.COMPILE + ("-DNDEBUG",))
@@ -958,8 +1048,7 @@ class TestKernelBuild:
     def test_source_compiles_without_warnings(self, tmp_path):
         # a warning can hide a wrong result: an implicitly declared function
         # compiles with one under GCC 12 and returns garbage
-        if shutil.which("cc") is None:
-            pytest.skip("no C compiler")
+        require_cc()
         run = subprocess.run([*native.COMPILE, "-Wall", "-Wextra", "-Werror", "-o",
                               str(tmp_path / "kernel.so"), str(native.KERNEL_SOURCE)],
                              capture_output=True, text=True)
@@ -971,8 +1060,7 @@ class TestKernelBuild:
         preloaded, on graphs whose last vertices in degree order are
         isolated among others: an access out of a buffer's bounds fails
         this test."""
-        if shutil.which("cc") is None:
-            pytest.skip("no C compiler")
+        require_cc()
         runtime = subprocess.run(["cc", "-print-file-name=libasan.so"], capture_output=True,
                                  text=True).stdout.strip()
         if not os.path.isabs(runtime):

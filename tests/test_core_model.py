@@ -45,6 +45,7 @@ from helpers import (
     EXAMPLE_CITY_MATRIX,
     exit_code,
     random_points,
+    require_cc,
     require_compiled,
     row_loop_distance_matrix,
     scalar_great_circle_km,
@@ -858,8 +859,7 @@ class TestCompiledMatrixReader:
         float() does, in a forked child, so that a finding fails this test
         and not the test run."""
         flags = ("-fsanitize=undefined", "-fno-sanitize-recover=all")
-        if shutil.which("cc") is None:
-            pytest.skip("no C compiler")
+        require_cc()
         probe = subprocess.run([*native.COMPILE, *flags, "-o", str(tmp_path / "probe.so"), "-x", "c", "-"],
                                input="int probe(void) { return 0; }\n", capture_output=True, text=True)
         if probe.returncode != 0:
@@ -868,7 +868,7 @@ class TestCompiledMatrixReader:
 
     def test_reader_without_128_bit_integers(self, tmp_path, monkeypatch):
         # where the compiler has no 128-bit integers, strtod converts every field
-        require_compiled()
+        require_cc()
         assert _adversarial_exit_code(tmp_path, monkeypatch, ("-U__SIZEOF_INT128__",)) == 0
 
     def test_large_plain_file_takes_the_compiled_reader(self, tmp_path, monkeypatch):
