@@ -8,7 +8,7 @@ clique, and read the clique's vertices off as record matches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .clique import DEFAULT_NODE_BUDGET, CliqueResult, enumerate_maximum_cliques, max_clique
@@ -48,6 +48,8 @@ class AttackReport:
 
     match_list: MatchList
     product_vertex_count: int
+    #: max_clique's result without its search, whose forward lists would
+    #: take 8 bytes a product edge for as long as the report is kept
     clique: CliqueResult
     product: ProductGraph
     #: intersection of all maximum cliques, as matches; only filled when
@@ -99,4 +101,5 @@ def run_attack(
             common &= set(other)
         core = _matches_from_vertices(product, sorted(common))
         stable_core = MatchList(core.matches, match_list.distance_supported)
-    return AttackReport(match_list, product.n, clique, product, stable_core, n_maximum)
+    return AttackReport(match_list, product.n, replace(clique, _search=None), product,
+                        stable_core, n_maximum)

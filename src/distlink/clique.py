@@ -11,13 +11,14 @@ there, keeping ties, and so enumerates every maximum clique without
 searching again from the empty clique.  A node budget turns runaway
 instances into an explicit error instead of a silent heuristic answer.
 
-Graphs with more than KERNEL_MIN_VERTICES vertices are split at the
-root where the compiled kernels load, and without them only above
-SPLIT_MIN_VERTICES, below which the numpy split costs more than it saves
-(the ego-network reduction of Chang, KDD 2019).  One pass over the CSR
-rows, a block at a time, colours the root first-fit, which gives the
-colours of the class-by-class colouring and so the same root order, and
-hands each edge to its end swept first.  Each root branch v then
+A graph is split at the root where native.kernel_for its vertex count
+gives the compiled kernels, as for the matrix reader and the product
+build, and without them only above SPLIT_MIN_VERTICES, below which the
+numpy split costs more than it saves (the ego-network reduction of
+Chang, KDD 2019).  One pass over the CSR rows, a block at a time,
+colours the root first-fit, which gives the colours of the
+class-by-class colouring and so the same root order, and hands each
+edge to its end swept first.  Each root branch v then
 searches only the candidates it would have had (v's neighbours not yet
 swept) on local bitsets |S| bits wide instead of |V|, with ids in
 ascending global order, so colourings, pruning, node counts and the
@@ -32,14 +33,13 @@ ahead, a chunk at a time in sweep order (fan_out, which also spreads the
 simulation grid), while the search, its incumbent and its node count
 stay in one process, so every result is the one-CPU result.
 
-The root level runs as C (_kernel.c, through distlink.native), built on
-the first graph above KERNEL_MIN_VERTICES unless the matrix reader has
-built it; the floor only spares a graph of a few records the one-time
-compile.  The kernels give the first-fit colouring, one scan of each
-row; the branches' bounds and edges, up to CHUNK branches per call,
-whose bounds the sweep walks as Python ints, so that a branch its bound
-cuts costs only that test, and which the tie pass takes a chunk at a
-time too; and each searched branch's first colouring, class by class on
+The root level runs as C (_kernel.c, through distlink.native), which the
+search asks for once and hands to the root split and the branches.  The
+kernels give the first-fit colouring, one scan of each row; the
+branches' bounds and edges, up to CHUNK branches per call, whose bounds
+the sweep walks as Python ints, so that a branch its bound cuts costs
+only that test, and which the tie pass takes a chunk at a time too;
+and each searched branch's first colouring, class by class on
 64-bit words, which most branches end at with a tie cut, so that their
 bitset rows are built only where that colouring lets them spend a node.
 Without a compiler, or when the build or the load fails, the numpy code
@@ -68,12 +68,6 @@ from .errors import InputFormatError, ResourceBudgetError
 
 DEFAULT_NODE_BUDGET = 10**8
 
-#: graphs with more vertices than this take the compiled kernels, for the
-#: product build and the search alike, and with them are searched split at
-#: the root: the kernels are faster at every size, but the first use
-#: compiles them, which a handful of records must not pay for
-KERNEL_MIN_VERTICES = 256
-
 #: without the kernels, graphs with more vertices than this are searched
 #: split at the root; below it the per-branch gathers in numpy cost more
 #: than narrow big-int masks
@@ -88,12 +82,6 @@ CHUNK = 128
 #: chunks of CHUNK root branches the sweep computes itself before it forks
 #: workers for the rest: a shorter sweep costs less than starting them
 LAZY_CHUNKS = 64
-
-
-def kernel_for(n: int):
-    """native.kernel() for a graph of n vertices above KERNEL_MIN_VERTICES,
-    else None: the one choice of the product build and the search."""
-    return native.kernel() if n > KERNEL_MIN_VERTICES else None
 
 
 class SimpleGraph:
@@ -291,15 +279,15 @@ class _Branches:
     among them, which bounds its greedy colour.  chunk gives them for a run
     of branches in one format, for the sweep and its workers alike, and
     colour a searched branch's first colouring.  The compiled kernels
-    compute them where they load; the numpy code is their oracle."""
+    compute them where kernel is given; the numpy code is their oracle."""
 
-    def __init__(self, indptr: np.ndarray, adj: np.ndarray) -> None:
+    def __init__(self, indptr: np.ndarray, adj: np.ndarray, kernel) -> None:
         self.indptr = indptr = np.ascontiguousarray(indptr, np.int64)
         self.adj = adj = np.ascontiguousarray(adj, np.int64)
         self.fdeg = np.diff(indptr)
         top = int(self.fdeg.max(initial=0))
-        self.kernel = native.kernel()
-        if self.kernel is None:
+        self.kernel = kernel
+        if kernel is None:
             self.mark = np.zeros(len(self.fdeg), np.int64)
             # a gather takes at most min(top**2, |adj|) entries
             self.ramp = np.arange(min(top * top, len(adj)) + top + 1)
@@ -314,10 +302,8 @@ class _Branches:
         self.outputs = [a.ctypes.data for a in self.edges]
         self.scratch = [a.ctypes.data for a in (self.rows, *self.pairs)]
 
-    def __call__(self, v: int) -> tuple:
-        if self.kernel is not None:
-            (bound,), _, a, b = self.chunk([v])
-            return bound, a, b
+    def _numpy_branch(self, v: int) -> tuple:
+        """Branch v's (bound, a, b) in numpy."""
         cand = self.adj[self.indptr[v]:self.indptr[v + 1]]
         lens = self.fdeg[cand]
         ends = np.cumsum(lens)
@@ -339,7 +325,7 @@ class _Branches:
         kernel takes as many branches per call as its edge buffer surely
         holds, all of vs unless they are dense."""
         if self.kernel is None:
-            bounds, a, b = zip(*map(self, vs))
+            bounds, a, b = zip(*map(self._numpy_branch, vs))
             return (list(bounds), np.cumsum([len(x) for x in a]).tolist(),
                     np.concatenate(a, dtype=np.int32), np.concatenate(b, dtype=np.int32))
         vs = np.array(vs, np.int64)
@@ -440,7 +426,8 @@ def _branch_stream(branch: _Branches, sweep: list):
     yield from fan_out(branch.chunk, chunks[LAZY_CHUNKS:], len(chunks))
 
 
-def _root_split(g: SimpleGraph, order: np.ndarray, pos: np.ndarray, block: int = 256) -> tuple:
+def _root_split(g: SimpleGraph, order: np.ndarray, pos: np.ndarray, kernel,
+                block: int = 256) -> tuple:
     """The root level of the search on g relabelled so that vertex i is
     g's order[i] (pos inverts order): the sweep order (colour descending,
     then index descending, as expand takes its candidates), each swept
@@ -449,8 +436,8 @@ def _root_split(g: SimpleGraph, order: np.ndarray, pos: np.ndarray, block: int =
     starts with.  The indices are int64: the sweep indexes with them,
     int32 costs casts.
 
-    The compiled kernel, or else _first_fit, colours first-fit and emits
-    the CSR keys.  Each vertex takes the least colour c >= 1 that no
+    kernel's root_colour, or without it _first_fit, colours first-fit and
+    emits the CSR keys.  Each vertex takes the least colour c >= 1 that no
     lower neighbour has: _colour_classes' colours on the whole vertex set
     with kmin <= 0, since a class takes vertices in ascending order and
     so refuses a vertex colour c exactly when a lower neighbour holds c.
@@ -459,7 +446,6 @@ def _root_split(g: SimpleGraph, order: np.ndarray, pos: np.ndarray, block: int =
     higher colour is swept first, so it lists the other.  One sort of the
     |E| keys gives the CSR.
     """
-    kernel = native.kernel()
     if kernel is None:
         colour, key = _first_fit(g, order, pos, block)
     else:
@@ -515,8 +501,9 @@ def _first_fit(g: SimpleGraph, order: np.ndarray, pos: np.ndarray, block: int) -
 
 class _Search:
     """Branch-and-bound over a degree-sorted copy of the graph, run on
-    construction; split at the root where kernel_for gives the compiled
-    kernels, and without them above SPLIT_MIN_VERTICES vertices.
+    construction; split at the root where native.kernel_for gives the
+    compiled kernels, which it then runs on, and without them above
+    SPLIT_MIN_VERTICES vertices.
 
     best_masks holds the cliques of size best_size the search met, starting
     from the empty clique, the first one found first; with keep_ties they
@@ -542,8 +529,9 @@ class _Search:
         #: its root node is still to spend) for a root branch to search whole
         self.ties = []
         self.root = self.adj = None
-        if g.n > SPLIT_MIN_VERTICES or kernel_for(g.n) is not None:
-            self._sweep(*_root_split(g, order, pos))
+        self.kernel = native.kernel_for(g.n)
+        if self.kernel is not None or g.n > SPLIT_MIN_VERTICES:
+            self._sweep(*_root_split(g, order, pos, self.kernel))
         else:
             x, y = g.edge_array()
             self.rows = bitset_rows(g.n, pos[x], pos[y])
@@ -602,7 +590,7 @@ class _Search:
         here, and a branch its bound cuts costs no more than that test."""
         self.indptr, self.adj = indptr, adj
         roots = zip(sweep, colours)
-        branch = _Branches(indptr, adj)
+        branch = _Branches(indptr, adj, self.kernel)
         with contextlib.closing(_branch_stream(branch, sweep)) as chunks:
             for bounds, ends, a, b in chunks:
                 for bound, start, end in zip(bounds, [0] + ends, ends):
@@ -671,7 +659,7 @@ class _Search:
             for _, size, mask, cand, top in self.ties:
                 tie.expand(self.rows, self.outs, size, mask, cand, iter(top))
         elif self.ties:
-            branch = _Branches(self.indptr, self.adj)
+            branch = _Branches(self.indptr, self.adj, self.kernel)
             groups = [(v, list(group))
                       for v, group in itertools.groupby(self.ties, operator.itemgetter(0))]
             # the roots' bounds and edges a chunk of CHUNK roots at a time, as _sweep takes them

@@ -6,11 +6,12 @@ so off-diagonal zeros are allowed (two records may sit at the same
 location) and the triangle inequality is never checked (published
 matrices may have been perturbed).
 
-A matrix file over COMPILED_MATRIX_BYTES is parsed by the compiled reader
-(distlink.native), which takes only plain decimal rows, converts almost
-every field exactly in integer arithmetic and the rest with strtod, and
-hands any other file to numpy's reader and the csv path, with the same
-entries and every error message unchanged.
+A matrix file of n records is parsed by the compiled reader where
+native.kernel_for(n * n) gives the kernels, as for the product build and
+the search.  It takes only plain decimal rows, converts almost every
+field exactly in integer arithmetic and the rest with strtod, and hands
+any other file to numpy's reader and the csv path, with the same entries
+and every error message unchanged.
 
 All great-circle geometry goes through one array kernel, _great_circle_km.
 Its arccos stays math.acos, applied over a plain list of the clamped
@@ -37,10 +38,6 @@ EARTH_RADIUS_KM = 6371.0
 # column names reserved for coordinates in microdata CSV files
 LON_COLUMN = "lon"
 LAT_COLUMN = "lat"
-
-#: matrix files larger than this are parsed by the compiled reader; smaller
-#: ones never start the compiler
-COMPILED_MATRIX_BYTES = 1 << 20
 
 #: upper-triangle pairs per kernel call of distance_matrix; a longer row
 #: gets a call of its own
@@ -291,17 +288,21 @@ def save_table(table: MicrodataTable, path) -> None:
 
 
 def load_matrix(path) -> DistanceMatrix:
-    """Read a headerless CSV of n rows times n decimal values: a file over
-    COMPILED_MATRIX_BYTES with the compiled reader, other plain decimal
-    files with numpy's C reader, and any file either refuses or fails on
-    (and so every error message) with _load_matrix_csv."""
+    """Read a headerless CSV of n rows times n decimal values, n counted
+    on the first line: with the compiled reader where native.kernel_for(n
+    * n) gives it, other plain decimal files with numpy's C reader, and any
+    file either refuses or fails on (and so every error message) with
+    _load_matrix_csv."""
     path = Path(path)
     data = path.read_bytes()
-    if len(data) > COMPILED_MATRIX_BYTES:
-        entries = _read_compiled(data)
-        if entries is not None:
-            del data  # before the checks' temporaries
-            return DistanceMatrix(entries)
+    eol = data.find(b"\n")
+    n = data.count(b",", 0, eol if eol >= 0 else len(data)) + 1
+    # a file too short for n * n fields and their separators never starts the compiler
+    kernel = native.kernel_for(n * n) if 2 * n * n - 1 <= len(data) else None
+    entries = None if kernel is None else _read_compiled(kernel, data, n)
+    if entries is not None:
+        del data  # before the checks' temporaries
+        return DistanceMatrix(entries)
     # on these bytes np.loadtxt splits and converts fields exactly as
     # csv.reader and float() do, up to the csv field limit
     plain = (data.strip(b"\r\n") and not data.translate(None, b"0123456789.,+-eE \t\r\n")
@@ -317,23 +318,16 @@ def load_matrix(path) -> DistanceMatrix:
     return _load_matrix_csv(path)
 
 
-def _read_compiled(data: bytes) -> Optional[np.ndarray]:
-    """The square matrix in data by the compiled reader, or None where it
-    cannot be built or refuses the bytes.  It takes only n rows of n
-    comma-separated plain decimals, each field within the csv field
-    limit, ending in LF or CRLF, in a locale whose decimal point is '.'.
-    A field of at most 19 significant digits and a decimal exponent
-    within +-27 is converted exactly in integer arithmetic, any other
-    with strtod, each correctly rounded as float() is: its entries are
-    csv.reader's and float()'s.  data must be bytes, whose trailing NUL
-    stops the reader's scan."""
-    kernel = native.kernel()
-    if kernel is None:
-        return None
-    eol = data.find(b"\n")
-    n = data.count(b",", 0, eol if eol >= 0 else len(data)) + 1
-    if 2 * n * n - 1 > len(data):  # too short for n * n fields and their separators
-        return None
+def _read_compiled(kernel, data: bytes, n: int) -> Optional[np.ndarray]:
+    """The n x n matrix in data by kernel's reader, or None where it
+    refuses the bytes.  It takes only n rows of n comma-separated plain
+    decimals, each field within the csv field limit, ending in LF or CRLF,
+    in a locale whose decimal point is '.'.  A field of at most 19
+    significant digits and a decimal exponent within +-27 is converted
+    exactly in integer arithmetic, any other with strtod, each correctly
+    rounded as float() is: its entries are csv.reader's and float()'s.
+    data must be bytes, whose trailing NUL stops the reader's scan, and
+    long enough for n * n fields, as load_matrix checks."""
     entries = np.empty((n, n))
     if kernel.read_matrix(data, len(data), n, csv.field_size_limit(), entries.ctypes.data):
         return None

@@ -8,17 +8,16 @@ and its edges connect pairs whose distances agree up to the one
 approximate-equality relation, an open band on the signed deviation
 (QuantileBand; Absolute(eps) is its symmetric case).  The product comes
 out of one sorted interval join as a CSR SimpleGraph, after a guard has
-checked that the join's candidate edges fit in physical memory.  Above
-KERNEL_MIN_VERTICES vertices (clique.kernel_for, the search's choice
-too) the compiled kernels (distlink.native) run the join on record pairs
-grouped by label pair and sorted by weight, write each row's upper
-neighbours straight into the CSR and order the rows by transposing in
-place, so the CSR's int32 indices are the peak.  The floor only spares a
-product of a few records the kernels' one-time compile.  Smaller
-products, and every product without a compiler, take the numpy join, the
-compiled build's oracle: it expands the candidates a block at a time
-into the int64 edge keys that csr_graph sorts in place, so those keys
-and the CSR's indices are its peak.  Graphs with absent edges are test
+checked that the join's candidate edges fit in physical memory.  Where
+native.kernel_for gives the compiled kernels for the product's vertex
+count, as for the matrix reader and the search, they run the join on
+record pairs grouped by label pair and sorted by weight, write each row's
+upper neighbours straight into the CSR and order the rows by transposing
+in place, so the CSR's int32 indices are the peak.  Smaller products, and
+every product without a compiler, take the numpy join, the compiled
+build's oracle: it expands the candidates a block at a time into the
+int64 edge keys that csr_graph sorts in place, so those keys and the
+CSR's indices are its peak.  Graphs with absent edges are test
 references, in distlink.oracles.
 """
 
@@ -31,7 +30,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .clique import BLOCK, SimpleGraph, csr_graph, kernel_for
+from . import native
+from .clique import BLOCK, SimpleGraph, csr_graph
 from .core import DistanceMatrix, MicrodataTable
 from .errors import InputFormatError, SizeLimitError
 
@@ -126,10 +126,13 @@ def Absolute(epsilon: float) -> QuantileBand:
 
 
 def _pair_columns(target_labels: Sequence[VertexLabel], ident_labels: Sequence[VertexLabel]) -> tuple:
-    """(pv, pw, t_lab, i_lab, k): the label-equal (target, ident) pairs in
-    lexicographic order as two int64 columns, the one enumeration of the
-    product's vertices, and each record's label as its index among the k
-    labels both sides share, in sorted order, or -1 if only one side has it."""
+    """(pv, pw, base, rank, t_lab, i_lab, k): the label-equal (target,
+    ident) pairs in lexicographic order as two int64 columns, the one
+    enumeration of the product's vertices, which numbers vertex (v, w)
+    base[v] + rank[w]: base[v] is v's first pair, rank[w] the offset of w
+    within each of those runs, both int32; and each record's label as its
+    index among the k labels both sides share, in sorted order, or -1 if
+    only one side has it."""
     common = {lab: k for k, lab in enumerate(sorted(set(target_labels) & set(ident_labels)))}
     t_lab, i_lab = (np.array([common.get(lab, -1) for lab in labels], dtype=np.int64)
                     for labels in (target_labels, ident_labels))
@@ -138,7 +141,11 @@ def _pair_columns(target_labels: Sequence[VertexLabel], ident_labels: Sequence[V
     lens = np.where(t_lab >= 0, hi - lo, 0)
     ends = np.cumsum(lens)
     pv = np.repeat(np.arange(len(t_lab)), lens)
-    return pv, by_label[np.arange(len(pv)) + np.repeat(lo + lens - ends, lens)], t_lab, i_lab, len(common)
+    base = (ends - lens).astype(np.int32)
+    pw = by_label[np.arange(len(pv)) + np.repeat(lo - base, lens)]
+    rank = np.zeros(len(i_lab), np.int32)
+    rank[pw] = np.arange(len(pv)) - base[pv]
+    return pv, pw, base, rank, t_lab, i_lab, len(common)
 
 
 class ProductGraph:
@@ -179,17 +186,13 @@ def _product_edges_join(
     lo < fl(s - t) implies s - t > lo, hence s >= fl(t + lo); likewise
     s <= fl(t + hi).  rel.deviation_mask then decides every candidate, so
     the edge set is the scalar loop's.  Vertex (v, w) is number base[v] +
-    rank[w]: base[v] is v's first pair, rank[w] the offset of w within
-    each of those runs, so v1 < v2 gives x < y and every edge comes out
-    once.  Candidates are expanded about BLOCK at a time into one key
-    array sized for all of them.
+    rank[w], so v1 < v2 gives x < y and every edge comes out once.
+    Candidates are expanded about BLOCK at a time into one key array sized
+    for all of them.
     """
-    pv, pw, t_lab, i_lab, n_common = columns or _pair_columns(target.labels, ident.labels)
+    pv, pw, base, rank, t_lab, i_lab, n_common = columns or _pair_columns(target.labels, ident.labels)
     # int32 ids: |V| <= n_target * n_ident, far below 2**31 at any size that fits
     tv, iw = (np.flatnonzero(lab >= 0).astype(np.int32) for lab in (t_lab, i_lab))
-    base = np.searchsorted(pv, np.arange(len(t_lab))).astype(np.int32)
-    rank = np.zeros(len(i_lab), np.int32)
-    rank[pw] = np.arange(len(pv)) - base[pv]
 
     w1, w2 = (iw[k] for k in np.triu_indices(len(iw), 1))
     s_order = np.argsort(ident.weights.entries[w1, w2])
@@ -305,11 +308,8 @@ def _product_csr(kernel, target: LabeledWeightedGraph, ident: LabeledWeightedGra
     unsorted, into the CSR.  csr_order then sorts the rows by transposing
     in place.  Only the CSR and the pairs, about 8 bytes an edge and 16 a
     pair, are live at the peak."""
-    pv, pw, t_lab, i_lab, k = columns
+    pv, pw, base, rank, t_lab, i_lab, k = columns
     n = len(pv)
-    base = np.searchsorted(pv, np.arange(len(t_lab))).astype(np.int32)
-    rank = np.zeros(len(i_lab), np.int32)
-    rank[pw] = np.arange(n) - base[pv]
     pairs = (_label_pair_groups(kernel, t_lab, target.weights.entries, base, k)
              + _label_pair_groups(kernel, i_lab, ident.weights.entries, rank, k))
     join = functools.partial(kernel.join, k, *(x.ctypes.data for x in pairs),
@@ -332,14 +332,13 @@ def build_product_graph(
     rel,
 ) -> ProductGraph:
     """Construct the product graph of two complete labelled weighted graphs:
-    above KERNEL_MIN_VERTICES vertices, where the clique search takes the
-    compiled kernels too, with the compiled build, else (or without a
-    compiler) with _product_edges_join and csr_graph, its oracle."""
+    with the compiled build where native.kernel_for its vertex count gives
+    the kernels, else with _product_edges_join and csr_graph, its oracle."""
     if target.label_arity != ident.label_arity:
         raise InputFormatError("graphs were built with different qi schemas")
     columns = _pair_columns(target.labels, ident.labels)
     pv, pw = columns[:2]
-    kernel = kernel_for(len(pv))
+    kernel = native.kernel_for(len(pv))
     # the graph first: the vertex tuples would raise the build's peak
     if kernel is not None:
         graph = _product_csr(kernel, target, ident, rel, columns)

@@ -13,9 +13,11 @@ loader could map and crash on, is found and rebuilt.  Without a compiler,
 or when the build or the load fails, kernel() is None and every caller
 runs its numpy code, with the same results; that code stays as the
 kernels' oracle.  The kernels are faster than numpy at every size
-measured; callers reach them only above a floor (matrix files over
-core.COMPILED_MATRIX_BYTES, graphs over clique.KERNEL_MIN_VERTICES), so
-that an input of a few records never pays the one-time compile.
+measured, but callers reach them only through kernel_for, the one choice
+between the two: above KERNEL_MIN_SIZE, for a product's vertex count and
+for a matrix file's n * n entries (the most product vertices two n-record
+files can make) alike, so that an input of a few records never pays the
+one-time compile.
 """
 
 from __future__ import annotations
@@ -32,6 +34,15 @@ KERNEL_CACHE = Path(__file__).with_name("__pycache__")
 
 #: the compile command, less its output and source paths
 COMPILE = ("cc", "-O2", "-shared", "-fPIC")
+
+#: inputs of more than this size take the compiled kernels: a matrix file
+#: of n records counts n * n, a graph its vertices
+KERNEL_MIN_SIZE = 256
+
+
+def kernel_for(size: int):
+    """kernel() for an input of size above KERNEL_MIN_SIZE, else None."""
+    return kernel() if size > KERNEL_MIN_SIZE else None
 
 
 @functools.cache

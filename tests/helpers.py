@@ -131,7 +131,7 @@ def on_both_paths(search, g):
     out = []
     for threshold in (-1, 10**9):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(clique, "KERNEL_MIN_VERTICES", threshold)
+            mp.setattr(native, "KERNEL_MIN_SIZE", threshold)
             mp.setattr(clique, "SPLIT_MIN_VERTICES", threshold)
             try:
                 out.append(search(g))
@@ -144,6 +144,24 @@ def require_compiled():
     """Skip the calling test where the compiled kernels cannot be built."""
     if native.kernel() is None:
         pytest.skip("no C compiler: the compiled kernels cannot be built")
+
+
+class CountingKernel:
+    """A kernel library that counts the calls of its function name."""
+
+    def __init__(self, kernel, name):
+        self.kernel, self.name, self.calls = kernel, name, 0
+
+    def __getattr__(self, name):
+        fn = getattr(self.kernel, name)
+        if name != self.name:
+            return fn
+
+        def counted(*args):
+            self.calls += 1
+            return fn(*args)
+
+        return counted
 
 
 def require_cc():

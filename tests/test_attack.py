@@ -1,5 +1,7 @@
 """Matching attack pipeline, witness enumeration, clique correspondence."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,10 @@ from distlink import (
     SizeLimitError,
     build_graph,
     build_product_graph,
+    clique,
     distance_matrix,
+    enumerate_maximum_cliques,
+    max_clique,
     run_attack,
 )
 from distlink.datasets import (
@@ -67,6 +72,29 @@ class TestRunAttack:
             assert report.stable_core.matches == tuple(sorted(report.product.vertices[v]
                                                               for v in common))
         assert reports[0].stable_core == reports[1].stable_core
+
+    def test_kept_report_holds_no_forward_lists(self, monkeypatch):
+        # the split search's forward lists (8 bytes a product edge) die
+        # with the attack; max_clique's own result keeps them for the tie pass
+        lists = []
+        real = clique._root_split
+
+        def root_split(*args):
+            split = real(*args)
+            lists.append(weakref.ref(split[3]))
+            return split
+
+        monkeypatch.setattr(clique, "_root_split", root_split)
+        monkeypatch.setattr(clique, "SPLIT_MIN_VERTICES", -1)
+        (tt, tm), (it, im) = gender_tie_pair(1)
+        for enumerate_ties in (False, True):
+            report = run_attack(tt, tm, it, im, Absolute(25.0), enumerate_ties=enumerate_ties)
+            assert len(lists) == 1 + enumerate_ties and lists[-1]() is None
+            assert report.clique._search is None and report.clique.size > 1
+        g = report.product.graph
+        kept = max_clique(g)
+        assert lists[-1]() is not None
+        assert len(enumerate_maximum_cliques(g, clique=kept)) == report.maximum_clique_count == 3
 
     def test_matches_subset_of_classical_linkage(self):
         report = poets_attack()

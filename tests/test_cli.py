@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import distlink
-from distlink import (DistanceMatrix, cli, clique, core, graph, load_calibration, load_matrix,
+from distlink import (DistanceMatrix, cli, clique, graph, load_calibration, load_matrix,
                       native, save_matrix, save_table)
 from distlink.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, SEED_ENV_VAR, main
 from distlink.datasets import (
@@ -244,7 +244,7 @@ class TestAttack:
         assert main(["gendata", "--config", str(cfg), "--out-dir", str(data)]) == EXIT_OK
         assert main(["calibrate", "--sigma", "0.025", "--out-dir", str(tmp_path / "cal")]) == EXIT_OK
         capsys.readouterr()
-        assert (data / "target_matrix.csv").stat().st_size > core.COMPILED_MATRIX_BYTES
+        assert 600 * 600 > native.KERNEL_MIN_SIZE
         outputs = []
         for compiled in (True, False):
             out = tmp_path / f"matches_{compiled}.csv"
@@ -259,7 +259,7 @@ class TestAttack:
     def test_warm_up_attack_never_builds_the_kernels(self, tmp_path, capsys):
         """An attack the size of the benchmark's warm-up (10 x 10 census
         records, a product of 8 vertices) stays below
-        clique.KERNEL_MIN_VERTICES: it never asks for the compiled kernels,
+        native.KERNEL_MIN_SIZE: it never asks for the compiled kernels,
         so it never starts the compiler."""
         cache = tmp_path / "kernel-cache"
         with pytest.MonkeyPatch.context() as mp:
@@ -283,7 +283,7 @@ class TestAttack:
         gender only, --abs-eps 25, its tie pass; 810 product vertices) and
         a desk-grid simulate (100/100 records, 3 x 3 cells, products of
         about 500 to 760 vertices) take the compiled build and the split
-        search, being above clique.KERNEL_MIN_VERTICES; without a compiler
+        search, being above native.KERNEL_MIN_SIZE; without a compiler
         they take numpy and the unsplit search, with the same output bytes."""
         require_compiled()
         small = tmp_path / "small"
@@ -318,6 +318,61 @@ class TestAttack:
         # one attack and nine repetitions, each on the compiled path, then none
         assert taken == [{"_product_csr": 10, "_root_split": 10}, {}]
         assert outputs[0] == outputs[1] and "results.csv" in outputs[0][1]
+
+    def test_fresh_process_without_a_compiler(self, tmp_path, capsys):
+        """A 600 x 600 census attack with its tie pass and a desk-grid
+        simulate in a fresh interpreter with no cc on PATH and an empty
+        kernel cache, so that no library is built or loaded: the output
+        bytes of the same runs in this process, on the compiled path
+        where it builds."""
+        cfg = small_sim_config(tmp_path, n_target=600, n_ident=600, n_common=120,
+                               sigma_grid=[0.025], qi_distributions="census", seed=1)
+        data = tmp_path / "gen"
+        assert main(["gendata", "--config", str(cfg), "--out-dir", str(data)]) == EXIT_OK
+        assert main(["calibrate", "--sigma", "0.025", "--out-dir", str(tmp_path / "cal")]) == EXIT_OK
+        desk = small_sim_config(tmp_path, n_target=100, n_ident=100, n_common=20,
+                                sigma_grid=[0.005, 0.025, 0.05], alpha_grid=[0.3, 0.5, 0.9],
+                                repetitions=1, qi_distributions="census", seed=3)
+        capsys.readouterr()
+        outputs = []
+        for fresh in (False, True):
+            out, run = tmp_path / f"matches_{fresh}.csv", tmp_path / f"run_{fresh}"
+            argvs = [["attack", "--qi", "gender,age_band", "--out", str(out), "--enumerate-ties",
+                      "--calibration", str(tmp_path / "cal" / "calibration_sigma0.025.json"),
+                      "--alpha", "0.5"] + _input_args(data),
+                     ["simulate", "--config", str(desk), "--out-dir", str(run), "--threads", "1"]]
+            if fresh:
+                empty, cache = tmp_path / "no-compiler", tmp_path / "kernel-cache"
+                empty.mkdir()
+                env = dict(os.environ, PATH=str(empty),
+                           PYTHONPATH=str(Path(distlink.__file__).parents[1]))
+                child = subprocess.run([sys.executable, "-c", _WITHOUT_COMPILER, str(cache),
+                                        json.dumps(argvs)], env=env, capture_output=True, text=True)
+                assert child.returncode == EXIT_OK, child.stderr
+                assert not cache.exists() or not any(cache.iterdir())
+                printed = child.stdout
+            else:
+                for argv in argvs:
+                    assert main(argv) == EXIT_OK
+                printed = capsys.readouterr().out
+            files = {f.name: f.read_bytes() for f in sorted(run.iterdir()) if f.name != "manifest.json"}
+            outputs.append((out.read_bytes(), files, printed.replace(str(run), "")))
+        assert outputs[0] == outputs[1]
+        assert "maximum cliques:" in outputs[0][2] and "results.csv" in outputs[0][1]
+
+
+#: run `distlink` once per argument list in the JSON of argv[2], with the
+#: kernel cache at argv[1], and exit with the largest exit code, or 1 when
+#: the kernels loaded
+_WITHOUT_COMPILER = """
+import json, sys
+from pathlib import Path
+from distlink import native
+from distlink.cli import main
+native.KERNEL_CACHE = Path(sys.argv[1])
+codes = [main(argv) for argv in json.loads(sys.argv[2])]
+sys.exit(max(codes + [native.kernel() is not None]))
+"""
 
 
 def _input_args(directory):
@@ -395,14 +450,14 @@ class TestParallelMatrixLoad:
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
                         reason="needs two usable CPUs")
     def test_matches_byte_identical_on_one_and_two_cpus(self, tmp_path):
-        """A 300 x 300 census pair, its matrix files over 1 MiB for the
-        compiled reader and its product over 4,096 vertices for the split
-        search: the same matches on one CPU and on two."""
+        """A 300 x 300 census pair, its matrix files for the compiled
+        reader and its product over 4,096 vertices for the split search:
+        the same matches on one CPU and on two."""
         cfg = small_sim_config(tmp_path, n_target=300, n_ident=300, n_common=60,
                                sigma_grid=[0.025], qi_distributions="census", seed=1)
         data = tmp_path / "gen"
         assert main(["gendata", "--config", str(cfg), "--out-dir", str(data)]) == EXIT_OK
-        assert (data / "target_matrix.csv").stat().st_size > core.COMPILED_MATRIX_BYTES
+        assert 300 * 300 > native.KERNEL_MIN_SIZE
         assert main(["calibrate", "--sigma", "0.025", "--out-dir", str(tmp_path / "cal")]) == EXIT_OK
         outputs = []
         usable = sorted(os.sched_getaffinity(0))

@@ -31,6 +31,7 @@ from distlink import build_product_graph, clique, native
 from distlink.clique import _Search, _colour_classes, _complements, bitset_rows
 from distlink.oracles import adjacency_rows, brute_force_max_clique, count_cliques_of_size
 from helpers import (
+    CountingKernel,
     census_graphs,
     edge_array_root_split,
     exit_code,
@@ -565,15 +566,15 @@ class TestResumedTiePass:
     def test_tie_pass_calls_branches_once_per_chunk(self, monkeypatch):
         require_compiled()
         kernel = native.kernel()
-        monkeypatch.setattr(clique, "KERNEL_MIN_VERTICES", -1)
+        monkeypatch.setattr(native, "KERNEL_MIN_SIZE", -1)
         for g in _tie_pass_graphs()[:3]:
             search = _Search(g, 10**8)
             assert search.adj is not None  # split
             roots = len(list(itertools.groupby(t[0] for t in search.ties)))
             for chunk in (7, 128):
                 monkeypatch.setattr(clique, "CHUNK", chunk)
-                counting = _CountingKernel(kernel)
-                monkeypatch.setattr(native, "kernel", lambda: counting)
+                # the kernel the search asked for, which the tie pass reuses
+                search.kernel = counting = CountingKernel(kernel, "branches")
                 search.resumed(10**8)
                 assert counting.calls == -(-roots // chunk) < roots
 
@@ -610,6 +611,7 @@ class TestRootSplit:
             assert split == unsplit
 
     def test_recorded_results_on_split_path(self, monkeypatch):
+        monkeypatch.setattr(native, "KERNEL_MIN_SIZE", -1)
         monkeypatch.setattr(clique, "SPLIT_MIN_VERTICES", -1)
         for seed, n, p, vertices, nodes, n_maximum, first in SEARCH_RESULTS:
             g = random_simple_graph(np.random.default_rng(seed), n, p)
@@ -619,14 +621,14 @@ class TestRootSplit:
             assert (len(found), found[0]) == (n_maximum, first)
 
     def test_split_follows_the_kernel_floor(self, monkeypatch, tmp_path):
-        # with the kernels, split above KERNEL_MIN_VERTICES, the floor the
-        # product build shares; without them, above SPLIT_MIN_VERTICES only
+        # with the kernels, split above native.KERNEL_MIN_SIZE, the floor
+        # the product build shares; without them, above SPLIT_MIN_VERTICES only
         require_compiled()
         g = gender_tie_product(1)
-        assert clique.KERNEL_MIN_VERTICES < g.n <= clique.SPLIT_MIN_VERTICES
+        assert native.KERNEL_MIN_SIZE < g.n <= clique.SPLIT_MIN_VERTICES
         assert _Search(g, 10**8).adj is not None
         for floor, split in ((g.n, False), (g.n - 1, True)):
-            monkeypatch.setattr(clique, "KERNEL_MIN_VERTICES", floor)
+            monkeypatch.setattr(native, "KERNEL_MIN_SIZE", floor)
             assert (_Search(g, 10**8).adj is not None) == split
         monkeypatch.undo()
         with without_compiler(tmp_path):
@@ -663,7 +665,8 @@ class TestRootSplit:
             identity = np.arange(g.n)
             colours = dict(inverted_row_colour_classes(adjacency_rows(g), (1 << g.n) - 1))
             for block in (1, 5, 256):
-                sweep, swept_colours = clique._root_split(g, identity, identity, block)[:2]
+                sweep, swept_colours = clique._root_split(g, identity, identity, native.kernel(),
+                                                          block)[:2]
                 assert dict(zip(sweep, swept_colours)) == colours
 
     def test_root_split_equals_edge_array_set_up(self):
@@ -680,8 +683,8 @@ class TestRootSplit:
             want = edge_array_root_split(g)
             for block in (1, 5, 256):
                 # the compiled kernel where it builds, then the numpy code
-                for sweep, colours, indptr, adj in (clique._root_split(g, order, pos, block),
-                                                    _numpy(clique._root_split, g, order, pos, block)):
+                for kernel in (native.kernel(), None):
+                    sweep, colours, indptr, adj = clique._root_split(g, order, pos, kernel, block)
                     assert (sweep, colours) == want[:2]
                     assert indptr.tobytes() == want[2].tobytes() and adj.tobytes() == want[3].tobytes()
 
@@ -693,6 +696,7 @@ class TestRootSplit:
         h.add_nodes_from(range(g.n))
         h.add_edges_from(g.edges())
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(native, "KERNEL_MIN_SIZE", -1)
             mp.setattr(clique, "SPLIT_MIN_VERTICES", -1)
             r = max_clique(g)
             found = enumerate_maximum_cliques(g)
@@ -710,6 +714,7 @@ def _with_workers(search, g, cpus, chunk=4, lazy=0, forks=None):
     started = []
     real = clique.forked
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(native, "KERNEL_MIN_SIZE", -1)
         mp.setattr(clique, "SPLIT_MIN_VERTICES", -1)
         mp.setattr(clique, "CHUNK", chunk)
         mp.setattr(clique, "LAZY_CHUNKS", lazy)
@@ -766,10 +771,10 @@ class TestParallelSweep:
             order = np.argsort(-np.diff(g.indptr), kind="stable")
             pos = np.empty(g.n, np.int64)
             pos[order] = np.arange(g.n)
-            sweep, _, indptr, adj = clique._root_split(g, order, pos)
-            branch = clique._Branches(indptr, adj)
+            sweep, _, indptr, adj = clique._root_split(g, order, pos, native.kernel())
+            branch = clique._Branches(indptr, adj, native.kernel())
             for v in sweep[:600]:
-                bound, a, b = branch(v)
+                (bound,), _, a, b = branch.chunk([v])
                 want = gather_branch_edges(indptr, adj, v)
                 assert bound == want[0]
                 assert a.tolist() == want[1].tolist() and b.tolist() == want[2].tolist()
@@ -807,6 +812,7 @@ class TestParallelSweep:
             assert _with_workers(_solve, g, 2) == want
 
     def test_no_worker_inside_a_child_process(self, monkeypatch):
+        monkeypatch.setattr(native, "KERNEL_MIN_SIZE", -1)
         monkeypatch.setattr(clique, "SPLIT_MIN_VERTICES", -1)
         monkeypatch.setattr(clique, "CHUNK", 4)
         g = random_simple_graph(np.random.default_rng(35), 50, 0.5)
@@ -876,26 +882,12 @@ def _kernel_graphs(rng):
     return [(g, max_clique(g).size) for g in graphs]
 
 
-def _root_split(g):
+def _root_split(g, kernel):
     """clique._root_split of g in the search's degree order."""
     order = np.argsort(-np.diff(g.indptr), kind="stable")
     pos = np.empty(g.n, np.int64)
     pos[order] = np.arange(g.n)
-    return clique._root_split(g, order, pos)
-
-
-class _CountingKernel:
-    """A kernel library that counts its branches calls."""
-
-    def __init__(self, kernel):
-        self.kernel, self.calls = kernel, 0
-
-    def __getattr__(self, name):
-        return getattr(self.kernel, name)
-
-    def branches(self, *args):
-        self.calls += 1
-        return self.kernel.branches(*args)
+    return clique._root_split(g, order, pos, kernel)
 
 
 class TestCompiledKernel:
@@ -913,16 +905,16 @@ class TestCompiledKernel:
         monkeypatch.setattr(clique, "BLOCK", 1)
         chunks = calls = empty = 0
         for g, _ in graphs:
-            sweep, _, indptr, adj = _root_split(g)
-            compiled = clique._Branches(indptr, adj)
-            oracle = _numpy(clique._Branches, indptr, adj)
+            sweep, _, indptr, adj = _root_split(g, native.kernel())
+            compiled = clique._Branches(indptr, adj, native.kernel())
+            oracle = clique._Branches(indptr, adj, None)
             assert compiled.kernel is not None and oracle.kernel is None
-            want = [oracle(v) for v in sweep]
+            want = [(bounds[0], a, b) for bounds, _, a, b in (oracle.chunk([v]) for v in sweep)]
             for v, (bound, a, b) in zip(sweep, want):
-                got = compiled(v)
-                assert got[0] == bound and np.array_equal(got[1], a) and np.array_equal(got[2], b)
+                (got,), _, got_a, got_b = compiled.chunk([v])
+                assert got == bound and np.array_equal(got_a, a) and np.array_equal(got_b, b)
                 empty += indptr[v] == indptr[v + 1]
-            compiled.kernel = counting = _CountingKernel(compiled.kernel)
+            compiled.kernel = counting = CountingKernel(compiled.kernel, "branches")
             for size in (7, 128):
                 for start in range(0, len(sweep), size):
                     part = want[start:start + size]
@@ -940,13 +932,13 @@ class TestCompiledKernel:
     def test_local_colour_equals_colour_classes(self, graphs):
         require_compiled()
         for g, omega in graphs:
-            sweep, _, indptr, adj = _root_split(g)
-            compiled = clique._Branches(indptr, adj)
+            sweep, _, indptr, adj = _root_split(g, native.kernel())
+            compiled = clique._Branches(indptr, adj, native.kernel())
             for v in sweep:
                 s = int(indptr[v + 1] - indptr[v])
                 if not s:
                     continue
-                _, a, b = compiled(v)
+                _, _, a, b = compiled.chunk([v])
                 outs = _complements(bitset_rows(s, a, b))
                 for kmin in {-1, 0, omega - 2, s}:
                     assert compiled.colour(s, a, b, kmin) == _colour_classes(outs, (1 << s) - 1, kmin)
@@ -954,7 +946,7 @@ class TestCompiledKernel:
     def test_root_colour_equals_first_fit(self, graphs):
         require_compiled()
         for g, _ in graphs:
-            compiled, oracle = _root_split(g), _numpy(_root_split, g)
+            compiled, oracle = _root_split(g, native.kernel()), _root_split(g, None)
             assert compiled[:2] == oracle[:2]
             assert np.array_equal(compiled[2], oracle[2]) and np.array_equal(compiled[3], oracle[3])
 
@@ -1100,15 +1092,15 @@ for g in graphs:
     order = np.argsort(-np.diff(g.indptr), kind="stable")
     pos = np.empty(g.n, np.int64)
     pos[order] = np.arange(g.n)
-    sweep, _, indptr, adj = clique._root_split(g, order, pos)
-    branch = clique._Branches(indptr, adj)
+    sweep, _, indptr, adj = clique._root_split(g, order, pos, kernel)
+    branch = clique._Branches(indptr, adj, kernel)
     for start in range(0, len(sweep), 16):
         bounds, ends, a, b = branch.chunk(sweep[start:start + 16])
         for v, lo, hi in zip(sweep[start:], [0] + ends, ends):
             s = int(indptr[v + 1] - indptr[v])
             for kmin in (-1, s):
                 branch.colour(s, a[lo:hi].copy(), b[lo:hi].copy(), kmin)
-clique.SPLIT_MIN_VERTICES = -1
+native.KERNEL_MIN_SIZE = -1
 for g in graphs:
     clique.enumerate_maximum_cliques(g)
 print("checked", len(graphs))

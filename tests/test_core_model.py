@@ -43,6 +43,7 @@ from distlink.errors import DistlinkError
 from distlink.evaluation import SimulationConfig
 from helpers import (
     EXAMPLE_CITY_MATRIX,
+    CountingKernel,
     exit_code,
     random_points,
     require_cc,
@@ -764,8 +765,14 @@ def _adversarial_exit_code(tmp_path, monkeypatch, flags):
 
 def _compiled_outcome(path, monkeypatch):
     """_outcome(load_matrix, path) with every file sent to the compiled reader."""
-    monkeypatch.setattr(core, "COMPILED_MATRIX_BYTES", -1)
+    monkeypatch.setattr(native, "KERNEL_MIN_SIZE", -1)
     return _outcome(load_matrix, path)
+
+
+def _read_compiled(data):
+    """core._read_compiled on data with native.kernel(), for the n fields
+    on data's first line."""
+    return core._read_compiled(native.kernel(), data, data.split(b"\n", 1)[0].count(b",") + 1)
 
 
 class TestCompiledMatrixReader:
@@ -779,7 +786,7 @@ class TestCompiledMatrixReader:
     @given(data=_decimal_files())
     def test_same_entries_as_loadtxt(self, tmp_path, monkeypatch, data):
         require_compiled()
-        entries = core._read_compiled(data)
+        entries = _read_compiled(data)
         assert entries is not None
         want = np.loadtxt(io.BytesIO(data), delimiter=",", comments=None, ndmin=2)
         assert np.array_equal(entries.view(np.int64), want.view(np.int64))
@@ -799,7 +806,7 @@ class TestCompiledMatrixReader:
         require_compiled()
         path = tmp_path / "m.csv"
         path.write_bytes(data)
-        assert core._read_compiled(data) is None
+        assert _read_compiled(data) is None
         assert _equal_outcomes(_compiled_outcome(path, monkeypatch),
                                _outcome(core._load_matrix_csv, path))
 
@@ -810,7 +817,7 @@ class TestCompiledMatrixReader:
         data = f"{field},1\n1,0\n".encode()
         path = tmp_path / "m.csv"
         path.write_bytes(data)
-        assert (core._read_compiled(data) is None) == bool(extra)
+        assert (_read_compiled(data) is None) == bool(extra)
         old = _outcome(core._load_matrix_csv, path)
         assert _equal_outcomes(_compiled_outcome(path, monkeypatch), old)
         assert isinstance(old, str) == bool(extra)
@@ -831,7 +838,7 @@ class TestCompiledMatrixReader:
         try:
             locale.setlocale(locale.LC_NUMERIC, "de_DE.UTF-8")
             assert locale.localeconv()["decimal_point"] == ","
-            assert core._read_compiled(b"0,2\n2,0\n") is None
+            assert _read_compiled(b"0,2\n2,0\n") is None
             assert _equal_outcomes(_compiled_outcome(path, monkeypatch), want)
         finally:
             locale.setlocale(locale.LC_NUMERIC, old)
@@ -839,7 +846,7 @@ class TestCompiledMatrixReader:
     def test_adversarial_fields_convert_as_float_does(self):
         require_compiled()
         data, want = _field_file(_adversarial_fields())
-        entries = core._read_compiled(data)
+        entries = _read_compiled(data)
         assert entries is not None
         assert np.array_equal(entries.view(np.int64), want.view(np.int64))
 
@@ -880,10 +887,32 @@ class TestCompiledMatrixReader:
         m = distance_matrix(random_points(np.random.default_rng(4), 300))
         path = tmp_path / "m.csv"
         save_matrix(m, path)
-        assert path.stat().st_size > core.COMPILED_MATRIX_BYTES
+        assert m.n * m.n > native.KERNEL_MIN_SIZE
         monkeypatch.setattr(core, "_load_matrix_csv", refuse)
         monkeypatch.setattr(np, "loadtxt", refuse)
         assert np.array_equal(load_matrix(path).entries, m.entries)
+
+    def test_floor_between_16_and_17_records(self, tmp_path, monkeypatch):
+        # n * n against native.KERNEL_MIN_SIZE: 256 entries take numpy's
+        # reader, 289 the compiled one, with the csv path's entries either way
+        require_compiled()
+        counting = CountingKernel(native.kernel(), "read_matrix")
+        monkeypatch.setattr(native, "kernel", lambda: counting)
+        rng = np.random.default_rng(5)
+        for n, calls in ((16, 0), (17, 1)):
+            path = tmp_path / f"m{n}.csv"
+            save_matrix(distance_matrix(random_points(rng, n)), path)
+            before = counting.calls
+            got = _outcome(load_matrix, path)
+            assert counting.calls - before == calls
+            assert _equal_outcomes(got, _outcome(core._load_matrix_csv, path))
+
+    def test_short_file_never_asks_for_the_kernels(self, tmp_path, monkeypatch):
+        # a first line of 1,000 fields, and no room for 1,000 rows of them
+        monkeypatch.setattr(native, "kernel", lambda: pytest.fail("the kernels were asked for"))
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"0," * 999 + b"0\n0,1\n")
+        assert _outcome(load_matrix, path) == _outcome(core._load_matrix_csv, path)
 
 
 class TestBundledFixtures:

@@ -476,7 +476,7 @@ def _builds(g1, g2, rel):
     for compiled in (True, False):
         with pytest.MonkeyPatch.context() as mp:
             seen = _spy_candidates(mp)
-            mp.setattr(clique_module, "KERNEL_MIN_VERTICES", -1 if compiled else 10**9)
+            mp.setattr(native, "KERNEL_MIN_SIZE", -1 if compiled else 10**9)
             p = build_product_graph(g1, g2, rel)
         assert p.graph.indices.dtype == np.int32
         out.append((p.vertices, p.graph.indptr.tolist(), p.graph.indices.tolist(), seen))
@@ -548,13 +548,14 @@ class TestCompiledBuild:
     def test_only_large_products_take_the_compiled_build(self, monkeypatch):
         # poets: 11 vertices, so numpy builds it and the compiler never starts
         monkeypatch.setattr(native, "kernel", lambda: pytest.fail("the kernels were loaded"))
-        assert build_product_graph(*poets_graphs(), Absolute(5.0)).n == 11
+        graphs = poets_graphs()  # loaded once: its 10 x 10 matrices are above the lower floors
+        assert build_product_graph(*graphs, Absolute(5.0)).n == 11
         # at a floor of 11 still numpy; below it, the compiled build
-        monkeypatch.setattr(clique_module, "KERNEL_MIN_VERTICES", 11)
-        assert build_product_graph(*poets_graphs(), Absolute(5.0)).n == 11
-        monkeypatch.setattr(clique_module, "KERNEL_MIN_VERTICES", 10)
+        monkeypatch.setattr(native, "KERNEL_MIN_SIZE", 11)
+        assert build_product_graph(*graphs, Absolute(5.0)).n == 11
+        monkeypatch.setattr(native, "KERNEL_MIN_SIZE", 10)
         with pytest.raises(pytest.fail.Exception, match="the kernels were loaded"):
-            build_product_graph(*poets_graphs(), Absolute(5.0))
+            build_product_graph(*graphs, Absolute(5.0))
 
 
 class TestMemoryGuard:
@@ -612,7 +613,7 @@ class TestMemoryGuard:
             try:
                 p = build_product_graph(g1, g2, Absolute(0.25))
                 # split at the root on either path
-                floor = clique_module.KERNEL_MIN_VERTICES if kernel else clique_module.SPLIT_MIN_VERTICES
+                floor = native.KERNEL_MIN_SIZE if kernel else clique_module.SPLIT_MIN_VERTICES
                 assert p.n > floor
                 with pytest.raises(ResourceBudgetError):
                     max_clique(p.graph, node_budget=2)  # the split set-up, then two nodes
