@@ -28,8 +28,8 @@ from pathlib import Path
 from . import __version__
 from .attack import run_attack
 from .clique import DEFAULT_NODE_BUDGET
-from .core import (distance_matrix, file_digest, load_matrix, load_table, save_matrix,
-                   save_table)
+from .core import (_json_file, distance_matrix, file_digest, load_matrix, load_table,
+                   save_matrix, save_table)
 from .errors import DistlinkError, InputFormatError, ResourceBudgetError
 from .evaluation import (
     SimulationConfig,
@@ -207,12 +207,7 @@ def cmd_calibrate(args) -> int:
 
 def _config_from_file(path, seed_override, need_single_sigma: bool = False) -> SimulationConfig:
     """The config in a JSON file, seeded by seed_override, else the file, else the environment."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise DistlinkError(f"{path}: not UTF-8 text: {exc}") from None
-    except (ValueError, RecursionError) as exc:
-        raise DistlinkError(f"{path}: malformed JSON: {exc}") from None
+    payload = _json_file(path)
     if not isinstance(payload, dict):
         raise DistlinkError(f"{path}: config must be a JSON object")
     if seed_override is not None:

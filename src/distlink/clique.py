@@ -15,10 +15,10 @@ A graph is split at the root where native.kernel_for its vertex count
 gives the compiled kernels, as for the matrix reader and the product
 build, and without them only above SPLIT_MIN_VERTICES, below which the
 numpy split costs more than it saves (the ego-network reduction of
-Chang, KDD 2019).  One pass over the CSR rows, a block at a time,
-colours the root first-fit, which gives the colours of the
-class-by-class colouring and so the same root order, and hands each
-edge to its end swept first.  Each root branch v then
+Chang, KDD 2019).  The root level is one object, built once per search:
+one pass over the CSR rows colours the root first-fit, which gives the
+colours of the class-by-class colouring and so the same root order, and
+hands each edge to its end swept first.  Each root branch v then
 searches only the candidates it would have had (v's neighbours not yet
 swept) on local bitsets |S| bits wide instead of |V|, with ids in
 ascending global order, so colourings, pruning, node counts and the
@@ -26,24 +26,22 @@ cliques found are those of the unsplit search, which stays as the oracle
 and as the path for graphs below the floor.  A branch whose candidates
 cannot hold a large enough clique by a degree bound is skipped before
 any rows are built, exactly where the unsplit search would have cut it.
-That bound and the branch's local edges never read the incumbent: once
-the sweep has computed LAZY_CHUNKS chunks of CHUNK branches itself, with
-more than one usable CPU (worker_cpus), forked workers compute the rest
-ahead, a chunk at a time in sweep order (fan_out, which also spreads the
-simulation grid), while the search, its incumbent and its node count
-stay in one process, so every result is the one-CPU result.
+That bound and the branch's local edges never read the incumbent, so the
+root level streams them to the sweep and to the tie pass alike: after
+LAZY_CHUNKS chunks of CHUNK roots computed on demand, with more than one
+usable CPU (worker_cpus), forked workers compute the rest ahead in order
+(fan_out, which also spreads the simulation grid), while the search, its
+incumbent and its node count stay in one process, so every result is
+the one-CPU result.
 
-The root level runs as C (_kernel.c, through distlink.native), which the
-search asks for once and hands to the root split and the branches.  The
-kernels give the first-fit colouring, one scan of each row; the
-branches' bounds and edges, up to CHUNK branches per call, whose bounds
-the sweep walks as Python ints, so that a branch its bound cuts costs
-only that test, and which the tie pass takes a chunk at a time too;
-and each searched branch's first colouring, class by class on
-64-bit words, which most branches end at with a tie cut, so that their
-bitset rows are built only where that colouring lets them spend a node.
-Without a compiler, or when the build or the load fails, the numpy code
-runs instead, with the same results; it stays as the kernels' oracle.
+The root level runs as C (_kernel.c, through distlink.native): the
+first-fit colouring, one scan of each row; the branches' bounds and
+edges, up to CHUNK per call; and each searched branch's first colouring,
+class by class on 64-bit words, which most branches end at with a tie
+cut, so that their bitset rows are built only where that colouring lets
+them spend a node.  Without a compiler, or when the build or the load
+fails, the numpy code runs instead, with the same results; it stays as
+the kernels' oracle.
 """
 
 from __future__ import annotations
@@ -64,7 +62,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import native
-from .errors import InputFormatError, ResourceBudgetError
+from .errors import InputFormatError, ResourceBudgetError, SizeLimitError
 
 DEFAULT_NODE_BUDGET = 10**8
 
@@ -132,6 +130,14 @@ class SimpleGraph:
     def edges(self) -> list:
         x, y = self.edge_array()
         return list(zip(x.tolist(), y.tolist()))
+
+
+def _physical_memory_bytes() -> Optional[int]:
+    """Installed RAM, or None where the platform does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def _edge_keys(n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -271,89 +277,6 @@ def _gather(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> tuple:
     return indices[np.arange(lens.sum()) + np.repeat(starts - ends + lens, lens)], lens
 
 
-class _Branches:
-    """On _root_split's forward CSR, the part of each root branch v that
-    never reads the incumbent, (bound, a, b): the edges among v's
-    candidates, each once, as local ids (a[k], b[k]), from one gather of
-    their forward lists, and 1 + the most lower neighbours a candidate has
-    among them, which bounds its greedy colour.  chunk gives them for a run
-    of branches in one format, for the sweep and its workers alike, and
-    colour a searched branch's first colouring.  The compiled kernels
-    compute them where kernel is given; the numpy code is their oracle."""
-
-    def __init__(self, indptr: np.ndarray, adj: np.ndarray, kernel) -> None:
-        self.indptr = indptr = np.ascontiguousarray(indptr, np.int64)
-        self.adj = adj = np.ascontiguousarray(adj, np.int64)
-        self.fdeg = np.diff(indptr)
-        top = int(self.fdeg.max(initial=0))
-        self.kernel = kernel
-        if kernel is None:
-            self.mark = np.zeros(len(self.fdeg), np.int64)
-            # a gather takes at most min(top**2, |adj|) entries
-            self.ramp = np.arange(min(top * top, len(adj)) + top + 1)
-            return
-        self.mark = np.zeros(len(self.fdeg), np.int32)
-        self.lower = np.empty(top, np.int64)
-        # a branch has at most min(top * (top - 1) / 2, |adj|) edges
-        self.edges = np.empty((2, max(min(top * (top - 1) // 2, len(adj)), BLOCK)), np.int32)
-        self.rows = np.empty((top + 2) * ((top + 63) // 64), np.uint64)
-        self.pairs = np.empty((2, top), np.int32)
-        self.inputs = [a.ctypes.data for a in (indptr, adj, self.mark, self.lower)]
-        self.outputs = [a.ctypes.data for a in self.edges]
-        self.scratch = [a.ctypes.data for a in (self.rows, *self.pairs)]
-
-    def _numpy_branch(self, v: int) -> tuple:
-        """Branch v's (bound, a, b) in numpy."""
-        cand = self.adj[self.indptr[v]:self.indptr[v + 1]]
-        lens = self.fdeg[cand]
-        ends = np.cumsum(lens)
-        if not len(cand):
-            return 0, ends, ends
-        nbrs = self.adj[self.ramp[:ends[-1]] + np.repeat(self.indptr[cand] + lens - ends, lens)]
-        self.mark[cand] = self.ramp[1:len(cand) + 1]
-        local = self.mark[nbrs]
-        self.mark[cand] = 0
-        hit = np.flatnonzero(local)
-        a = np.searchsorted(ends, hit, side="right")
-        b = local[hit]
-        b -= 1
-        return 1 + int(np.bincount(np.maximum(a, b, out=hit), minlength=1).max()), a, b
-
-    def chunk(self, vs: list) -> tuple:
-        """The branches of vs: their bounds and the running ends of their
-        edge lists, as lists, and their a and b concatenated, int32.  The
-        kernel takes as many branches per call as its edge buffer surely
-        holds, all of vs unless they are dense."""
-        if self.kernel is None:
-            bounds, a, b = zip(*map(self._numpy_branch, vs))
-            return (list(bounds), np.cumsum([len(x) for x in a]).tolist(),
-                    np.concatenate(a, dtype=np.int32), np.concatenate(b, dtype=np.int32))
-        vs = np.array(vs, np.int64)
-        bounds, ends = np.empty((2, len(vs)), np.int64)
-        parts = []
-        done = 0
-        while done < len(vs):
-            count = self.kernel.branches(*self.inputs, vs[done:].ctypes.data, len(vs) - done,
-                                         self.edges.shape[1], bounds[done:].ctypes.data,
-                                         ends[done:].ctypes.data, *self.outputs)
-            parts.append(self.edges[:, :ends[done + count - 1]].copy())
-            if done:
-                ends[done:done + count] += ends[done - 1]
-            done += count
-        a, b = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-        return bounds.tolist(), ends.tolist(), a, b
-
-    def colour(self, s: int, a: np.ndarray, b: np.ndarray, kmin: int) -> list:
-        """_colour_classes(outs, all, kmin) for the s local vertices of a
-        branch with the edges (a, b), outs their _complements."""
-        if self.kernel is None:
-            return _colour_classes(_complements(bitset_rows(s, a, b)), (1 << s) - 1, kmin)
-        a, b = (np.ascontiguousarray(x, np.int32) for x in (a, b))
-        listed = self.kernel.local_colour(s, a.ctypes.data, b.ctypes.data, len(a), kmin,
-                                          *self.scratch)
-        return list(zip(*self.pairs[:, :listed].tolist()))
-
-
 def worker_cpus() -> int:
     """The CPUs forked workers may spread work over: the affinity mask's
     size, or 1 in a child process, without fork, or beside other threads,
@@ -417,24 +340,13 @@ def fan_out(fn, items: Sequence, most: int):
             yield result
 
 
-def _branch_stream(branch: _Branches, sweep: list):
-    """branch.chunk of each run of CHUNK vertices of sweep in turn: on
-    demand for the first LAZY_CHUNKS runs, then, with more than one worker
-    CPU and run left, fanned out."""
-    chunks = [sweep[start:start + CHUNK] for start in range(0, len(sweep), CHUNK)]
-    yield from map(branch.chunk, chunks[:LAZY_CHUNKS])
-    yield from fan_out(branch.chunk, chunks[LAZY_CHUNKS:], len(chunks))
-
-
-def _root_split(g: SimpleGraph, order: np.ndarray, pos: np.ndarray, kernel,
-                block: int = 256) -> tuple:
-    """The root level of the search on g relabelled so that vertex i is
-    g's order[i] (pos inverts order): the sweep order (colour descending,
-    then index descending, as expand takes its candidates), each swept
-    vertex's colour, and a CSR (indptr, indices) listing each vertex's
-    neighbours later in the sweep, ascending: the candidates its branch
-    starts with.  The indices are int64: the sweep indexes with them,
-    int32 costs casts.
+class _RootLevel:
+    """The root level of the split search on g relabelled so that vertex i
+    is g's order[i] (pos inverts order), built once per search: the sweep
+    order (colour descending, then index descending, as expand takes its
+    candidates), the swept vertices' colours, and a CSR (indptr, adj) of
+    each vertex's neighbours later in the sweep, ascending: the candidates
+    its branch starts with.  adj is int64, as the branches index with it.
 
     kernel's root_colour, or without it _first_fit, colours first-fit and
     emits the CSR keys.  Each vertex takes the least colour c >= 1 that no
@@ -445,24 +357,118 @@ def _root_split(g: SimpleGraph, order: np.ndarray, pos: np.ndarray, kernel,
     ends coloured: neighbours differ in colour, and the end with the
     higher colour is swept first, so it lists the other.  One sort of the
     |E| keys gives the CSR.
+
+    What each root v's branch starts from never reads the incumbent:
+    (bound, a, b), the edges among v's candidates, each once, as local ids
+    (a[k], b[k]), and 1 + the most lower neighbours a candidate has among
+    them, which bounds its greedy colour, or 0 without candidates.  chunk
+    computes them for a run of roots, here or in a worker, stream for the
+    roots a search visits, and colour a searched branch's first colouring.
+    The compiled kernels compute them where kernel is given; the numpy
+    code is their oracle.
     """
-    if kernel is None:
-        colour, key = _first_fit(g, order, pos, block)
-    else:
-        colour, key = np.zeros(g.n, np.int64), np.empty(g.edge_count(), np.int64)
-        lower = np.empty(np.diff(g.indptr).max(initial=0), np.int64)
-        seen = np.zeros(g.n + 2, np.int64)
-        inputs = [np.ascontiguousarray(a, dtype) for a, dtype in
-                  ((g.indptr, np.int64), (g.indices, np.int32), (order, np.int64), (pos, np.int64))]
-        kernel.root_colour(g.n, *(a.ctypes.data for a in inputs + [lower, seen, colour, key]))
-    key.sort()
-    indptr = np.searchsorted(key, np.arange(g.n + 1) * g.n)
-    sweep = np.lexsort((-np.arange(g.n), -colour))
-    return sweep.tolist(), colour[sweep].tolist(), indptr, np.remainder(key, g.n, out=key)
+
+    def __init__(self, g: SimpleGraph, order: np.ndarray, pos: np.ndarray, kernel,
+                 block: int = 256) -> None:
+        n = g.n
+        if kernel is None:
+            colour, key = _first_fit(g, order, pos, block)
+        else:
+            # one entry per lower neighbour of a vertex in root_colour, per
+            # candidate of a branch in branches
+            self.lower = np.empty(np.diff(g.indptr).max(initial=0), np.int64)
+            colour, key = np.zeros(n, np.int64), np.empty(g.edge_count(), np.int64)
+            seen = np.zeros(n + 2, np.int64)
+            inputs = [np.ascontiguousarray(a, dtype) for a, dtype in
+                      ((g.indptr, np.int64), (g.indices, np.int32), (order, np.int64), (pos, np.int64))]
+            kernel.root_colour(n, *(a.ctypes.data for a in inputs + [self.lower, seen, colour, key]))
+        key.sort()
+        sweep = np.lexsort((-np.arange(n), -colour))
+        self.sweep, self.colours = sweep.tolist(), colour[sweep].tolist()
+        self.indptr = indptr = np.searchsorted(key, np.arange(n + 1) * n)
+        self.adj = adj = np.remainder(key, n, out=key)
+        self.fdeg = np.diff(indptr)
+        top = int(self.fdeg.max(initial=0))
+        self.kernel = kernel
+        self.mark = np.zeros(n, np.int32)
+        if kernel is None:
+            # a gather takes at most min(top**2, |adj|) entries
+            self.ramp = np.arange(min(top * top, len(adj)) + top + 1)
+            return
+        # a branch has at most min(top * (top - 1) / 2, |adj|) edges
+        self.edges = np.empty((2, max(min(top * (top - 1) // 2, len(adj)), BLOCK)), np.int32)
+        self.rows = np.empty((top + 2) * ((top + 63) // 64), np.uint64)
+        self.pairs = np.empty((2, top), np.int32)
+        self.inputs = [a.ctypes.data for a in (indptr, adj, self.mark, self.lower)]
+        self.outputs = [a.ctypes.data for a in self.edges]
+        self.scratch = [a.ctypes.data for a in (self.rows, *self.pairs)]
+
+    def _numpy_branch(self, v: int) -> tuple:
+        """Root v's (bound, a, b) in numpy."""
+        cand = self.adj[self.indptr[v]:self.indptr[v + 1]]
+        lens = self.fdeg[cand]
+        ends = np.cumsum(lens)
+        if not len(cand):
+            return 0, ends, ends
+        nbrs = self.adj[self.ramp[:ends[-1]] + np.repeat(self.indptr[cand] + lens - ends, lens)]
+        self.mark[cand] = self.ramp[1:len(cand) + 1]
+        local = self.mark[nbrs]
+        self.mark[cand] = 0
+        hit = np.flatnonzero(local)
+        a = np.searchsorted(ends, hit, side="right")
+        b = local[hit]
+        b -= 1
+        return 1 + int(np.bincount(np.maximum(a, b, out=hit), minlength=1).max()), a, b
+
+    def chunk(self, vs: list) -> tuple:
+        """The roots vs: their bounds and the running ends of their edge
+        lists, as lists, and their a and b concatenated, int32.  The
+        kernel takes as many roots per call as its edge buffer surely
+        holds, all of vs unless they are dense."""
+        if self.kernel is None:
+            bounds, a, b = zip(*map(self._numpy_branch, vs))
+            return (list(bounds), np.cumsum([len(x) for x in a]).tolist(),
+                    np.concatenate(a, dtype=np.int32), np.concatenate(b, dtype=np.int32))
+        vs = np.array(vs, np.int64)
+        bounds, ends = np.empty((2, len(vs)), np.int64)
+        parts = []
+        done = 0
+        while done < len(vs):
+            count = self.kernel.branches(*self.inputs, vs[done:].ctypes.data, len(vs) - done,
+                                         self.edges.shape[1], bounds[done:].ctypes.data,
+                                         ends[done:].ctypes.data, *self.outputs)
+            parts.append(self.edges[:, :ends[done + count - 1]].copy())
+            if done:
+                ends[done:done + count] += ends[done - 1]
+            done += count
+        a, b = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        return bounds.tolist(), ends.tolist(), a, b
+
+    def stream(self, roots: list):
+        """(bound, a, b, lo, hi) for each of roots in turn: its bound and
+        its edges a[lo:hi], b[lo:hi], in its chunk's arrays.  chunk computes
+        them a run of CHUNK roots at a time: on demand for the first
+        LAZY_CHUNKS runs, then, with more than one worker CPU and run left,
+        fanned out.  Closing the stream stops its workers."""
+        runs = [roots[start:start + CHUNK] for start in range(0, len(roots), CHUNK)]
+        with contextlib.closing(fan_out(self.chunk, runs[LAZY_CHUNKS:], len(runs))) as rest:
+            for bounds, ends, a, b in itertools.chain(map(self.chunk, runs[:LAZY_CHUNKS]), rest):
+                for bound, lo, hi in zip(bounds, [0] + ends, ends):
+                    yield bound, a, b, lo, hi
+
+    def colour(self, s: int, a: np.ndarray, b: np.ndarray, kmin: int) -> list:
+        """_colour_classes(outs, all, kmin) for the s local vertices of a
+        branch with the edges (a, b), outs their _complements."""
+        if self.kernel is None:
+            return _colour_classes(_complements(bitset_rows(s, a, b)), (1 << s) - 1, kmin)
+        a, b = (np.ascontiguousarray(x, np.int32) for x in (a, b))
+        listed = self.kernel.local_colour(s, a.ctypes.data, b.ctypes.data, len(a), kmin,
+                                          *self.scratch)
+        return list(zip(*self.pairs[:, :listed].tolist()))
 
 
 def _first_fit(g: SimpleGraph, order: np.ndarray, pos: np.ndarray, block: int) -> tuple:
-    """_root_split's colours, by relabelled vertex, and its unsorted CSR
+    """_RootLevel's colours, by relabelled vertex, and its unsorted CSR
     keys, in numpy: one pass over the relabelled rows, block vertices at a
     time.  Lower neighbours in earlier blocks give one forbidden-colour
     mask per vertex at once; those inside the block are added edge by
@@ -528,10 +534,11 @@ class _Search:
         #: pairs of the cut colour left in cand), or (root branch, whether
         #: its root node is still to spend) for a root branch to search whole
         self.ties = []
-        self.root = self.adj = None
-        self.kernel = native.kernel_for(g.n)
-        if self.kernel is not None or g.n > SPLIT_MIN_VERTICES:
-            self._sweep(*_root_split(g, order, pos, self.kernel))
+        self.root = self.level = None
+        kernel = native.kernel_for(g.n)
+        if kernel is not None or g.n > SPLIT_MIN_VERTICES:
+            self.level = _RootLevel(g, order, pos, kernel)
+            self._sweep()
         else:
             x, y = g.edge_array()
             self.rows = bitset_rows(g.n, pos[x], pos[y])
@@ -581,43 +588,32 @@ class _Search:
                 self._found(size + 1, mask | b)
             cand ^= b
 
-    def _sweep(self, sweep: list, colours: list, indptr: np.ndarray, adj: np.ndarray) -> None:
-        """expand(rows, outs, 0, 0, all) on _root_split's arrays, kept for
+    def _sweep(self) -> None:
+        """expand(rows, outs, 0, 0, all) on the root level, kept for
         resumed(): each root branch v is searched on local rows of its
-        candidates, the vertices adj lists for v.  The branches' skip
-        bounds and local edges come from _branch_stream, a chunk at a time
-        in sweep order; the incumbent, the cuts and the node count stay
-        here, and a branch its bound cuts costs no more than that test."""
-        self.indptr, self.adj = indptr, adj
-        roots = zip(sweep, colours)
-        branch = _Branches(indptr, adj, self.kernel)
-        with contextlib.closing(_branch_stream(branch, sweep)) as chunks:
-            for bounds, ends, a, b in chunks:
-                for bound, start, end in zip(bounds, [0] + ends, ends):
-                    v, colour = next(roots)
-                    if colour + self.keep_ties <= self.best_size:
-                        if colour == self.best_size:
-                            rest = itertools.takewhile(lambda p: p[1] == colour, roots)
-                            self.ties += [(v, True)] + [(u, True) for u, _ in rest]
-                        return
-                    self._spend()
-                    # _root_branch's bound cut, without its call
-                    if bound and 1 + bound + self.keep_ties <= self.best_size:
-                        if 1 + bound == self.best_size:
-                            self.ties.append((v, False))
-                    else:
-                        self._root_branch(branch, v, bound, a[start:end], b[start:end])
+        candidates, the vertices the level's adj lists for v.  The roots'
+        bounds and local edges come from the level's stream, in sweep
+        order; the incumbent, the cuts and the node count stay here."""
+        roots = zip(self.level.sweep, self.level.colours)
+        with contextlib.closing(self.level.stream(self.level.sweep)) as branches:
+            for v, colour in roots:
+                if colour + self.keep_ties <= self.best_size:
+                    if colour == self.best_size:
+                        rest = itertools.takewhile(lambda p: p[1] == colour, roots)
+                        self.ties += [(v, True)] + [(u, True) for u, _ in rest]
+                    return
+                self._spend()
+                self._root_branch(v, *next(branches))
 
-    def _root_branch(self, branch: _Branches, v: int, bound: int, a: np.ndarray, b: np.ndarray,
+    def _root_branch(self, v: int, bound: int, a: np.ndarray, b: np.ndarray, lo: int, hi: int,
                      ties=None) -> None:
         """Root branch v, its node spent, on its skip bound and its local
-        edges (a[k], b[k]): local id i is the candidate adj lists i-th.
-        Searched whole, from branch.colour's first colouring, or only at
-        the tie cuts recorded in it; its rows are built only where a node
-        in it is spent."""
-        cand = self.adj[self.indptr[v]:self.indptr[v + 1]]
-        s = len(cand)
-        if not s:
+        edges (a[k], b[k]), lo <= k < hi: local id i is the candidate the
+        level's adj lists i-th.  Cut by its bound at no more cost than that
+        test, or searched whole, from the level's first colouring, or only
+        at the tie cuts recorded in it; its rows are built only where a
+        node in it is spent."""
+        if not bound:  # no candidates
             self._found(1, 1 << v)
             return
         # expand(rows, outs, 1, ...) would return at once without spending
@@ -627,11 +623,13 @@ class _Search:
             if 1 + bound == self.best_size:
                 self.ties.append((v, False))
             return
+        cand = self.level.adj[self.level.indptr[v]:self.level.indptr[v + 1]]
+        s, a, b = len(cand), a[lo:hi], b[lo:hi]
         # collect the branch's cliques apart, as local masks, and map them
         # back: they replace the outer ones if the branch grew
         outer, size = self.best_masks, self.best_size
         self.best_masks, self.root = [], v
-        coloured = None if ties else branch.colour(s, a, b, self.best_size - 2)
+        coloured = None if ties else self.level.colour(s, a, b, self.best_size - 2)
         rows = outs = None
         # a first colour the incumbent cuts ends the branch at a tie cut,
         # which needs only the candidates
@@ -650,27 +648,23 @@ class _Search:
         """A copy that keeps ties and searches, with the incumbent fixed,
         only this search's tie cuts, so that its best_masks are every
         maximum clique; its nodes count on from this search's against
-        node_budget."""
+        node_budget.  Split, it takes the cut roots' bounds and edges from
+        the sweep's own root level, streamed as the sweep streams them."""
         tie = copy.copy(self)
         tie.budget, tie.keep_ties = node_budget, True
         tie.best_masks, tie.ties = list(self.best_masks), []
         tie._spend(0)  # max_clique alone may have spent node_budget
-        if self.adj is None:
+        if self.level is None:
             for _, size, mask, cand, top in self.ties:
                 tie.expand(self.rows, self.outs, size, mask, cand, iter(top))
-        elif self.ties:
-            branch = _Branches(self.indptr, self.adj, self.kernel)
-            groups = [(v, list(group))
-                      for v, group in itertools.groupby(self.ties, operator.itemgetter(0))]
-            # the roots' bounds and edges a chunk of CHUNK roots at a time, as _sweep takes them
-            for start in range(0, len(groups), CHUNK):
-                run = groups[start:start + CHUNK]
-                bounds, ends, a, b = branch.chunk([v for v, _ in run])
-                for (v, group), bound, lo, hi in zip(run, bounds, [0] + ends, ends):
-                    if len(group[0]) == 2:  # a root branch to search whole
-                        tie._spend(group[0][1])
-                        group = None
-                    tie._root_branch(branch, v, bound, a[lo:hi], b[lo:hi], group)
+            return tie
+        groups = [(v, list(group)) for v, group in itertools.groupby(self.ties, operator.itemgetter(0))]
+        with contextlib.closing(self.level.stream([v for v, _ in groups])) as branches:
+            for (v, group), branch in zip(groups, branches):
+                if len(group[0]) == 2:  # a root branch to search whole
+                    tie._spend(group[0][1])
+                    group = None
+                tie._root_branch(v, *branch, group)
         return tie
 
     def vertices(self, mask: int) -> tuple:
@@ -757,6 +751,11 @@ def read_dimacs(path) -> SimpleGraph:
                 n, n_edges = (_dimacs_int(part, where, "problem") for part in parts[2:])
                 if n < 0:
                     raise InputFormatError(f"{where}: negative vertex count")
+                # csr_graph peaks at three int64 arrays of n + 1 entries
+                have = _physical_memory_bytes()
+                if have is not None and 24 * (n + 1) > have:
+                    raise SizeLimitError(f"{where}: {n} vertices need about {24 * (n + 1)} bytes, "
+                                         f"more than the {have} bytes of physical memory")
                 if n_edges < 0:
                     raise InputFormatError(f"{where}: negative edge count")
             elif parts[0] == "e":

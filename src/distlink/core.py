@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -228,6 +229,18 @@ def _csv_rows(path: Path):
         raise InputFormatError(f"{path}: not UTF-8 text: {exc}") from None
     except csv.Error as exc:
         raise InputFormatError(f"{path}: malformed CSV: {exc}") from None
+
+
+def _json_file(path):
+    """The JSON value in a UTF-8 file; undecodable bytes and malformed JSON
+    become InputFormatError naming the path as given."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: not UTF-8 text: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        # ValueError: JSONDecodeError, or an integer beyond int's digit limit
+        raise InputFormatError(f"{path}: malformed JSON: {exc}") from None
 
 
 def load_table(

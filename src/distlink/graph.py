@@ -24,14 +24,13 @@ references, in distlink.oracles.
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import native
-from .clique import BLOCK, SimpleGraph, csr_graph
+from .clique import BLOCK, SimpleGraph, _physical_memory_bytes, csr_graph
 from .core import DistanceMatrix, MicrodataTable
 from .errors import InputFormatError, SizeLimitError
 
@@ -252,14 +251,6 @@ def _product_edges_join(
         edges[m:m + len(q)] = (base1[q] + rank1[c]).astype(np.int64) * len(pv) + base2[q] + rank2[c]
         m, lo = m + len(q), hi
     return pv, pw, edges[:m]
-
-
-def _physical_memory_bytes() -> Optional[int]:
-    """Installed RAM, or None where the platform does not report it."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
 
 
 #: bytes per candidate edge at the attack's peak: the numpy CSR build (the

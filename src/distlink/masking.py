@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import GeoPoint, _great_circle_km
+from .core import GeoPoint, _great_circle_km, _json_file
 from .errors import DegenerateSampleError, InputFormatError
 from .graph import QuantileBand
 from .seeding import STREAM_CALIBRATION, derive_rng
@@ -223,13 +223,7 @@ def save_calibration(table: CalibrationTable, path) -> None:
 
 def load_calibration(path) -> CalibrationTable:
     path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise InputFormatError(f"{path}: not UTF-8 text: {exc}") from None
-    except (ValueError, RecursionError) as exc:
-        # ValueError: JSONDecodeError, or an integer beyond int's digit limit
-        raise InputFormatError(f"{path}: malformed JSON: {exc}") from None
+    payload = _json_file(path)
     try:
         region = Region(**payload["region"])
         table = CalibrationTable(payload["sigma"], payload["deviations"],

@@ -403,7 +403,7 @@ def symmetric_key_sort_csr(n, x, y):
 
 
 def edge_array_first_fit_colours(n, x, y, block=256):
-    """The first-fit colours of clique._root_split on the edges (x[k], y[k])
+    """The first-fit colours of clique._RootLevel on the edges (x[k], y[k])
     of a graph already relabelled, through a CSR of every vertex's lower
     neighbours."""
     indptr, lower = key_sort_csr(n, np.maximum(x, y), np.minimum(x, y))
@@ -434,7 +434,7 @@ def edge_array_first_fit_colours(n, x, y, block=256):
 
 
 def edge_array_root_split(g):
-    """clique._root_split on g relabelled by descending degree: the
+    """clique._RootLevel on g relabelled by descending degree: the
     relabelled edge arrays, a CSR of the lower neighbours for the
     colouring and one of the later neighbours, each by a key sort."""
     x, y = g.edge_array()
@@ -453,7 +453,7 @@ def edge_array_root_split(g):
 
 def gather_branch_edges(indptr, adj, v):
     """Root branch v's skip bound and local edges (a, b) as the sweep
-    computed them before clique._Branches: a gather through clique._gather,
+    computed them before clique._RootLevel: a gather through clique._gather,
     a fresh mark array, its own cumsum and arange for the owner search."""
     cand = adj[indptr[v]:indptr[v + 1]]
     if not len(cand):

@@ -77,14 +77,14 @@ class TestRunAttack:
         # the split search's forward lists (8 bytes a product edge) die
         # with the attack; max_clique's own result keeps them for the tie pass
         lists = []
-        real = clique._root_split
+        real = clique._RootLevel
 
-        def root_split(*args):
-            split = real(*args)
-            lists.append(weakref.ref(split[3]))
-            return split
+        def root_level(*args):
+            level = real(*args)
+            lists.append(weakref.ref(level.adj))
+            return level
 
-        monkeypatch.setattr(clique, "_root_split", root_split)
+        monkeypatch.setattr(clique, "_RootLevel", root_level)
         monkeypatch.setattr(clique, "SPLIT_MIN_VERTICES", -1)
         (tt, tm), (it, im) = gender_tie_pair(1)
         for enumerate_ties in (False, True):

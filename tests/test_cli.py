@@ -304,7 +304,7 @@ class TestAttack:
             calls = collections.Counter()
             with pytest.MonkeyPatch.context() as mp, \
                     contextlib.nullcontext() if compiled else without_compiler(tmp_path):
-                for module, name in ((graph, "_product_csr"), (clique, "_root_split")):
+                for module, name in ((graph, "_product_csr"), (clique, "_RootLevel")):
                     real = getattr(module, name)
                     mp.setattr(module, name, lambda *args, name=name, real=real:
                                calls.update([name]) or real(*args))
@@ -316,7 +316,7 @@ class TestAttack:
             files = {f.name: f.read_bytes() for f in sorted(run.iterdir()) if f.name != "manifest.json"}
             outputs.append((out.read_bytes(), files, capsys.readouterr().out.replace(str(run), "")))
         # one attack and nine repetitions, each on the compiled path, then none
-        assert taken == [{"_product_csr": 10, "_root_split": 10}, {}]
+        assert taken == [{"_product_csr": 10, "_RootLevel": 10}, {}]
         assert outputs[0] == outputs[1] and "results.csv" in outputs[0][1]
 
     def test_fresh_process_without_a_compiler(self, tmp_path, capsys):

@@ -569,14 +569,28 @@ class TestResumedTiePass:
         monkeypatch.setattr(native, "KERNEL_MIN_SIZE", -1)
         for g in _tie_pass_graphs()[:3]:
             search = _Search(g, 10**8)
-            assert search.adj is not None  # split
+            assert search.level is not None  # split
             roots = len(list(itertools.groupby(t[0] for t in search.ties)))
             for chunk in (7, 128):
                 monkeypatch.setattr(clique, "CHUNK", chunk)
-                # the kernel the search asked for, which the tie pass reuses
-                search.kernel = counting = CountingKernel(kernel, "branches")
+                # the sweep's root level and kernel, which the tie pass reuses
+                search.level.kernel = counting = CountingKernel(kernel, "branches")
                 search.resumed(10**8)
                 assert counting.calls == -(-roots // chunk) < roots
+
+    def test_split_search_builds_one_root_level(self, monkeypatch):
+        # the tie pass streams its roots from the sweep's own root level,
+        # on the compiled kernels and on the numpy split alike
+        built = []
+        real = clique._RootLevel
+        monkeypatch.setattr(clique, "_RootLevel", lambda *args: built.append(args) or real(*args))
+        monkeypatch.setattr(native, "KERNEL_MIN_SIZE", -1)
+        monkeypatch.setattr(clique, "SPLIT_MIN_VERTICES", -1)
+        for g, (_, _, n_maximum, _) in zip(_tie_pass_graphs()[:3], _recorded_searches()):
+            for search in (enumerate_maximum_cliques, lambda g: _numpy(enumerate_maximum_cliques, g)):
+                built.clear()
+                assert len(search(g)) == n_maximum
+                assert len(built) == 1
 
 
 def _special_graphs():
@@ -626,15 +640,15 @@ class TestRootSplit:
         require_compiled()
         g = gender_tie_product(1)
         assert native.KERNEL_MIN_SIZE < g.n <= clique.SPLIT_MIN_VERTICES
-        assert _Search(g, 10**8).adj is not None
+        assert _Search(g, 10**8).level is not None
         for floor, split in ((g.n, False), (g.n - 1, True)):
             monkeypatch.setattr(native, "KERNEL_MIN_SIZE", floor)
-            assert (_Search(g, 10**8).adj is not None) == split
+            assert (_Search(g, 10**8).level is not None) == split
         monkeypatch.undo()
         with without_compiler(tmp_path):
-            assert _Search(g, 10**8).adj is None
+            assert _Search(g, 10**8).level is None
             monkeypatch.setattr(clique, "SPLIT_MIN_VERTICES", g.n - 1)
-            assert _Search(g, 10**8).adj is not None
+            assert _Search(g, 10**8).level is not None
 
     def test_wide_sparse_graph_with_planted_clique(self):
         g, planted = _planted_clique_graph()
@@ -665,9 +679,8 @@ class TestRootSplit:
             identity = np.arange(g.n)
             colours = dict(inverted_row_colour_classes(adjacency_rows(g), (1 << g.n) - 1))
             for block in (1, 5, 256):
-                sweep, swept_colours = clique._root_split(g, identity, identity, native.kernel(),
-                                                          block)[:2]
-                assert dict(zip(sweep, swept_colours)) == colours
+                level = clique._RootLevel(g, identity, identity, native.kernel(), block)
+                assert dict(zip(level.sweep, level.colours)) == colours
 
     def test_root_split_equals_edge_array_set_up(self):
         rng = np.random.default_rng(29)
@@ -684,9 +697,10 @@ class TestRootSplit:
             for block in (1, 5, 256):
                 # the compiled kernel where it builds, then the numpy code
                 for kernel in (native.kernel(), None):
-                    sweep, colours, indptr, adj = clique._root_split(g, order, pos, kernel, block)
-                    assert (sweep, colours) == want[:2]
-                    assert indptr.tobytes() == want[2].tobytes() and adj.tobytes() == want[3].tobytes()
+                    level = clique._RootLevel(g, order, pos, kernel, block)
+                    assert (level.sweep, level.colours) == want[:2]
+                    assert level.indptr.tobytes() == want[2].tobytes()
+                    assert level.adj.tobytes() == want[3].tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(small_graphs())
@@ -731,9 +745,9 @@ def _with_workers(search, g, cpus, chunk=4, lazy=0, forks=None):
 
 
 def _killed_after(calls):
-    """A _Branches.chunk, the call sweep workers make, that kills the
+    """A _RootLevel.chunk, the call sweep workers make, that kills the
     worker process calling it on that process's calls-th call."""
-    real = clique._Branches.chunk
+    real = clique._RootLevel.chunk
     counts = collections.Counter()
 
     def chunk(self, vs):
@@ -771,11 +785,10 @@ class TestParallelSweep:
             order = np.argsort(-np.diff(g.indptr), kind="stable")
             pos = np.empty(g.n, np.int64)
             pos[order] = np.arange(g.n)
-            sweep, _, indptr, adj = clique._root_split(g, order, pos, native.kernel())
-            branch = clique._Branches(indptr, adj, native.kernel())
-            for v in sweep[:600]:
-                (bound,), _, a, b = branch.chunk([v])
-                want = gather_branch_edges(indptr, adj, v)
+            level = clique._RootLevel(g, order, pos, native.kernel())
+            for v in level.sweep[:600]:
+                (bound,), _, a, b = level.chunk([v])
+                want = gather_branch_edges(level.indptr, level.adj, v)
                 assert bound == want[0]
                 assert a.tolist() == want[1].tolist() and b.tolist() == want[2].tolist()
 
@@ -808,7 +821,7 @@ class TestParallelSweep:
         g = random_simple_graph(np.random.default_rng(34), 70, 0.4)
         want = _with_workers(_solve, g, 1)
         for calls in (1, 2):
-            monkeypatch.setattr(clique._Branches, "chunk", _killed_after(calls))
+            monkeypatch.setattr(clique._RootLevel, "chunk", _killed_after(calls))
             assert _with_workers(_solve, g, 2) == want
 
     def test_no_worker_inside_a_child_process(self, monkeypatch):
@@ -842,6 +855,32 @@ class TestParallelSweep:
         for g in [random_simple_graph(rng, n, p) for n, p in ((60, 0.1), (80, 0.3), (150, 0.1))]:
             for lazy in (1, 2):
                 assert _with_workers(_solve, g, 2, lazy=lazy, forks=True) == _with_workers(_solve, g, 1)
+
+    def test_tie_pass_forks_like_the_sweep(self, monkeypatch):
+        # past its lazy chunks the tie pass takes its roots from forked
+        # workers, as the sweep does: the same cliques, tie lists and node
+        # counts as in this process, and a budget that runs out among
+        # them leaves no worker behind (_with_workers checks)
+        started = []
+        real = clique.forked
+        monkeypatch.setattr(clique, "forked", lambda *args: started.append(args) or real(*args))
+        for g, (total, _) in zip(_tie_pass_graphs()[:3], TIE_PASS_RESULTS):
+            r = _with_workers(max_clique, g, 1)
+            search = r._search
+            assert len(list(itertools.groupby(t[0] for t in search.ties))) > 2 * 4  # 2 chunks of 4
+
+            def tie_pass(g):
+                tie = search.resumed(10**8)
+                return enumerate_maximum_cliques(g, clique=r), [tie.vertices(m) for m in tie.best_masks], \
+                    tie.nodes
+
+            want = _with_workers(tie_pass, g, 1, lazy=2)
+            assert want[2] == total
+            assert _with_workers(tie_pass, g, 2, lazy=2, forks=True) == want
+            started.clear()
+            assert _with_workers(lambda g: enumerate_maximum_cliques(g, total - 1, r), g, 2, lazy=2) \
+                is ResourceBudgetError
+            assert started  # the budget ran out with workers forked
 
     def test_no_worker_beside_other_threads(self):
         done = threading.Event()
@@ -882,12 +921,12 @@ def _kernel_graphs(rng):
     return [(g, max_clique(g).size) for g in graphs]
 
 
-def _root_split(g, kernel):
-    """clique._root_split of g in the search's degree order."""
+def _root_level(g, kernel):
+    """clique._RootLevel of g in the search's degree order."""
     order = np.argsort(-np.diff(g.indptr), kind="stable")
     pos = np.empty(g.n, np.int64)
     pos[order] = np.arange(g.n)
-    return clique._root_split(g, order, pos, kernel)
+    return clique._RootLevel(g, order, pos, kernel)
 
 
 class TestCompiledKernel:
@@ -905,10 +944,9 @@ class TestCompiledKernel:
         monkeypatch.setattr(clique, "BLOCK", 1)
         chunks = calls = empty = 0
         for g, _ in graphs:
-            sweep, _, indptr, adj = _root_split(g, native.kernel())
-            compiled = clique._Branches(indptr, adj, native.kernel())
-            oracle = clique._Branches(indptr, adj, None)
+            compiled, oracle = _root_level(g, native.kernel()), _root_level(g, None)
             assert compiled.kernel is not None and oracle.kernel is None
+            sweep, indptr = compiled.sweep, compiled.indptr
             want = [(bounds[0], a, b) for bounds, _, a, b in (oracle.chunk([v]) for v in sweep)]
             for v, (bound, a, b) in zip(sweep, want):
                 (got,), _, got_a, got_b = compiled.chunk([v])
@@ -932,10 +970,9 @@ class TestCompiledKernel:
     def test_local_colour_equals_colour_classes(self, graphs):
         require_compiled()
         for g, omega in graphs:
-            sweep, _, indptr, adj = _root_split(g, native.kernel())
-            compiled = clique._Branches(indptr, adj, native.kernel())
-            for v in sweep:
-                s = int(indptr[v + 1] - indptr[v])
+            compiled = _root_level(g, native.kernel())
+            for v in compiled.sweep:
+                s = int(compiled.fdeg[v])
                 if not s:
                     continue
                 _, _, a, b = compiled.chunk([v])
@@ -946,9 +983,10 @@ class TestCompiledKernel:
     def test_root_colour_equals_first_fit(self, graphs):
         require_compiled()
         for g, _ in graphs:
-            compiled, oracle = _root_split(g, native.kernel()), _root_split(g, None)
-            assert compiled[:2] == oracle[:2]
-            assert np.array_equal(compiled[2], oracle[2]) and np.array_equal(compiled[3], oracle[3])
+            compiled, oracle = _root_level(g, native.kernel()), _root_level(g, None)
+            assert (compiled.sweep, compiled.colours) == (oracle.sweep, oracle.colours)
+            assert np.array_equal(compiled.indptr, oracle.indptr)
+            assert np.array_equal(compiled.adj, oracle.adj)
 
 
 def _works(kernel):
@@ -1092,14 +1130,13 @@ for g in graphs:
     order = np.argsort(-np.diff(g.indptr), kind="stable")
     pos = np.empty(g.n, np.int64)
     pos[order] = np.arange(g.n)
-    sweep, _, indptr, adj = clique._root_split(g, order, pos, kernel)
-    branch = clique._Branches(indptr, adj, kernel)
-    for start in range(0, len(sweep), 16):
-        bounds, ends, a, b = branch.chunk(sweep[start:start + 16])
-        for v, lo, hi in zip(sweep[start:], [0] + ends, ends):
-            s = int(indptr[v + 1] - indptr[v])
+    level = clique._RootLevel(g, order, pos, kernel)
+    for start in range(0, len(level.sweep), 16):
+        bounds, ends, a, b = level.chunk(level.sweep[start:start + 16])
+        for v, lo, hi in zip(level.sweep[start:], [0] + ends, ends):
+            s = int(level.fdeg[v])
             for kmin in (-1, s):
-                branch.colour(s, a[lo:hi].copy(), b[lo:hi].copy(), kmin)
+                level.colour(s, a[lo:hi].copy(), b[lo:hi].copy(), kmin)
 native.KERNEL_MIN_SIZE = -1
 for g in graphs:
     clique.enumerate_maximum_cliques(g)
@@ -1254,6 +1291,22 @@ class TestDimacs:
             read_dimacs(path)
         path.write_text("p edge 3 7\ne 1 2\n")  # the count need not match the e lines
         assert read_dimacs(path).edges() == [(0, 1)]
+
+    def test_vertex_count_beyond_physical_memory_refused(self, tmp_path, monkeypatch):
+        # refused at the problem line, before the edge lines and before any
+        # array of the count's size; the memory figure is the test's own
+        path = tmp_path / "g.dimacs"
+        monkeypatch.setattr(clique, "_physical_memory_bytes", lambda: 8 * 2**30)
+        path.write_text("p edge 1500000000 1\ne 1 two\n")
+        with pytest.raises(SizeLimitError, match=r"g\.dimacs:1: 1500000000 vertices need about "
+                                                  r"36000000024 bytes, more than the 8589934592"):
+            read_dimacs(path)
+        monkeypatch.setattr(clique, "_physical_memory_bytes", lambda: 24 * 1001)
+        path.write_text("p edge 1000 1\ne 1 2\n")
+        assert read_dimacs(path).n == 1000
+        path.write_text("c x\np edge 1001 1\ne 1 2\n")
+        with pytest.raises(SizeLimitError, match=r"g\.dimacs:2: 1001 vertices"):
+            read_dimacs(path)
 
     def test_ignores_comment_lines(self, tmp_path):
         path = tmp_path / "g.dimacs"
