@@ -28,7 +28,7 @@ from pathlib import Path
 from . import __version__
 from .attack import run_attack
 from .clique import DEFAULT_NODE_BUDGET
-from .core import (_json_file, distance_matrix, file_digest, load_matrix, load_table,
+from .core import (_json_object, distance_matrix, file_digest, load_matrix, load_table,
                    save_matrix, save_table)
 from .errors import DistlinkError, InputFormatError, ResourceBudgetError
 from .evaluation import (
@@ -207,9 +207,7 @@ def cmd_calibrate(args) -> int:
 
 def _config_from_file(path, seed_override, need_single_sigma: bool = False) -> SimulationConfig:
     """The config in a JSON file, seeded by seed_override, else the file, else the environment."""
-    payload = _json_file(path)
-    if not isinstance(payload, dict):
-        raise DistlinkError(f"{path}: config must be a JSON object")
+    payload = _json_object(path, "config")
     if seed_override is not None:
         payload["seed"] = seed_override
     elif "seed" not in payload:

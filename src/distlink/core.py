@@ -8,10 +8,10 @@ matrices may have been perturbed).
 
 A matrix file of n records is parsed by the compiled reader where
 native.kernel_for(n * n) gives the kernels, as for the product build and
-the search.  It takes only plain decimal rows, converts almost every
-field exactly in integer arithmetic and the rest with strtod, and hands
-any other file to numpy's reader and the csv path, with the same entries
-and every error message unchanged.
+the search.  It takes only plain decimal rows and converts almost every
+field exactly in integer arithmetic, the rest with strtod.  Every other
+file, and every file it refuses, goes through csv.reader and float(),
+which give the same entries bit for bit and write every error message.
 
 All great-circle geometry goes through one array kernel, _great_circle_km.
 Its arccos stays math.acos, applied over a plain list of the clamped
@@ -231,16 +231,19 @@ def _csv_rows(path: Path):
         raise InputFormatError(f"{path}: malformed CSV: {exc}") from None
 
 
-def _json_file(path):
-    """The JSON value in a UTF-8 file; undecodable bytes and malformed JSON
-    become InputFormatError naming the path as given."""
+def _json_object(path, what: str) -> dict:
+    """The JSON object a UTF-8 file of what holds; undecodable bytes, malformed
+    JSON and any other value become InputFormatError naming the path as given."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise InputFormatError(f"{path}: not UTF-8 text: {exc}") from None
     except (ValueError, RecursionError) as exc:
         # ValueError: JSONDecodeError, or an integer beyond int's digit limit
         raise InputFormatError(f"{path}: malformed JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise InputFormatError(f"{path}: {what} must be a JSON object")
+    return payload
 
 
 def load_table(
@@ -278,6 +281,8 @@ def load_table(
                 points.append(GeoPoint(float(by_name[LON_COLUMN]), float(by_name[LAT_COLUMN])))
             except ValueError:
                 raise InputFormatError(f"{path}:{lineno}: malformed coordinate") from None
+            except InputFormatError as exc:
+                raise InputFormatError(f"{path}:{lineno}: {exc}") from None
     try:
         return MicrodataTable(records, schema, qi_attributes, id_attribute, points)
     except InputFormatError as exc:
@@ -303,9 +308,8 @@ def save_table(table: MicrodataTable, path) -> None:
 def load_matrix(path) -> DistanceMatrix:
     """Read a headerless CSV of n rows times n decimal values, n counted
     on the first line: with the compiled reader where native.kernel_for(n
-    * n) gives it, other plain decimal files with numpy's C reader, and any
-    file either refuses or fails on (and so every error message) with
-    _load_matrix_csv."""
+    * n) gives it, and any other file, or one it refuses (and so every
+    error message), with _load_matrix_csv."""
     path = Path(path)
     data = path.read_bytes()
     eol = data.find(b"\n")
@@ -313,22 +317,8 @@ def load_matrix(path) -> DistanceMatrix:
     # a file too short for n * n fields and their separators never starts the compiler
     kernel = native.kernel_for(n * n) if 2 * n * n - 1 <= len(data) else None
     entries = None if kernel is None else _read_compiled(kernel, data, n)
-    if entries is not None:
-        del data  # before the checks' temporaries
-        return DistanceMatrix(entries)
-    # on these bytes np.loadtxt splits and converts fields exactly as
-    # csv.reader and float() do, up to the csv field limit
-    plain = (data.strip(b"\r\n") and not data.translate(None, b"0123456789.,+-eE \t\r\n")
-             and max(map(len, data.splitlines())) <= csv.field_size_limit())
-    del data  # the C reader streams the file itself
-    if plain:
-        try:
-            entries = np.loadtxt(path, delimiter=",", comments=None, encoding="utf-8", ndmin=2)
-        except ValueError:
-            plain = False
-    if plain and entries.shape[0] == entries.shape[1]:
-        return DistanceMatrix(entries)
-    return _load_matrix_csv(path)
+    del data  # before the checks' temporaries, or the csv path's rows
+    return _load_matrix_csv(path) if entries is None else DistanceMatrix(entries)
 
 
 def _read_compiled(kernel, data: bytes, n: int) -> Optional[np.ndarray]:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import numbers
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
@@ -26,10 +25,11 @@ from .clique import DEFAULT_NODE_BUDGET, fan_out
 from .core import GeoPoint, MicrodataRecord, MicrodataTable, distance_matrix
 from .datasets import census_qi_distributions
 from .errors import InputFormatError, ResourceBudgetError
+from .graph import QuantileBand
 from .masking import (
     GERMANY,
-    CalibrationTable,
     Region,
+    _is_number,
     band_from_table,
     calibrate,
     check_sigma,
@@ -95,20 +95,6 @@ def evaluate(matches, truth: GroundTruth) -> EvaluationReport:
     return EvaluationReport(tp, fp, fn, precision, recall, defined)
 
 
-def _validate_qi_distributions(qi_distributions) -> None:
-    if not isinstance(qi_distributions, dict) or not qi_distributions:
-        raise InputFormatError("qi_distributions must be a nonempty object of probability maps")
-    for attr, dist in qi_distributions.items():
-        where = f"qi_distributions: attribute '{attr}'"
-        try:
-            probs = np.array(list(dist.values()), dtype=float)
-        except (AttributeError, TypeError, ValueError):
-            raise InputFormatError(f"{where} is not a map of values to probabilities") from None
-        if probs.size == 0 or np.any(probs < 0) or not abs(probs.sum() - 1.0) <= 1e-9:
-            raise InputFormatError(
-                f"{where} needs nonnegative probabilities summing to 1, got {probs.tolist()}")
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
     """Full description of one simulation study; everything an output
@@ -138,8 +124,7 @@ class SimulationConfig:
         for name in ("sigma_grid", "alpha_grid"):
             grid = getattr(self, name)
             if (not isinstance(grid, (list, tuple, np.ndarray)) or len(grid) == 0
-                    or not all(isinstance(x, numbers.Real) and not isinstance(x, bool)
-                               for x in grid)):
+                    or not all(map(_is_number, grid))):
                 raise InputFormatError(f"{name} must be a nonempty list of numbers, got {grid!r}")
             if len(set(grid)) != len(grid):
                 raise InputFormatError(f"{name} repeats a value: {list(grid)}")
@@ -148,7 +133,16 @@ class SimulationConfig:
             check_sigma(sigma)
         if any(not 0 < a < 1 for a in self.alpha_grid):
             raise InputFormatError("alpha values must lie strictly between 0 and 1")
-        _validate_qi_distributions(self.qi_distributions)
+        if not isinstance(self.qi_distributions, dict) or not self.qi_distributions:
+            raise InputFormatError("qi_distributions must be a nonempty object of probability maps")
+        for attr, dist in self.qi_distributions.items():
+            where = f"qi_distributions: attribute '{attr}'"
+            if not isinstance(dist, dict) or not all(map(_is_number, dist.values())):
+                raise InputFormatError(f"{where} is not a map of values to probabilities")
+            probs = np.array(list(dist.values()), dtype=float)
+            if probs.size == 0 or np.any(probs < 0) or not abs(probs.sum() - 1.0) <= 1e-9:
+                raise InputFormatError(
+                    f"{where} needs nonnegative probabilities summing to 1, got {probs.tolist()}")
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SimulationConfig":
@@ -173,11 +167,7 @@ class SimulationConfig:
             payload["qi_distributions"] = census_qi_distributions()
         try:
             if "region" in payload:
-                try:
-                    payload["region"] = Region(**payload["region"])
-                except TypeError:
-                    raise InputFormatError("region must be an object of the numbers "
-                                           f"{[f.name for f in fields(Region)]}") from None
+                payload["region"] = Region.from_dict(payload["region"])
             return cls(**payload)
         except (InputFormatError, OverflowError) as exc:
             raise InputFormatError(f"malformed config field: {exc}") from None
@@ -290,12 +280,11 @@ class SimulationResult:
 
 
 def _run_repetition(config: SimulationConfig, si: int, ai: int, rep: int,
-                    calibration: CalibrationTable) -> RepetitionRow:
+                    rel: QuantileBand) -> RepetitionRow:
     sigma = config.sigma_grid[si]
     alpha = config.alpha_grid[ai]
     rng = derive_rng(config.seed, STREAM_GENDATA, si, ai, rep)
     target, ident, truth = generate_synthetic_pair(config, sigma, rng)
-    rel = band_from_table(calibration, alpha).as_relation()
     try:
         report = run_attack(target[0], target[1], ident[0], ident[1], rel,
                             node_budget=config.node_budget)
@@ -315,14 +304,17 @@ def run_simulation(config: SimulationConfig, threads: int = 1) -> SimulationResu
     alpha index, repetition index), so the result is independent of the
     execution schedule; threads > 1 only changes wall-clock time: fan_out
     spreads the jobs over min(threads, jobs, worker_cpus()) forked workers
-    and runs a dead one's here.  Calibration is computed once per sigma.
+    and runs a dead one's here.  Calibration is computed once per sigma and
+    its band once per cell, so a collapsed band raises before any repetition.
     """
     if threads < 1:
         raise InputFormatError("threads must be at least 1")
     calibrations = [calibrate(config.region, sigma, config.n_calibration_pairs, config.seed,
                               rng=derive_rng(config.seed, STREAM_CALIBRATION, si))
                     for si, sigma in enumerate(config.sigma_grid)]
-    jobs = [(config, si, ai, rep, calibrations[si]) for si, ai, rep in itertools.product(
+    bands = {(si, ai): band_from_table(table, alpha).as_relation()
+             for si, table in enumerate(calibrations) for ai, alpha in enumerate(config.alpha_grid)}
+    jobs = [(config, si, ai, rep, bands[si, ai]) for si, ai, rep in itertools.product(
         range(len(config.sigma_grid)), range(len(config.alpha_grid)), range(config.repetitions))]
     rows = list(fan_out(lambda job: _run_repetition(*job), jobs, threads))
     cells = []

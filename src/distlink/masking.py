@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import GeoPoint, _great_circle_km, _json_file
+from .core import GeoPoint, _great_circle_km, _json_object
 from .errors import DegenerateSampleError, InputFormatError
 from .graph import QuantileBand
 from .seeding import STREAM_CALIBRATION, derive_rng
@@ -34,6 +35,11 @@ SUMMARY_QUANTILES = (0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95)
 QUANTILE_METHOD = "weibull"
 
 
+def _is_number(x) -> bool:
+    """Whether x is a real number, a bool not counting as one."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Region:
     """Latitude/longitude bounding box, degrees."""
@@ -44,9 +50,18 @@ class Region:
     lon_max: float
 
     def __post_init__(self) -> None:
-        if not (-90.0 <= self.lat_min < self.lat_max <= 90.0
+        if not (all(map(_is_number, self.as_dict().values()))
+                and -90.0 <= self.lat_min < self.lat_max <= 90.0
                 and -180.0 <= self.lon_min < self.lon_max <= 180.0):
-            raise InputFormatError("region bounds need min < max within [-90, 90] x [-180, 180]")
+            raise InputFormatError("region bounds need numbers, min < max, in [-90, 90] x [-180, 180]")
+
+    @classmethod
+    def from_dict(cls, payload) -> "Region":
+        """The region a JSON object with as_dict's four keys describes."""
+        names = [f.name for f in fields(cls)]
+        if not isinstance(payload, dict) or sorted(payload) != sorted(names):
+            raise InputFormatError(f"region must be an object of the numbers {names}")
+        return cls(**payload)
 
     def as_dict(self) -> dict:
         return {"lat_min": self.lat_min, "lat_max": self.lat_max,
@@ -58,9 +73,9 @@ GERMANY = Region(lat_min=47.27, lat_max=55.06, lon_min=5.87, lon_max=15.04)
 
 
 def check_sigma(sigma: float) -> None:
-    """Reject a noise level that is negative, NaN or infinite."""
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise InputFormatError("sigma must be finite and nonnegative")
+    """Reject a noise level that is not a number, or negative, NaN or infinite."""
+    if not (_is_number(sigma) and math.isfinite(sigma) and sigma >= 0):
+        raise InputFormatError(f"sigma must be finite and nonnegative, got {sigma!r}")
 
 
 def _perturb(lon: np.ndarray, lat: np.ndarray, sigma: float,
@@ -111,6 +126,8 @@ class CalibrationTable:
         if np.any(np.diff(dev) < 0):
             raise InputFormatError("deviations must be sorted ascending")
         check_sigma(sigma)
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise InputFormatError(f"seed must be an integer >= 0, got {seed!r}")
         dev.setflags(write=False)
         self.sigma = sigma
         self.deviations = dev
@@ -222,19 +239,20 @@ def save_calibration(table: CalibrationTable, path) -> None:
 
 
 def load_calibration(path) -> CalibrationTable:
+    """The table save_calibration wrote to path.  A present field of the
+    wrong type or value is malformed, an absent one missing."""
     path = Path(path)
-    payload = _json_file(path)
+    payload = _json_object(path, "calibration")
+    missing = [k for k in ("sigma", "seed", "region", "n_pairs", "deviations") if k not in payload]
+    if missing:
+        raise InputFormatError(f"{path}: missing calibration field: {missing[0]!r}")
     try:
-        region = Region(**payload["region"])
+        if not isinstance(payload["deviations"], list) or not all(map(_is_number, payload["deviations"])):
+            raise InputFormatError("deviations must be a list of numbers")
         table = CalibrationTable(payload["sigma"], payload["deviations"],
-                                 region, payload["seed"])
-        n_pairs = payload["n_pairs"]
-    except (KeyError, TypeError) as exc:
-        raise InputFormatError(f"{path}: missing calibration field: {exc}") from None
-    except (ValueError, OverflowError) as exc:
+                                 Region.from_dict(payload["region"]), payload["seed"])
+    except (InputFormatError, OverflowError) as exc:
         raise InputFormatError(f"{path}: malformed calibration field: {exc}") from None
-    except InputFormatError as exc:
-        raise InputFormatError(f"{path}: {exc}") from None
-    if table.n_pairs != n_pairs:
+    if table.n_pairs != payload["n_pairs"]:
         raise InputFormatError(f"{path}: n_pairs does not match deviation count")
     return table

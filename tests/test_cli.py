@@ -137,6 +137,21 @@ class TestAttack:
         # the correct four pairs
         assert read_matches(out) == POETS_TRUE_MATCHES_1BASED
 
+    @pytest.mark.parametrize("changes", [{"sigma": True}, {"sigma": "0.05"}, {"seed": 1.5},
+                                         {"deviations": ["-1", "0", "1"], "n_pairs": 3},
+                                         {"region": "de"}])
+    def test_calibration_field_of_the_wrong_type_rejected(self, poets_files, tmp_path, capsys,
+                                                          changes):
+        assert main(["calibrate", "--sigma", "0.05", "--n-pairs", "50",
+                     "--out-dir", str(tmp_path / "cal")]) == EXIT_OK
+        cal = tmp_path / "cal" / "calibration_sigma0.05.json"
+        cal.write_text(json.dumps({**json.loads(cal.read_text()), **changes}))
+        out = tmp_path / "matches.csv"
+        assert main(attack_argv(poets_files, out, "--calibration", str(cal),
+                                "--alpha", "0.9")) == EXIT_INPUT
+        assert f"{cal}: malformed calibration field: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_swapped_roles_give_reversed_pairs(self, poets_files, tmp_path):
         swapped = {"tt": poets_files["it"], "tm": poets_files["im"],
                    "it": poets_files["tt"], "im": poets_files["tm"]}
@@ -672,7 +687,11 @@ class TestSimulate:
                                        {"repetitions": True},
                                        {"seed": -1},
                                        {"sigma_grid": [0.01, 0.01]},
-                                       {"node_budget": 0}])
+                                       {"node_budget": 0},
+                                       {"region": {"lat_min": False, "lat_max": True,
+                                                   "lon_min": 0, "lon_max": 1}},
+                                       {"qi_distributions": {"a": {"x": True}}},
+                                       {"qi_distributions": {"a": {"x": "0.5", "y": "0.5"}}}])
     @pytest.mark.parametrize("command", ["simulate", "gendata"])
     def test_malformed_field_type_rejected(self, tmp_path, capsys, field, command):
         cfg = small_sim_config(tmp_path, **{"sigma_grid": [0.01], **field})

@@ -1088,8 +1088,9 @@ class TestKernelBuild:
         """branches, local_colour and root_colour built with
         AddressSanitizer run, in a fresh interpreter with its runtime
         preloaded, on graphs whose last vertices in degree order are
-        isolated among others: an access out of a buffer's bounds fails
-        this test."""
+        isolated among others and on one whose scratch arrays are all
+        handed back to malloc when freed: an access out of a buffer's
+        bounds, or to a freed one, fails this test."""
         require_cc()
         runtime = subprocess.run(["cc", "-print-file-name=libasan.so"], capture_output=True,
                                  text=True).stdout.strip()
@@ -1100,7 +1101,7 @@ class TestKernelBuild:
                    PYTHONPATH=os.pathsep.join(paths))
         run = subprocess.run([sys.executable, "-c", ASAN_SCRIPT, str(tmp_path)], env=env,
                              capture_output=True, text=True, timeout=300)
-        assert run.returncode == 0 and "checked 14" in run.stdout, run.stderr[-4000:]
+        assert run.returncode == 0 and "checked 15" in run.stdout, run.stderr[-4000:]
 
 
 #: test_clique_kernels_under_address_sanitizer's script: the clique kernels
@@ -1126,6 +1127,9 @@ graphs = [SimpleGraph.from_edges(0, []), SimpleGraph.from_edges(4, []),
 graphs += [random_simple_graph(rng, n, p) for n, p in ((1, 0.5), (40, 0.3), (130, 0.6))]
 for g in list(graphs[2:]):
     graphs.append(SimpleGraph.from_edges(g.n + 3, np.stack(g.edge_array(), 1)))
+# last, a graph whose scratch arrays all pass the 1 KiB below which numpy
+# keeps a freed block for reuse, out of the sanitizer's sight
+graphs.append(random_simple_graph(rng, 400, 0.4))
 for g in graphs:
     order = np.argsort(-np.diff(g.indptr), kind="stable")
     pos = np.empty(g.n, np.int64)
@@ -1137,6 +1141,7 @@ for g in graphs:
             s = int(level.fdeg[v])
             for kmin in (-1, s):
                 level.colour(s, a[lo:hi].copy(), b[lo:hi].copy(), kmin)
+assert min(x.nbytes for x in (level.lower, level.pairs, level.rows, level.mark)) > 1024
 native.KERNEL_MIN_SIZE = -1
 for g in graphs:
     clique.enumerate_maximum_cliques(g)

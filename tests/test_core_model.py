@@ -413,6 +413,15 @@ class TestTableIO:
         with pytest.raises(InputFormatError):
             load_table(path, qi_attributes=("a",))
 
+    @pytest.mark.parametrize("lon, lat, message", [
+        ("200", "50.0", "longitude out of range: 200.0"), ("inf", "50.0", "longitude out of range: inf"),
+        ("1.0", "95", "latitude out of range: 95.0"), ("1.0", "nan", "latitude out of range: nan")])
+    def test_coordinate_out_of_range_names_its_line(self, tmp_path, lon, lat, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"a,lon,lat\nx,1.0,50.0\ny,{lon},{lat}\n")
+        with pytest.raises(InputFormatError, match=rf"bad\.csv:3: {message}$"):
+            load_table(path, qi_attributes=("a",))
+
     def test_unknown_qi_names_the_file_and_attribute(self, tmp_path):
         path = tmp_path / "people.csv"
         path.write_text("sex,yob\nf,1970\n")
@@ -637,17 +646,6 @@ class TestMatrixLoaderAgainstCsvPath:
         with pytest.raises(InputFormatError, match=r"m\.csv: empty matrix file"):
             load_matrix(path)
 
-    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
-    def test_plain_files_skip_the_csv_path(self, tmp_path, monkeypatch, newline):
-        def refuse(path):
-            raise AssertionError("the csv path ran")
-
-        path = tmp_path / "m.csv"
-        save_matrix(poets_target_matrix(), path)
-        path.write_text(path.read_text().replace("\n", newline), newline="")
-        monkeypatch.setattr(core, "_load_matrix_csv", refuse)
-        assert np.array_equal(load_matrix(path).entries, poets_target_matrix().entries)
-
 
 _DECIMAL_STYLES = (repr, "%.17g".__mod__, "%g".__mod__, "%e".__mod__, "%.19g".__mod__,
                    "%.20g".__mod__)
@@ -776,10 +774,10 @@ def _read_compiled(data):
 
 
 class TestCompiledMatrixReader:
-    """The compiled reader against numpy's reader and the csv path, which
-    stay as its oracles and as the path without a compiler: it takes only
-    plain decimal rows, with the entries they give bit for bit, and hands
-    any other file on, so every message stays the same."""
+    """The compiled reader against np.loadtxt and the csv path, its
+    oracles; the csv path is also the path without a compiler.  It takes
+    only plain decimal rows, with the entries they give bit for bit, and
+    hands any other file on, so every message stays the same."""
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -893,8 +891,8 @@ class TestCompiledMatrixReader:
         assert np.array_equal(load_matrix(path).entries, m.entries)
 
     def test_floor_between_16_and_17_records(self, tmp_path, monkeypatch):
-        # n * n against native.KERNEL_MIN_SIZE: 256 entries take numpy's
-        # reader, 289 the compiled one, with the csv path's entries either way
+        # n * n against native.KERNEL_MIN_SIZE: 256 entries take the csv
+        # path, 289 the compiled reader, with the csv path's entries either way
         require_compiled()
         counting = CountingKernel(native.kernel(), "read_matrix")
         monkeypatch.setattr(native, "kernel", lambda: counting)

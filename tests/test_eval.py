@@ -11,6 +11,7 @@ import pytest
 
 from distlink import (
     GERMANY,
+    DegenerateSampleError,
     GroundTruth,
     InputFormatError,
     MatchList,
@@ -102,6 +103,14 @@ class TestSimulationConfig:
         d = c.as_dict()
         assert d["n_target"] == 20 and d["sigma_grid"] == [0.01]
         assert SimulationConfig.from_dict(d) == c
+
+    @pytest.mark.parametrize("field", [
+        {"region": {"lat_min": False, "lat_max": True, "lon_min": 0, "lon_max": 1}},
+        {"qi_distributions": {"a": {"x": True}}},
+        {"qi_distributions": {"a": {"x": "0.5", "y": "0.5"}}}])
+    def test_from_dict_takes_only_numbers(self, field):
+        with pytest.raises(InputFormatError, match="malformed config field: "):
+            SimulationConfig.from_dict({**tiny_config().as_dict(), **field})
 
     def test_defaults(self):
         c = SimulationConfig(20, 20, 6, (0.01,))
@@ -287,6 +296,14 @@ class TestRunSimulation:
         cell = res.cell(0.01, 0.5)
         assert cell.completed == 0
         assert math.isnan(cell.mean_precision)
+
+    def test_collapsed_band_raises_before_the_first_repetition(self, monkeypatch):
+        # sigma 0 leaves every deviation 0, so its band is [0, 0]
+        calls = []
+        monkeypatch.setattr(evaluation, "_run_repetition", lambda *job: calls.append(job))
+        with pytest.raises(DegenerateSampleError, match="quantile band collapsed"):
+            run_simulation(tiny_config(sigma_grid=(0.01, 0.0)))
+        assert calls == []
 
     def test_calibrations_stored_per_sigma(self):
         config = tiny_config(sigma_grid=(0.005, 0.02))

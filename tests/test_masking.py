@@ -51,7 +51,8 @@ class TestRegion:
         assert Region(**d) == GERMANY
 
     @pytest.mark.parametrize("bounds", [(40.0, 42.0, 170.0, 200.0), (-95.0, 0.0, 1.0, 2.0),
-                                        (0.0, math.inf, 1.0, 2.0)])
+                                        (0.0, math.inf, 1.0, 2.0), (False, True, 1.0, 2.0),
+                                        (40.0, 42.0, "1", 3.0), (40.0, 42.0, 1.0, None)])
     def test_rejects_bounds_off_the_globe(self, bounds):
         with pytest.raises(InputFormatError, match="in \\[-90, 90\\] x \\[-180, 180\\]"):
             Region(*bounds)
@@ -339,6 +340,23 @@ class TestCalibrationIO:
     def test_rejects_non_numeric_deviations(self, tmp_path):
         path = self._doctored(tmp_path, deviations=["a", "b", "c"], n_pairs=3)
         with pytest.raises(InputFormatError, match="malformed calibration field"):
+            load_calibration(path)
+
+    @pytest.mark.parametrize("changes", [
+        {"sigma": True}, {"sigma": "0.01"}, {"seed": "x"}, {"seed": 1.5}, {"seed": False},
+        {"seed": -1}, {"deviations": [False, True, True], "n_pairs": 3},
+        {"deviations": ["-1", "0", "1"], "n_pairs": 3}, {"deviations": {"a": 1}},
+        {"region": "de"}, {"region": {**GERMANY.as_dict(), "alt_min": 0}},
+        {"region": {**GERMANY.as_dict(), "lon_min": True}}])
+    def test_present_field_of_the_wrong_type_is_malformed(self, tmp_path, changes):
+        path = self._doctored(tmp_path, **changes)
+        with pytest.raises(InputFormatError, match=r"cal\.json: malformed calibration field: "):
+            load_calibration(path)
+
+    def test_top_level_array_rejected(self, tmp_path):
+        path = tmp_path / "cal.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(InputFormatError, match=r"cal\.json: calibration must be a JSON object$"):
             load_calibration(path)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
