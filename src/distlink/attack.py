@@ -96,10 +96,7 @@ def run_attack(
     if enumerate_ties:
         all_max = enumerate_maximum_cliques(product.graph, node_budget, clique)
         n_maximum = len(all_max)
-        common = set(all_max[0])
-        for other in all_max[1:]:
-            common &= set(other)
-        core = _matches_from_vertices(product, sorted(common))
+        core = _matches_from_vertices(product, set(all_max[0]).intersection(*all_max[1:]))
         stable_core = MatchList(core.matches, match_list.distance_supported)
     return AttackReport(match_list, product.n, replace(clique, _search=None), product,
                         stable_core, n_maximum)

@@ -13,7 +13,8 @@ configuration, master seed, SHA-256 of every input file, tool version
 and timestamps.  Sequential runs with identical inputs and seed write
 byte-identical result files; the manifest differs only in timestamps.
 
-Exit codes: 0 success, 2 input or usage error, 3 node budget exceeded.
+Exit codes: 0 success, 2 input or usage error (an input too large for
+physical memory included), 3 node budget exceeded.
 """
 
 from __future__ import annotations

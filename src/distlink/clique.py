@@ -50,7 +50,6 @@ import contextlib
 import copy
 import itertools
 import multiprocessing
-import operator
 import os
 import signal
 import threading
@@ -62,7 +61,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import native
-from .errors import InputFormatError, ResourceBudgetError, SizeLimitError
+from .core import _require_memory
+from .errors import InputFormatError, ResourceBudgetError
 
 DEFAULT_NODE_BUDGET = 10**8
 
@@ -130,14 +130,6 @@ class SimpleGraph:
     def edges(self) -> list:
         x, y = self.edge_array()
         return list(zip(x.tolist(), y.tolist()))
-
-
-def _physical_memory_bytes() -> Optional[int]:
-    """Installed RAM, or None where the platform does not report it."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
 
 
 def _edge_keys(n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -513,10 +505,10 @@ class _Search:
 
     best_masks holds the cliques of size best_size the search met, starting
     from the empty clique, the first one found first; with keep_ties they
-    are every maximum clique.  Without keep_ties, ties holds the
-    subproblems the search cut with a colour bound exactly equal to
-    best_size, where the other maximum cliques can hide, for resumed().
-    Both start over whenever the incumbent grows.
+    are every maximum clique.  Without keep_ties, ties maps the root
+    branches, in sweep order, to their cuts with a colour bound exactly
+    equal to best_size, where the other maximum cliques can hide, for
+    resumed().  Both start over whenever the incumbent grows.
     """
 
     def __init__(self, g: SimpleGraph, node_budget: int, keep_ties: bool = False) -> None:
@@ -530,10 +522,10 @@ class _Search:
         self.nodes = 0
         self.best_size = 0
         self.best_masks = [0]
-        #: (root branch or None, size, mask, cand, the (vertex, colour)
-        #: pairs of the cut colour left in cand), or (root branch, whether
-        #: its root node is still to spend) for a root branch to search whole
-        self.ties = []
+        #: root branch (None unsplit) -> its tie cuts (size, mask, cand, the
+        #: cut colour's (vertex, colour) pairs left in cand), or the nodes owed
+        #: before searching it whole: 1 if the sweep stopped before it, else 0
+        self.ties = {}
         self.root = self.level = None
         kernel = native.kernel_for(g.n)
         if kernel is not None or g.n > SPLIT_MIN_VERTICES:
@@ -556,7 +548,7 @@ class _Search:
         if size > self.best_size:
             self.best_size = size
             self.best_masks = [mask]
-            self.ties = []
+            self.ties = {}
         elif size == self.best_size:
             self.best_masks.append(mask)
 
@@ -577,7 +569,7 @@ class _Search:
             if size + colour + self.keep_ties <= self.best_size:
                 if size + colour == self.best_size:
                     top = [(v, colour), *itertools.takewhile(lambda p: p[1] == colour, coloured)]
-                    self.ties.append((self.root, size, mask, cand, top))
+                    self.ties.setdefault(self.root, []).append((size, mask, cand, top))
                 return
             self._spend()
             b = 1 << v
@@ -600,13 +592,13 @@ class _Search:
                 if colour + self.keep_ties <= self.best_size:
                     if colour == self.best_size:
                         rest = itertools.takewhile(lambda p: p[1] == colour, roots)
-                        self.ties += [(v, True)] + [(u, True) for u, _ in rest]
+                        self.ties.update(dict.fromkeys([v, *(u for u, _ in rest)], 1))
                     return
                 self._spend()
                 self._root_branch(v, *next(branches))
 
     def _root_branch(self, v: int, bound: int, a: np.ndarray, b: np.ndarray, lo: int, hi: int,
-                     ties=None) -> None:
+                     cuts=None) -> None:
         """Root branch v, its node spent, on its skip bound and its local
         edges (a[k], b[k]), lo <= k < hi: local id i is the candidate the
         level's adj lists i-th.  Cut by its bound at no more cost than that
@@ -621,7 +613,7 @@ class _Search:
         # branch is recorded whole
         if 1 + bound + self.keep_ties <= self.best_size:
             if 1 + bound == self.best_size:
-                self.ties.append((v, False))
+                self.ties[v] = 0
             return
         cand = self.level.adj[self.level.indptr[v]:self.level.indptr[v + 1]]
         s, a, b = len(cand), a[lo:hi], b[lo:hi]
@@ -629,16 +621,16 @@ class _Search:
         # back: they replace the outer ones if the branch grew
         outer, size = self.best_masks, self.best_size
         self.best_masks, self.root = [], v
-        coloured = None if ties else self.level.colour(s, a, b, self.best_size - 2)
+        coloured = None if cuts else self.level.colour(s, a, b, self.best_size - 2)
         rows = outs = None
         # a first colour the incumbent cuts ends the branch at a tie cut,
         # which needs only the candidates
-        if ties or coloured and 1 + coloured[-1][1] + self.keep_ties > self.best_size:
+        if cuts or coloured and 1 + coloured[-1][1] + self.keep_ties > self.best_size:
             rows = bitset_rows(s, a, b)
             outs = _complements(rows)
         if coloured is not None:
             self.expand(rows, outs, 1, 0, (1 << s) - 1, reversed(coloured))
-        for _, at, mask, sub, top in ties or ():
+        for at, mask, sub, top in cuts or ():
             self.expand(rows, outs, at, mask, sub, iter(top))
         ids = cand.tolist()
         found = [sum(1 << ids[i] for i in _bits(m)) | 1 << v for m in self.best_masks]
@@ -652,19 +644,18 @@ class _Search:
         the sweep's own root level, streamed as the sweep streams them."""
         tie = copy.copy(self)
         tie.budget, tie.keep_ties = node_budget, True
-        tie.best_masks, tie.ties = list(self.best_masks), []
+        tie.best_masks, tie.ties = list(self.best_masks), {}
         tie._spend(0)  # max_clique alone may have spent node_budget
         if self.level is None:
-            for _, size, mask, cand, top in self.ties:
+            for size, mask, cand, top in self.ties.get(None, ()):
                 tie.expand(self.rows, self.outs, size, mask, cand, iter(top))
             return tie
-        groups = [(v, list(group)) for v, group in itertools.groupby(self.ties, operator.itemgetter(0))]
-        with contextlib.closing(self.level.stream([v for v, _ in groups])) as branches:
-            for (v, group), branch in zip(groups, branches):
-                if len(group[0]) == 2:  # a root branch to search whole
-                    tie._spend(group[0][1])
-                    group = None
-                tie._root_branch(v, *branch, group)
+        with contextlib.closing(self.level.stream(list(self.ties))) as branches:
+            for (v, cuts), branch in zip(self.ties.items(), branches):
+                if isinstance(cuts, int):  # a root branch to search whole
+                    tie._spend(cuts)
+                    cuts = None
+                tie._root_branch(v, *branch, cuts)
         return tie
 
     def vertices(self, mask: int) -> tuple:
@@ -752,10 +743,7 @@ def read_dimacs(path) -> SimpleGraph:
                 if n < 0:
                     raise InputFormatError(f"{where}: negative vertex count")
                 # csr_graph peaks at three int64 arrays of n + 1 entries
-                have = _physical_memory_bytes()
-                if have is not None and 24 * (n + 1) > have:
-                    raise SizeLimitError(f"{where}: {n} vertices need about {24 * (n + 1)} bytes, "
-                                         f"more than the {have} bytes of physical memory")
+                _require_memory(24 * (n + 1), f"{where}: {n} vertices need")
                 if n_edges < 0:
                     raise InputFormatError(f"{where}: negative edge count")
             elif parts[0] == "e":

@@ -13,7 +13,8 @@ class InputFormatError(DistlinkError):
 class SizeLimitError(DistlinkError):
     """An instance is too large for an operation: a brute-force oracle or
     exhaustive witness enumeration beyond its order limit, or a product
-    graph whose candidate edges would not fit in physical memory."""
+    graph, a distance matrix or a calibration sample that would not fit in
+    physical memory."""
 
 
 class ResourceBudgetError(DistlinkError):

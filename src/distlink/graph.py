@@ -30,9 +30,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import native
-from .clique import BLOCK, SimpleGraph, _physical_memory_bytes, csr_graph
-from .core import DistanceMatrix, MicrodataTable
-from .errors import InputFormatError, SizeLimitError
+from .clique import BLOCK, SimpleGraph, csr_graph
+from .core import DistanceMatrix, MicrodataTable, _require_memory
+from .errors import InputFormatError
 
 # a vertex label is the tuple of quasi-identifier values of its record,
 # compared componentwise as exact (whitespace-trimmed) strings
@@ -264,12 +264,8 @@ BYTES_PER_CANDIDATE = 34
 
 def _check_edge_memory(n_vertices: int, n_candidates: int) -> None:
     """Refuse a product whose candidate edges cannot fit in RAM."""
-    need = BYTES_PER_CANDIDATE * n_candidates
-    have = _physical_memory_bytes()
-    if have is not None and need > have:
-        raise SizeLimitError(
-            f"product graph of {n_vertices} vertices and up to {n_candidates} edges needs "
-            f"about {need} bytes, more than the {have} bytes of physical memory")
+    _require_memory(BYTES_PER_CANDIDATE * n_candidates,
+                    f"product graph of {n_vertices} vertices and up to {n_candidates} edges needs")
 
 
 def _label_pair_groups(kernel, lab: np.ndarray, entries: np.ndarray, offset: np.ndarray,

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import GeoPoint, _great_circle_km, _json_object
+from .core import GeoPoint, _great_circle_km, _json_object, _require_memory
 from .errors import DegenerateSampleError, InputFormatError
 from .graph import QuantileBand
 from .seeding import STREAM_CALIBRATION, derive_rng
@@ -33,6 +33,11 @@ SUMMARY_QUANTILES = (0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95)
 #: statistics at positions p*(n+1).  Pinned because band edges feed
 #: directly into the matching relation.
 QUANTILE_METHOD = "weibull"
+
+#: bytes per pair at calibrate's peak, its coordinate, noise and distance
+#: arrays and the acos list: tracemalloc's peak grew by 136.0 bytes per
+#: pair from 200,000 to 400,000 pairs
+CALIBRATION_BYTES_PER_PAIR = 136
 
 
 def _is_number(x) -> bool:
@@ -155,9 +160,12 @@ def calibrate(
     box; both endpoints are masked and the deviation original minus
     masked distance recorded.  Draw order is fixed (lon1, lat1, lon2,
     lat2, then one noise block per endpoint), so a seed pins the sample.
+    Raises SizeLimitError before drawing when the sample would not fit in
+    physical memory.
     """
     if n_pairs < 2:
         raise InputFormatError("n_pairs must be at least 2")
+    _require_memory(CALIBRATION_BYTES_PER_PAIR * n_pairs, f"calibration of {n_pairs} pairs needs")
     if rng is None:
         rng = derive_rng(seed, STREAM_CALIBRATION)
     lon1 = rng.uniform(region.lon_min, region.lon_max, n_pairs)
@@ -249,6 +257,8 @@ def load_calibration(path) -> CalibrationTable:
     try:
         if not isinstance(payload["deviations"], list) or not all(map(_is_number, payload["deviations"])):
             raise InputFormatError("deviations must be a list of numbers")
+        if not isinstance(payload["n_pairs"], int) or isinstance(payload["n_pairs"], bool):
+            raise InputFormatError(f"n_pairs must be an integer, got {payload['n_pairs']!r}")
         table = CalibrationTable(payload["sigma"], payload["deviations"],
                                  Region.from_dict(payload["region"]), payload["seed"])
     except (InputFormatError, OverflowError) as exc:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import distlink
-from distlink import (DistanceMatrix, cli, clique, graph, load_calibration, load_matrix,
+from distlink import (DistanceMatrix, cli, clique, core, graph, load_calibration, load_matrix,
                       native, save_matrix, save_table)
 from distlink.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, SEED_ENV_VAR, main
 from distlink.datasets import (
@@ -107,6 +107,19 @@ class TestDistmat:
         out = tmp_path / "m.csv"
         assert main(["distmat", str(tmp_path / "no.csv"), str(out)]) == EXIT_INPUT
 
+    def test_matrix_beyond_physical_memory_rejected(self, tmp_path, capsys, monkeypatch):
+        # the memory figure is the test's own: one byte short of the matrix
+        src = tmp_path / "birthplaces.csv"
+        out = tmp_path / "m.csv"
+        save_table(poets_birthplaces_table(), src)
+        n = len(poets_birthplaces_table().points)
+        need = core.DISTANCE_BYTES_PER_ENTRY * n * n
+        monkeypatch.setattr(core, "_physical_memory_bytes", lambda: need - 1)
+        assert main(["distmat", str(src), str(out)]) == EXIT_INPUT
+        assert (f"error: distance matrix of {n} points needs about {need} bytes, "
+                f"more than the {need - 1} bytes of physical memory") in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAttack:
     def test_poets_with_absolute_tolerance(self, poets_files, tmp_path, capsys):
@@ -139,7 +152,8 @@ class TestAttack:
 
     @pytest.mark.parametrize("changes", [{"sigma": True}, {"sigma": "0.05"}, {"seed": 1.5},
                                          {"deviations": ["-1", "0", "1"], "n_pairs": 3},
-                                         {"region": "de"}])
+                                         {"region": "de"}, {"n_pairs": 50.0}, {"n_pairs": "50"},
+                                         {"n_pairs": True}, {"n_pairs": None}])
     def test_calibration_field_of_the_wrong_type_rejected(self, poets_files, tmp_path, capsys,
                                                           changes):
         assert main(["calibrate", "--sigma", "0.05", "--n-pairs", "50",
@@ -213,7 +227,7 @@ class TestAttack:
     def test_product_beyond_memory_exit_code(self, poets_files, tmp_path, monkeypatch, capsys):
         # the poets product has 11 vertices and 9 candidate edges
         need = graph.BYTES_PER_CANDIDATE * 9
-        monkeypatch.setattr(graph, "_physical_memory_bytes", lambda: need - 1)
+        monkeypatch.setattr(core, "_physical_memory_bytes", lambda: need - 1)
         out = tmp_path / "matches.csv"
         assert main(attack_argv(poets_files, out, "--abs-eps", "5")) == EXIT_INPUT
         assert f"11 vertices and up to 9 edges needs about {need} bytes" in capsys.readouterr().err
@@ -535,6 +549,17 @@ class TestCalibrate:
         assert f"--sigma values {float(sigmas[0])!r} and {float(sigmas[1])!r}" in err
         assert not out_dir.exists()
 
+    def test_sample_beyond_physical_memory_rejected(self, tmp_path, capsys, monkeypatch):
+        # a billion pairs would take 8 GB an array; refused before the
+        # first draw, against the test's own memory figure
+        monkeypatch.setattr(core, "_physical_memory_bytes", lambda: 8 * 2**30)
+        out_dir = tmp_path / "cal"
+        rc = main(["calibrate", "--sigma", "0.01", "--n-pairs", "1000000000",
+                   "--out-dir", str(out_dir), "--seed", "0"])
+        assert rc == EXIT_INPUT
+        assert "error: calibration of 1000000000 pairs needs about " in capsys.readouterr().err
+        assert not list(out_dir.iterdir())
+
     def test_region_off_the_globe_rejected(self, tmp_path, capsys):
         rc = main(["calibrate", "--sigma", "0.01", "--n-pairs", "100",
                    "--region", "40", "42", "170", "200",
@@ -778,6 +803,16 @@ class TestGendata:
         # with zero noise every true pair is recoverable; spurious pairs
         # are possible only through exact distance coincidences
         assert truth <= got or len(got & truth) >= len(truth) - 1
+
+    @pytest.mark.parametrize("command", ["gendata", "simulate"])
+    def test_matrix_beyond_physical_memory_rejected(self, tmp_path, capsys, monkeypatch, command):
+        # each 20-record file's matrix is one byte short of memory, which
+        # the 2-pair calibration fits
+        cfg = small_sim_config(tmp_path, sigma_grid=[0.01], n_calibration_pairs=2)
+        need = core.DISTANCE_BYTES_PER_ENTRY * 20 * 20
+        monkeypatch.setattr(core, "_physical_memory_bytes", lambda: need - 1)
+        assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == EXIT_INPUT
+        assert f"error: distance matrix of 20 points needs about {need} bytes" in capsys.readouterr().err
 
     def test_requires_single_sigma(self, tmp_path):
         cfg = small_sim_config(tmp_path)  # two sigma values

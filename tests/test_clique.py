@@ -27,7 +27,7 @@ from distlink import (
     read_dimacs,
     write_dimacs,
 )
-from distlink import build_product_graph, clique, native
+from distlink import build_product_graph, clique, core, native
 from distlink.clique import _Search, _colour_classes, _complements, bitset_rows
 from distlink.oracles import adjacency_rows, brute_force_max_clique, count_cliques_of_size
 from helpers import (
@@ -551,6 +551,21 @@ class TestResumedTiePass:
             assert split[:2] == (vertices, nodes) and (len(split[2]), split[2][0]) == (n_maximum, first)
             assert split[3:] == (core, total)
 
+    def test_tie_pass_resumes_twice_on_both_paths(self):
+        # resumed() reads max_clique's tie record without consuming it or
+        # handing it to its copy: a second pass on the same result finds
+        # the same cliques and spends the same nodes
+        def twice(g):
+            r = max_clique(g)
+            passes = [(enumerate_maximum_cliques(g, clique=r), r._search.resumed(10**8).nodes)
+                      for _ in range(2)]
+            assert passes[0] == passes[1]
+            return passes[0]
+
+        for g, (total, _) in zip(_tie_pass_graphs(), TIE_PASS_RESULTS):
+            split, unsplit = on_both_paths(twice, g)
+            assert split == unsplit and split[1] == total
+
     def test_budget_below_the_tie_pass_total_on_both_paths(self, monkeypatch):
         # chunks of 3 roots, so that a budget runs out inside a chunk
         # whose bounds and edges are already computed
@@ -570,7 +585,7 @@ class TestResumedTiePass:
         for g in _tie_pass_graphs()[:3]:
             search = _Search(g, 10**8)
             assert search.level is not None  # split
-            roots = len(list(itertools.groupby(t[0] for t in search.ties)))
+            roots = len(search.ties)
             for chunk in (7, 128):
                 monkeypatch.setattr(clique, "CHUNK", chunk)
                 # the sweep's root level and kernel, which the tie pass reuses
@@ -867,7 +882,7 @@ class TestParallelSweep:
         for g, (total, _) in zip(_tie_pass_graphs()[:3], TIE_PASS_RESULTS):
             r = _with_workers(max_clique, g, 1)
             search = r._search
-            assert len(list(itertools.groupby(t[0] for t in search.ties))) > 2 * 4  # 2 chunks of 4
+            assert len(search.ties) > 2 * 4  # 2 chunks of 4
 
             def tie_pass(g):
                 tie = search.resumed(10**8)
@@ -1301,12 +1316,12 @@ class TestDimacs:
         # refused at the problem line, before the edge lines and before any
         # array of the count's size; the memory figure is the test's own
         path = tmp_path / "g.dimacs"
-        monkeypatch.setattr(clique, "_physical_memory_bytes", lambda: 8 * 2**30)
+        monkeypatch.setattr(core, "_physical_memory_bytes", lambda: 8 * 2**30)
         path.write_text("p edge 1500000000 1\ne 1 two\n")
         with pytest.raises(SizeLimitError, match=r"g\.dimacs:1: 1500000000 vertices need about "
                                                   r"36000000024 bytes, more than the 8589934592"):
             read_dimacs(path)
-        monkeypatch.setattr(clique, "_physical_memory_bytes", lambda: 24 * 1001)
+        monkeypatch.setattr(core, "_physical_memory_bytes", lambda: 24 * 1001)
         path.write_text("p edge 1000 1\ne 1 2\n")
         assert read_dimacs(path).n == 1000
         path.write_text("c x\np edge 1001 1\ne 1 2\n")

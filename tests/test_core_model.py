@@ -8,6 +8,7 @@ import locale
 import math
 import shutil
 import subprocess
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from distlink import (
     InputFormatError,
     MicrodataRecord,
     MicrodataTable,
+    SizeLimitError,
     distance_matrix,
     great_circle_distance,
     load_calibration,
@@ -133,6 +135,29 @@ class TestDistanceMatrixComputation:
     def test_single_point(self):
         m = distance_matrix([GeoPoint(1.0, 2.0)])
         assert m.entries.shape == (1, 1) and m.entries[0, 0] == 0.0
+
+    def test_matrix_beyond_physical_memory_refused(self, monkeypatch):
+        # refused before any array of the matrix's size; the memory figure
+        # is the test's own
+        pts = random_points(np.random.default_rng(3), 2000)
+        need = core.DISTANCE_BYTES_PER_ENTRY * 2000 * 2000
+        monkeypatch.setattr(core, "_physical_memory_bytes", lambda: need - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError) as raised:
+                distance_matrix(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(raised.value) == (f"distance matrix of 2000 points needs about {need} bytes, "
+                                     f"more than the {need - 1} bytes of physical memory")
+        assert peak < 2000 * 2000
+        need = core.DISTANCE_BYTES_PER_ENTRY * 50 * 50
+        monkeypatch.setattr(core, "_physical_memory_bytes", lambda: need)
+        assert distance_matrix(pts[:50]).n == 50
+        monkeypatch.setattr(core, "_physical_memory_bytes", lambda: need - 1)
+        with pytest.raises(SizeLimitError, match="distance matrix of 50 points"):
+            distance_matrix(pts[:50])
 
     def test_coincident_points_give_zero_off_diagonal(self):
         p = GeoPoint(10.0, 50.0)

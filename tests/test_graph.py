@@ -20,6 +20,7 @@ from distlink import (
     max_clique,
 )
 from distlink import clique as clique_module
+from distlink import core as core_module
 from distlink import native
 from distlink.clique import csr_graph
 from distlink.datasets import (
@@ -569,7 +570,7 @@ class TestMemoryGuard:
 
         gt, gi = poets_graphs()
         need = graph_module.BYTES_PER_CANDIDATE * 9
-        monkeypatch.setattr(graph_module, "_physical_memory_bytes", lambda: need - 1)
+        monkeypatch.setattr(core_module, "_physical_memory_bytes", lambda: need - 1)
         monkeypatch.setattr(graph_module, "csr_graph", no_build)
         with pytest.raises(SizeLimitError,
                            match=f"11 vertices and up to 9 edges needs about {need} bytes"):
@@ -582,7 +583,7 @@ class TestMemoryGuard:
         g1, g2 = random_labeled_graph(rng, 40, 1), random_labeled_graph(rng, 40, 1)
         candidates = 780 * 1560
         need = graph_module.BYTES_PER_CANDIDATE * candidates
-        monkeypatch.setattr(graph_module, "_physical_memory_bytes", lambda: need - 1)
+        monkeypatch.setattr(core_module, "_physical_memory_bytes", lambda: need - 1)
         tracemalloc.start()
         try:
             with pytest.raises(SizeLimitError,
@@ -595,7 +596,7 @@ class TestMemoryGuard:
 
     def test_estimate_within_memory_passes(self, monkeypatch):
         gt, gi = poets_graphs()
-        monkeypatch.setattr(graph_module, "_physical_memory_bytes",
+        monkeypatch.setattr(core_module, "_physical_memory_bytes",
                             lambda: graph_module.BYTES_PER_CANDIDATE * 9)
         assert build_product_graph(gt, gi, Absolute(5.0)).n == 11
 
@@ -660,11 +661,11 @@ class TestMemoryGuard:
 
     def test_unknown_memory_size_is_not_checked(self, monkeypatch):
         gt, gi = poets_graphs()
-        monkeypatch.setattr(graph_module, "_physical_memory_bytes", lambda: None)
+        monkeypatch.setattr(core_module, "_physical_memory_bytes", lambda: None)
         assert build_product_graph(gt, gi, Absolute(5.0)).n == 11
 
     def test_probe_reports_physical_memory(self):
-        assert graph_module._physical_memory_bytes() > 0
+        assert core_module._physical_memory_bytes() > 0
 
 
 class TestLabeledWeightedGraph:

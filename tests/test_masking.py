@@ -14,6 +14,7 @@ from distlink import (
     InputFormatError,
     QuantileBand,
     Region,
+    SizeLimitError,
     band_from_table,
     calibrate,
     great_circle_distance,
@@ -22,7 +23,8 @@ from distlink import (
     save_calibration,
     utility_score,
 )
-from distlink.masking import QUANTILE_METHOD, SUMMARY_QUANTILES, summary_row
+from distlink import core
+from distlink.masking import CALIBRATION_BYTES_PER_PAIR, QUANTILE_METHOD, SUMMARY_QUANTILES, summary_row
 from distlink.seeding import STREAM_CALIBRATION, STREAM_PERTURB, derive_rng
 from helpers import loop_calibration_deviations, loop_perturb_points, random_points
 
@@ -211,6 +213,20 @@ class TestCalibrate:
         assert all(d == 0.0 for d in t.deviations)
         assert t.sample_variance() == 0.0
 
+    def test_sample_beyond_physical_memory_refused(self, monkeypatch):
+        # refused before the first draw: the memory figure is the test's
+        # own, and a billion pairs would take 8 GB an array
+        monkeypatch.setattr(core, "_physical_memory_bytes", lambda: 8 * 2**30)
+        need = CALIBRATION_BYTES_PER_PAIR * 10**9
+        with pytest.raises(SizeLimitError) as raised:
+            calibrate(GERMANY, 0.01, 10**9, seed=0)
+        assert str(raised.value) == (f"calibration of 1000000000 pairs needs about {need} bytes, "
+                                     f"more than the 8589934592 bytes of physical memory")
+        monkeypatch.setattr(core, "_physical_memory_bytes", lambda: CALIBRATION_BYTES_PER_PAIR * 100)
+        assert calibrate(GERMANY, 0.01, 100, seed=0).n_pairs == 100
+        with pytest.raises(SizeLimitError, match="calibration of 101 pairs"):
+            calibrate(GERMANY, 0.01, 101, seed=0)
+
     def test_deterministic(self):
         a = calibrate(GERMANY, 0.01, 200, seed=6)
         b = calibrate(GERMANY, 0.01, 200, seed=6)
@@ -347,11 +363,22 @@ class TestCalibrationIO:
         {"seed": -1}, {"deviations": [False, True, True], "n_pairs": 3},
         {"deviations": ["-1", "0", "1"], "n_pairs": 3}, {"deviations": {"a": 1}},
         {"region": "de"}, {"region": {**GERMANY.as_dict(), "alt_min": 0}},
-        {"region": {**GERMANY.as_dict(), "lon_min": True}}])
+        {"region": {**GERMANY.as_dict(), "lon_min": True}}, {"n_pairs": 100.0}, {"n_pairs": "100"},
+        {"n_pairs": True}, {"n_pairs": 100.5}, {"n_pairs": [100]}])
     def test_present_field_of_the_wrong_type_is_malformed(self, tmp_path, changes):
         path = self._doctored(tmp_path, **changes)
         with pytest.raises(InputFormatError, match=r"cal\.json: malformed calibration field: "):
             load_calibration(path)
+
+    @pytest.mark.parametrize("n_pairs, message", [
+        (99, "n_pairs does not match deviation count"), (101, "n_pairs does not match deviation count"),
+        (-100, "n_pairs does not match deviation count"),
+        ("100", "malformed calibration field: n_pairs must be an integer, got '100'")])
+    def test_n_pairs_an_integer_of_the_deviation_count(self, tmp_path, n_pairs, message):
+        path = self._doctored(tmp_path, n_pairs=n_pairs)
+        with pytest.raises(InputFormatError) as raised:
+            load_calibration(path)
+        assert str(raised.value) == f"{path}: {message}"
 
     def test_top_level_array_rejected(self, tmp_path):
         path = tmp_path / "cal.json"
